@@ -15,12 +15,18 @@ import argparse
 import json
 import sys
 
-from .groups import DominanceError, UnsupportedGroupError, build_root_data, parse_group
-from .presentation import PresentationError, build_kr_presentation
+from .groups import (
+    DominanceError,
+    InvariantError,
+    UnsupportedGroupError,
+    build_root_data,
+    parse_group,
+)
+from .presentation import build_kr_presentation
 from .realstruct import (
-    Involution,
     InvolutionSpecError,
     UnclassifiableError,
+    involution_from_name,
     split_fundamentals,
 )
 from .serialize import (
@@ -93,16 +99,9 @@ def _emit(text, out_path):
 def _build(args):
     rd = build_root_data(parse_group(args.group))
     overrides = _load_overrides(args.override) if args.override else None
-    inv = Involution(rd, _involution_names(args.involution, rd),
-                     overrides=overrides)
+    inv = involution_from_name(rd, args.involution, overrides=overrides)
     split = split_fundamentals(rd, inv)
     return build_kr_presentation(rd, inv, split)
-
-
-def _involution_names(text, rd):
-    if "," in text:
-        return tuple(x.strip() for x in text.split(","))
-    return text
 
 
 def main(argv=None) -> int:
@@ -139,7 +138,7 @@ def main(argv=None) -> int:
     except UnclassifiableError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNCLASSIFIABLE
-    except PresentationError as exc:
+    except InvariantError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -22,7 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 KR_BASIS = ("1", "eta", "eta2", "mu")
+# The KO pattern of KR*(pt): the degree of each basis class, and the
+# classes that generate a Z/2 (the others a free Z).  A Quaternionic-type
+# summand carries the same pattern shifted by -4.
 KR_DEGREE = {"1": 0, "eta": -1, "eta2": -2, "mu": -4}
+KR_TORSION = frozenset({"eta", "eta2"})
 
 
 @dataclass(frozen=True)
@@ -85,8 +89,8 @@ class KRCoeff:
     mu: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "eta", self.eta % 2)
-        object.__setattr__(self, "eta2", self.eta2 % 2)
+        for name in KR_TORSION:
+            object.__setattr__(self, name, getattr(self, name) % 2)
 
     @staticmethod
     def basis(name: str, coeff: int = 1) -> "KRCoeff":
@@ -205,13 +209,6 @@ class KRGCoeffPiece:
         return sum(r for _, r in self.torsion)
 
 
-# KO-style pattern per type: degree offset -> ("free"|"tors", basis label)
-R_PATTERN = {0: ("free", "1"), -1: ("tors", "eta"), -2: ("tors", "eta2"),
-             -4: ("free", "mu")}
-H_PATTERN = {-4: ("free", "1"), -5: ("tors", "eta"), -6: ("tors", "eta2"),
-             0: ("free", "mu")}
-
-
 def kr_g_pt_piece(classes, q: int) -> KRGCoeffPiece:
     """Assemble the degree-q coefficient piece from classified irreps.
 
@@ -228,11 +225,8 @@ def kr_g_pt_piece(classes, q: int) -> KRGCoeffPiece:
             if q % 2 == 0:
                 free.append((cls, 1))
             continue
-        pattern = R_PATTERN if cls.type == "R" else H_PATTERN
-        for off, (kind, _label) in pattern.items():
-            if off % 8 == q:
-                if kind == "free":
-                    free.append((cls, 1))
-                else:
-                    torsion.append((cls, 1))
+        shift = 0 if cls.type == "R" else -4
+        for name, deg in KR_DEGREE.items():
+            if (deg + shift) % 8 == q:
+                (torsion if name in KR_TORSION else free).append((cls, 1))
     return KRGCoeffPiece(q, tuple(free), tuple(torsion))

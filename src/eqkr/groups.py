@@ -37,6 +37,11 @@ class DominanceError(ValueError):
     """Raised when an operation requires a dominant weight."""
 
 
+class InvariantError(RuntimeError):
+    """An exact computation broke one of its own invariants (a bug, not
+    bad input); unlike an assert it survives ``python -O``."""
+
+
 # ---------------------------------------------------------------------------
 # Cartan matrices (columns are simple roots in the fundamental-weight basis)
 # ---------------------------------------------------------------------------
@@ -264,36 +269,6 @@ class RootData:
         self.check_dominant(lam)
         return tuple(-x for x in self.antidominate(lam))
 
-    def w0_matrix(self):
-        """Longest-element action as a matrix (tuple of rows) on weight tuples."""
-        cols = []
-        for i in range(self.dim):
-            e = tuple(1 if j == i else 0 for j in range(self.dim))
-            # w0 is linear; evaluate on a dominant basis through orbits of
-            # fundamental-ish vectors.  Use dominate/antidominate on e shifted
-            # into the dominant cone: w0(v) = antidominant rep of orbit of v
-            # only holds for dominant v, so express e via dominant vectors.
-            cols.append(self._w0_on(e))
-        # cols[i] = w0(e_i); matrix rows follow
-        return tuple(tuple(cols[j][i] for j in range(self.dim)) for i in range(self.dim))
-
-    def _w0_on(self, v):
-        # Decompose v = a - b with a, b dominant (coordinatewise on the
-        # dominant generators), using that w0 is linear.
-        dom_basis = self._dominant_basis()
-        coords = self._coords_in_dominant_basis(v, dom_basis)
-        img = [0] * self.dim
-        for c, b in zip(coords, dom_basis):
-            w = self.antidominate(b)
-            img = [x + c * y for x, y in zip(img, w)]
-        return tuple(img)
-
-    def _dominant_basis(self):
-        raise NotImplementedError
-
-    def _coords_in_dominant_basis(self, v, basis):
-        raise NotImplementedError
-
     def orbit(self, v):
         """The full Weyl orbit of a weight, as a frozenset."""
         seen = {tuple(v)}
@@ -355,12 +330,6 @@ class SimpleRootData(RootData):
         return tuple(tuple(1 if j == i else 0 for j in range(self.rank))
                      for i in range(self.rank))
 
-    def _dominant_basis(self):
-        return self.fundamental_weights()
-
-    def _coords_in_dominant_basis(self, v, basis):
-        return tuple(v)
-
     # -- roots ---------------------------------------------------------------
     def positive_roots(self):
         """Positive roots in simple-root coordinates, deterministic order."""
@@ -393,7 +362,8 @@ class SimpleRootData(RootData):
         dal = sum(c[j] * c[k] * self.d[k] * self.cartan[k][j]
                   for j in range(self.rank) for k in range(self.rank))
         val = Fraction(2 * num, dal)
-        assert val.denominator == 1
+        if val.denominator != 1:
+            raise InvariantError(f"<{v}, alpha^vee> = {val} for {c}: not an integer")
         return int(val)
 
     def positive_coroot_pairing(self, v):
@@ -444,25 +414,6 @@ class UnRootData(RootData):
     def fundamental_weights(self):
         """The exterior powers of the defining representation, k = 1..n."""
         return tuple((1,) * k + (0,) * (self.n - k) for k in range(1, self.n + 1))
-
-    def _dominant_basis(self):
-        # (1,...,1,0,...,0) for k=1..n and -(1,...,1)
-        basis = list(self.fundamental_weights())
-        basis.append((-1,) * self.n)
-        return tuple(basis)
-
-    def _coords_in_dominant_basis(self, v, basis):
-        # v = sum c_k (1^k 0^..) + c_det * (-1,...,1): solve greedily.
-        coords = [0] * (self.n + 1)
-        m = min(v)
-        if m < 0:
-            coords[self.n] = -m
-            v = tuple(x - m for x in v)
-        for k in range(self.n - 1, -1, -1):
-            c = v[k]
-            coords[k] = c
-            v = tuple(x - c if j <= k else x for j, x in enumerate(v))
-        return tuple(coords)
 
     def positive_roots(self):
         return tuple((i, j) for i in range(self.n) for j in range(i + 1, self.n))
@@ -546,21 +497,6 @@ class ProductRootData(RootData):
         return sum(f.positive_coroot_pairing(tuple(v[s]))
                    for f, s in zip(self.factors, self.slices))
 
-    def _dominant_basis(self):
-        raise NotImplementedError("w0 handled factorwise for products")
-
-    def w0_matrix(self):
-        blocks = [f.w0_matrix() for f in self.factors]
-        mat = [[0] * self.dim for _ in range(self.dim)]
-        off = 0
-        for b in blocks:
-            n = len(b)
-            for i in range(n):
-                for j in range(n):
-                    mat[off + i][off + j] = b[i][j]
-            off += n
-        return tuple(tuple(row) for row in mat)
-
     def dual_weight(self, lam):
         parts = self.split(lam)
         return self.join([f.dual_weight(p) for f, p in zip(self.factors, parts)])
@@ -614,7 +550,8 @@ def weyl_dimension(rd: RootData, lam: Weight) -> int:
     else:
         for c in rd.positive_roots():
             num *= Fraction(rd.coroot_pairing(lr, c), rd.coroot_pairing(rho, c))
-    assert num.denominator == 1
+    if num.denominator != 1:
+        raise InvariantError(f"Weyl dimension of {lam} is {num}: not an integer")
     return int(num)
 
 
@@ -692,7 +629,9 @@ def _dominant_multiplicities(rd_key, lam):
                 total += 2 * m * rd.ip(nu, av)
                 k += 1
         m = total / denom
-        assert m.denominator == 1
+        if m.denominator != 1:
+            raise InvariantError(
+                f"multiplicity of {mu} in V_{lam} is {m}: not an integer")
         mult[mu] = int(m)
     return {k: v for k, v in mult.items() if v > 0}
 

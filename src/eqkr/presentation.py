@@ -39,8 +39,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .coeffs import KRCoeff, KR_DEGREE, c_coeff, r_pattern
+from .coeffs import KR_BASIS, KR_DEGREE, KR_TORSION, KRCoeff, c_coeff, r_pattern
 from .groups import (
+    InvariantError,
     RootData,
     UnRootData,
     UnsupportedGroupError,
@@ -59,7 +60,7 @@ from .realstruct import (
 )
 
 
-class PresentationError(RuntimeError):
+class PresentationError(InvariantError):
     """Internal invariant violation in the presentation engine."""
 
 
@@ -721,7 +722,7 @@ class Presentation:
     def _normalize_terms(self, terms):
         out = {}
         for t, c in terms.items():
-            if self.kind == "KR" and t[1] in ("eta", "eta2"):
+            if self.kind == "KR" and t[1] in KR_TORSION:
                 c %= 2
             if c:
                 out[t] = c
@@ -740,11 +741,8 @@ class Presentation:
     # -- tables ------------------------------------------------------------------
     def monomial_degrees(self):
         """Degree multiset of the plain generator monomials (raw sums)."""
-        degs = []
-        for k in range(len(self.gens) + 1):
-            for bits in itertools.combinations(range(len(self.gens)), k):
-                degs.append(sum(self.gens[i].degree for i in bits))
-        return sorted(degs)
+        return sorted(sum(self.gens[i].degree for i in bits)
+                      for bits in plain_monomials(self))
 
     def generator_square(self, g):
         if isinstance(g, Generator):
@@ -1151,18 +1149,41 @@ def classified_irreps(p: Presentation, bound: int):
     return reals, quats, pairs
 
 
-KO_PATTERN = {0: "free", -1: "tors", -2: "tors", -4: "free"}
+def plain_monomials(p: Presentation):
+    """Every square-free generator product, as a sorted index tuple
+    (the empty product first, then by size)."""
+    n = len(p.gens)
+    return [bits for k in range(n + 1)
+            for bits in itertools.combinations(range(n), k)]
 
 
-def poincare_table(p: Presentation, bound: int = 50,
-                   drop_mu_shift: bool = False):
+def rclass_indices(t: int, rho=None):
+    """Every valid realified-class index over t complex pairs with the
+    given rho and Bott exponent 0..3, the bare r(beta^i rho) included."""
+    out = []
+    for i in range(4):
+        for eps in itertools.product((0, 1), repeat=t):
+            for nu in itertools.product((0, 1), repeat=t):
+                try:
+                    out.append(RClassIndex(rho, i, eps, nu))
+                except ValueError:
+                    continue
+    return out
+
+
+def poincare_table(p: Presentation, bound: int = 50):
     """Per-degree (free rank, 2-torsion count) of the normal-form basis.
 
     Truncated to irreducibles of dimension <= bound.  For BZ/K
     presentations the table counts exterior monomials (times the four
-    beta-classes) and has no torsion.  ``drop_mu_shift`` omits the
-    mu-scaled copy of each R/H summand; it exists as a sensitivity
-    control for the verifier tests.
+    beta-classes) and has no torsion.  For KR the engine builds the
+    basis itself: one representative irreducible per kind (a
+    non-trivial one where there is one; both members of a complex
+    pair) times the coefficient classes, the trivial-rho realified
+    classes and the pair realified classes, each multiplied by every
+    plain monomial.  The distinct normal-form terms are counted by
+    term_degree and by the torsion of their coefficient class, and
+    scaled by the number of irreducibles of that kind.
     """
     table = {canon_degree(-q): [0, 0] for q in range(8)}
     if p.kind in ("BZ", "K"):
@@ -1173,56 +1194,52 @@ def poincare_table(p: Presentation, bound: int = 50,
         return {d: tuple(v) for d, v in table.items()}
 
     reals, quats, pairs = classified_irreps(p, bound)
-    lam_gens = [g for g in p.gens if g.kind == "lam"]
-    delta_gens = [g for g in p.gens if g.kind != "lam"]
-    plain = []
-    for bits in _subsets_of(delta_gens):
-        for lbits in _subsets_of(lam_gens):
-            d = sum(g.degree for g in bits) + sum(g.degree for g in lbits)
-            plain.append((canon_degree(d), frozenset(g.pair for g in lbits)))
-
-    for d, _lams in plain:
-        for count, shift in ((len(reals), 0), (len(quats), -4)):
-            for off, kind in KO_PATTERN.items():
-                if drop_mu_shift and off == -4:
-                    continue
-                dd = canon_degree(d + shift + off)
-                table[dd][0 if kind == "free" else 1] += count
-
     t = p.split.t
-    if t:
-        for d, lams in plain:
-            for i in range(4):
-                for eps, nu in _slot_patterns(t, include_empty=True):
-                    if (set(eps) | set(nu)) & lams:
-                        continue
-                    sd = canon_degree(d - 2 * i - len(eps) - len(nu))
-                    if eps or nu:
-                        # trivial-rho slot, canonical patterns only;
-                        # coefficients run over RR + RH
-                        if eps and (not nu or min(eps) < min(nu)):
-                            table[sd][0] += len(reals)
-                            table[canon_degree(sd - 4)][0] += len(quats)
-                    # pair slots: one free Z per complex pair, all patterns
-                    table[sd][0] += len(pairs)
+    trivial_rho = [p.rclass_element(idx) for idx in rclass_indices(t)
+                   if idx.factor_count]
+    pieces = []  # (number of irreducibles of the kind, basis factors)
+    for classes in (reals, quats):
+        if classes:
+            w = max(cls.weight for cls in classes)
+            pieces.append((len(classes),
+                           [p.class_element(w, name) for name in KR_BASIS]
+                           + [r * p.class_element(w) for r in trivial_rho]))
+    if pairs:
+        cls = pairs[0]
+        pieces.append((len(pairs), [p.rclass_element(idx)
+                                    for rho in (cls.weight, cls.twisted_dual)
+                                    for idx in rclass_indices(t, rho)]))
+    monomials = []
+    for bits in plain_monomials(p):
+        m = p.one()
+        for g in bits:
+            m = m * p.gen_element(g)
+        monomials.append(m)
+    for count, factors in pieces:
+        terms = set()
+        for m in monomials:
+            for f in factors:
+                terms.update((m * f).terms)
+        for term in terms:
+            table[p.term_degree(term)][int(term[1] in KR_TORSION)] += count
     return {d: tuple(v) for d, v in table.items()}
 
 
-def _subsets_of(items):
-    out = []
-    for k in range(len(items) + 1):
-        out.extend(itertools.combinations(items, k))
-    return out
+def noneq_table(p: Presentation):
+    """Module table of KR*(G^-) as the structure theorem states it.
 
-
-def _slot_patterns(t, include_empty=False):
-    out = []
-    idx = list(range(t))
-    for esz in range(t + 1):
-        for eps in itertools.combinations(idx, esz):
-            rest = [k for k in idx if k not in eps]
-            for nsz in range(len(rest) + 1):
-                for nu in itertools.combinations(rest, nsz):
-                    if eps or nu or include_empty:
-                        out.append((eps, nu))
-    return out
+    Representation content is forgotten: every plain monomial carries
+    the KO pattern of KR*(pt), and every trivial-rho realified slot not
+    killed by a lam factor of the monomial carries a free Z.
+    """
+    table = {canon_degree(-q): [0, 0] for q in range(8)}
+    slots = [idx for idx in rclass_indices(p.split.t) if idx.factor_count]
+    for bits in plain_monomials(p):
+        d = sum(p.gens[g].degree for g in bits)
+        lams = {p.gens[g].pair for g in bits if p.gens[g].kind == "lam"}
+        for name, off in KR_DEGREE.items():
+            table[canon_degree(d + off)][int(name in KR_TORSION)] += 1
+        for idx in slots:
+            if not any(idx.eps[k] or idx.nu[k] for k in lams):
+                table[canon_degree(d + idx.degree())][0] += 1
+    return {d: tuple(v) for d, v in table.items()}

@@ -14,6 +14,7 @@ from .groups import UnsupportedGroupError
 from .presentation import (
     Presentation,
     RClassIndex,
+    noneq_table,
     poincare_table,
     rclass_square,
 )
@@ -71,9 +72,12 @@ def presentation_payload(p: Presentation, truncation: int = 50,
     relations = []
     for g in p.gens:
         sq = p.generator_square(g)
-        provenance = ("generator square zero (image of the odd derivation)"
-                      if g.kind in ("dR", "dH", "dG")
-                      else "generator square zero (complex-pair class)")
+        if not sq.is_zero():
+            provenance = "relation-table override (nonzero square)"
+        elif g.kind == "lam":
+            provenance = "generator square zero (complex-pair class)"
+        else:
+            provenance = "generator square zero (image of the odd derivation)"
         relations.append({
             "lhs": f"{generator_name(p, g)}^2",
             "rhs": element_text(sq),
@@ -111,7 +115,6 @@ def presentation_payload(p: Presentation, truncation: int = 50,
     except UnsupportedGroupError:
         # U(n) factors admit no finite dimension truncation (determinant
         # twists); fall back to the non-equivariant module table
-        from .verifier import noneq_table
         table = noneq_table(p)
         scope = "non-equivariant module (U factors: no finite truncation)"
     poincare = [{"degree": d, "free_rank": table[d][0], "torsion": table[d][1]}

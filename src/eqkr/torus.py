@@ -149,8 +149,6 @@ def torus_restriction_un(n: int, field_tag: str, k: int) -> LaurentForm:
         raise ValueError("field tag must be R or H")
     if field_tag == "H" and k % 2 == 0:
         raise ValueError("even exterior powers carry the R structure")
-    if field_tag == "R" and False:
-        pass
     out = LaurentForm.zero(n)
     for subset in itertools.combinations(range(n), k):
         exps = tuple(1 if j in subset else 0 for j in range(n))

@@ -14,7 +14,7 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from .coeffs import KCoeff, KRCoeff, c_coeff, r_coeff
+from .coeffs import KR_BASIS, KCoeff, KRCoeff, c_coeff, r_coeff
 from .groups import UnsupportedGroupError
 from .presentation import (
     Presentation,
@@ -26,7 +26,10 @@ from .presentation import (
     complexify,
     delta_lift,
     dominant_weights_up_to_dim,
+    noneq_table,
+    plain_monomials,
     poincare_table,
+    rclass_indices,
     rclass_square,
 )
 from .realstruct import TYPE_C
@@ -74,33 +77,21 @@ def _timed(name, seed, fn):
 def odd_monomials(p: Presentation, degree: int):
     """Normal-form monomials of the given pure odd degree."""
     out = []
-    gens = range(len(p.gens))
-    for k in range(1, len(p.gens) + 1):
-        for bits in itertools.combinations(gens, k):
-            e = p.one()
-            for g in bits:
-                e = e * p.gen_element(g)
-            if not e.is_zero() and e.degrees() == [degree]:
-                out.append(e)
+    for bits in plain_monomials(p):
+        e = p.one()
+        for g in bits:
+            e = e * p.gen_element(g)
+        if not e.is_zero() and e.degrees() == [degree]:
+            out.append(e)
     if p.split is not None and p.split.t:
-        t = p.split.t
         rhos = [None] + [rep for rep, _ in p.split.pairs]
-        for i in range(4):
-            for eps in itertools.product((0, 1), repeat=t):
-                for nu in itertools.product((0, 1), repeat=t):
-                    try:
-                        idx = RClassIndex(None, i, eps, nu)
-                    except ValueError:
-                        continue
-                    if idx.factor_count == 0:
-                        continue
-                    if canon_degree(idx.degree()) != degree:
-                        continue
-                    for rho in rhos:
-                        e = p.rclass_element(
-                            RClassIndex(rho, i, eps, nu))
-                        if not e.is_zero() and e.degrees() == [degree]:
-                            out.append(e)
+        for idx in rclass_indices(p.split.t):
+            if idx.factor_count == 0 or idx.degree() != degree:
+                continue
+            for rho in rhos:
+                e = p.rclass_element(RClassIndex(rho, idx.i, idx.eps, idx.nu))
+                if not e.is_zero() and e.degrees() == [degree]:
+                    out.append(e)
     return out
 
 
@@ -230,43 +221,6 @@ def _poly_in_rh_fundamentals(p, funds, nu):
     return out
 
 
-def noneq_table(p: Presentation):
-    """Module table of KR*(G^-): the coefficient assembly augmented.
-
-    Representation content is forgotten: plain monomials carry the
-    KO-pattern of KR*(pt), realified slots (trivial rho only) carry a
-    free Z each.
-    """
-    table = {canon_degree(-q): [0, 0] for q in range(8)}
-    lam_gens = [g for g in p.gens if g.kind == "lam"]
-    delta_gens = [g for g in p.gens if g.kind != "lam"]
-    plain = []
-    for k in range(len(delta_gens) + 1):
-        for bits in itertools.combinations(delta_gens, k):
-            for kl in range(len(lam_gens) + 1):
-                for lbits in itertools.combinations(lam_gens, kl):
-                    d = (sum(g.degree for g in bits)
-                         + sum(g.degree for g in lbits))
-                    plain.append((canon_degree(d),
-                                  frozenset(g.pair for g in lbits)))
-    for d, _ in plain:
-        for off, kind in ((0, "free"), (-1, "tors"), (-2, "tors"),
-                          (-4, "free")):
-            table[canon_degree(d + off)][0 if kind == "free" else 1] += 1
-    t = p.split.t if p.split else 0
-    if t:
-        from .presentation import _slot_patterns
-        for d, lams in plain:
-            for i in range(4):
-                for eps, nu in _slot_patterns(t):
-                    if not eps or (nu and min(nu) < min(eps)):
-                        continue  # canonical trivial-rho patterns only
-                    if (set(eps) | set(nu)) & lams:
-                        continue
-                    table[canon_degree(d - 2 * i - len(eps) - len(nu))][0] += 1
-    return {d: tuple(v) for d, v in table.items()}
-
-
 def k_basis_count(p: Presentation):
     """Degree census of the K*(G) basis as realified (phi shifts by 4)."""
     table = {canon_degree(-q): 0 for q in range(8)}
@@ -298,17 +252,20 @@ def rhs_module_table(p: Presentation, bound: int):
 
 
 def verify_module_iso(p: Presentation, truncation: int = 30,
-                      seed: int = DEFAULT_SEED,
-                      drop_mu_shift: bool = False) -> CheckResult:
+                      seed: int = DEFAULT_SEED) -> CheckResult:
     """Both sides of the structure theorem have equal per-degree tables.
 
-    The left side enumerates the engine's normal-form basis; the right
-    side assembles (RR + RH) (x) KR*(G^-) + r(R(G,C) (x) K*(G)) from
-    the non-equivariant tables.  Free ranks and Z/2-torsion counts
-    must agree in every degree mod 8 at the truncation.
+    The left side is the engine's normal-form basis: poincare_table
+    multiplies plain monomials by coefficient and realified classes and
+    counts the distinct terms, so a fault in the term arithmetic (the
+    tau-canonicalisation of realified slots, the H-type degree shift)
+    changes it.  The right side assembles (RR + RH) (x) KR*(G^-) +
+    r(R(G,C) (x) K*(G)) in closed form from the stated non-equivariant
+    tables.  Free ranks and Z/2-torsion counts must agree in every
+    degree mod 8 at the truncation.
     """
     def run():
-        lhs = poincare_table(p, truncation, drop_mu_shift=drop_mu_shift)
+        lhs = poincare_table(p, truncation)
         rhs = rhs_module_table(p, truncation)
         for q in sorted(lhs, reverse=True):
             if lhs[q] != rhs[q]:
@@ -328,7 +285,7 @@ def verify_cr(p: Presentation, seed: int = DEFAULT_SEED,
             b = KCoeff.beta(i)
             if c_coeff(r_coeff(b)) != b + b.conj():
                 return f"c(r(beta^{i})) != beta^{i} + conj"
-        for name in ("1", "eta", "eta2", "mu"):
+        for name in KR_BASIS:
             x = KRCoeff.basis(name)
             for j in range(4):
                 y = KCoeff.beta(j)
@@ -469,19 +426,23 @@ def verify_rclass_squares(p: Presentation, seed: int = DEFAULT_SEED) -> CheckRes
 # ---------------------------------------------------------------------------
 
 def make_mutant(p: Presentation, kind: str) -> Presentation:
-    """A deliberately broken copy of a presentation, for sensitivity tests."""
+    """A deliberately broken copy of a presentation, for sensitivity tests.
+
+    "delta-square": the relation table gives the first generator a
+    nonzero square.  "tau-flip": realified slots skip the
+    tau-canonicalisation, so r(x) and r(tau x) stay distinct terms.
+    """
+    bad = Presentation(p.rd, p.inv, p.split, p.kind, p.factors, p.gens,
+                       p.relation_overrides)
     if kind == "delta-square":
-        overrides = dict(p.relation_overrides)
-        target = p.gens[0].index
-        bad = Presentation(p.rd, p.inv, p.split, p.kind, p.factors, p.gens,
-                           overrides)
-        if any(g.kind == "lam" for g in p.gens):
-            lam = next(g for g in p.gens if g.kind == "lam")
-            bad.relation_overrides[("square", target)] = bad.gen_element(lam.index)
-        else:
-            bad.relation_overrides[("square", target)] = bad.one()
-        return bad
-    raise ValueError(f"unknown mutant kind {kind!r}")
+        lam = next((g for g in p.gens if g.kind == "lam"), None)
+        bad.relation_overrides[("square", p.gens[0].index)] = (
+            bad.one() if lam is None else bad.gen_element(lam.index))
+    elif kind == "tau-flip":
+        bad.pair_rep = tuple  # every weight is its own pair representative
+    else:
+        raise ValueError(f"unknown mutant kind {kind!r}")
+    return bad
 
 
 @dataclass

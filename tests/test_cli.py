@@ -1,6 +1,18 @@
 import json
+from pathlib import Path
+
+import pytest
 
 from eqkr.cli import main
+from eqkr.groups import SimpleRootData, build_root_data
+from eqkr.presentation import build_kr_presentation
+from eqkr.realstruct import involution_from_name
+from eqkr.serialize import presentation_payload
+from eqkr.verifier import make_mutant
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+GOLDEN = [("SU2", "trivial"), ("SU3", "sigmaR"), ("SU4", "sigmaH"),
+          ("Sp2", "trivial"), ("SU3", "trivial")]
 
 
 def run(argv):
@@ -109,3 +121,33 @@ def test_product_group_cli(tmp_path):
     assert code == 0
     data = json.loads(out.read_text())
     assert len(data["generators"]) == 2
+
+
+@pytest.mark.parametrize("group,inv", GOLDEN)
+def test_compute_matches_reference_bytes(group, inv, capsys):
+    assert run(["compute", "--group", group, "--involution", inv,
+                "--format", "json"]) == 0
+    expected = (REFERENCE / f"{group}_{inv}.json").read_bytes()
+    assert capsys.readouterr().out.encode("utf-8") == expected
+
+
+def test_invariant_violation_exits_four(monkeypatch, capsys):
+    # pairing with the non-root (2, 1) makes every coroot pairing fractional
+    pairing = SimpleRootData.coroot_pairing
+    monkeypatch.setattr(SimpleRootData, "coroot_pairing",
+                        lambda self, v, c: pairing(self, v, (2, 1)))
+    assert run(["compute", "--group", "SU3", "--involution", "trivial"]) == 4
+    err = capsys.readouterr().err
+    assert "internal invariant violation" in err and "alpha^vee" in err
+
+
+def test_square_provenance_follows_the_computed_square():
+    rd = build_root_data("SU3")
+    p = build_kr_presentation(rd, involution_from_name(rd, "sigmaR"))
+    provenances = [r["provenance"]
+                   for r in presentation_payload(p, 10)["relations"]]
+    assert all(x.startswith("generator square zero") for x in provenances)
+    bad = presentation_payload(make_mutant(p, "delta-square"), 10)
+    first, second = bad["relations"][:2]
+    assert first["rhs"] != "0" and "override" in first["provenance"]
+    assert second["provenance"].startswith("generator square zero")

@@ -1,9 +1,16 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import eqkr
+
 from eqkr.groups import (
     DominanceError,
+    InvariantError,
     UnsupportedGroupError,
     build_root_data,
     character,
@@ -54,11 +61,26 @@ def _apply(m, v):
                  for i in range(len(v)))
 
 
+def _w0(rd):
+    """The brute-force longest element: the one sending rho to -rho."""
+    rho = rd.rho_vec()
+    w0s = [m for m in weyl_group(rd) if _apply(m, rho) == tuple(-x for x in rho)]
+    assert len(w0s) == 1
+    return w0s[0]
+
+
+def _assert_dual_is_minus_w0(rd, w0):
+    for lam in rd.fundamental_weights():
+        assert _apply(w0, lam) == tuple(-x for x in rd.dual_weight(lam))
+
+
 def test_su2_root_data_smallest_case():
     rd = build_root_data("SU2")
     assert rd.rank == 1
     assert len(rd.positive_roots()) == 1
-    assert rd.w0_matrix() == ((-1,),)
+    w0 = _w0(rd)
+    assert w0 == ((-1,),)
+    _assert_dual_is_minus_w0(rd, w0)
 
 
 def test_su4_root_data_against_weyl_enumeration():
@@ -67,12 +89,9 @@ def test_su4_root_data_against_weyl_enumeration():
     assert len(w) == 24  # S_4
     assert len(rd.positive_roots()) == 6
     # w0 is the unique element sending rho to -rho, and equals -(flip)
-    rho = rd.rho_vec()
-    w0s = [m for m in w if _apply(m, rho) == tuple(-x for x in rho)]
-    assert len(w0s) == 1
-    assert rd.w0_matrix() == w0s[0]
     flip = ((0, 0, -1), (0, -1, 0), (-1, 0, 0))
-    assert rd.w0_matrix() == flip
+    assert _w0(rd) == flip
+    _assert_dual_is_minus_w0(rd, flip)
 
 
 def test_sp2_root_data_against_weyl_enumeration():
@@ -81,18 +100,17 @@ def test_sp2_root_data_against_weyl_enumeration():
     assert len(w) == 8
     assert len(rd.positive_roots()) == 4
     assert rd.diagram_automorphisms() == ((0, 1),)  # trivial group
-    rho = rd.rho_vec()
-    w0s = [m for m in w if _apply(m, rho) == tuple(-x for x in rho)]
-    assert rd.w0_matrix() == w0s[0]
+    _assert_dual_is_minus_w0(rd, _w0(rd))
 
 
 def test_w0_negates_positive_roots():
     for name in ("SU3", "Sp2", "Spin7", "G2"):
         rd = build_root_data(name)
-        w0 = rd.w0_matrix()
+        w0 = _w0(rd)
         pos = {rd.root_to_weight(c) for c in rd.positive_roots()}
         neg = {tuple(-x for x in v) for v in pos}
         assert {_apply(w0, v) for v in pos} == neg
+        _assert_dual_is_minus_w0(rd, w0)
 
 
 def test_cartan_matrix_invariants():
@@ -282,3 +300,22 @@ def test_dominance_errors():
         weyl_dimension(rd, (-1, 0))
     with pytest.raises(DominanceError):
         character(rd, (1,))
+
+
+def test_non_integral_pairing_raises_typed_error():
+    # (2, 1) is not a root of SU3: the pairing comes out as 2/3
+    with pytest.raises(InvariantError, match="2/3"):
+        build_root_data("SU3").coroot_pairing((1, 0), (2, 1))
+
+
+def test_invariant_error_survives_optimized_mode():
+    code = ("from eqkr.groups import InvariantError, build_root_data\n"
+            "try:\n"
+            "    build_root_data('SU3').coroot_pairing((1, 0), (2, 1))\n"
+            "except InvariantError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(eqkr.__file__).parents[1]))
+    res = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, timeout=60)
+    assert res.returncode == 0, res.stderr

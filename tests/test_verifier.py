@@ -63,9 +63,9 @@ def test_negative_controls_fail():
     bad = make_mutant(p, "delta-square")
     res = verify_squares(bad)
     assert res.status == "fail" and res.witness
-    res = verify_module_iso(p, 20, drop_mu_shift=True)
-    assert res.status == "fail" and "degree" in res.witness
     p3 = kr("SU3", "trivial")
+    res = verify_module_iso(make_mutant(p3, "tau-flip"), 20)
+    assert res.status == "fail" and res.witness.startswith("degree ")
     res = verify_leibniz(p3, 8, flip_twist_sign=True)
     assert res.status == "fail" and "rewrite" in res.witness
 
