@@ -29,7 +29,7 @@ from .realstruct import (
     fs_rule_type,
     split_fundamentals,
 )
-from .coeffs import KCoeff, KRCoeff, kr_normalize, c_coeff, r_coeff, kr_g_pt_piece
+from .coeffs import KCoeff, KRCoeff, kr_normalize, c_coeff, r_coeff
 from .presentation import (
     Presentation,
     RingElement,

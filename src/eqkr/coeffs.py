@@ -183,50 +183,3 @@ def r_coeff(y: KCoeff) -> KRCoeff:
 def r_pattern(i: int) -> KRCoeff:
     """r(beta^i) as a KRCoeff."""
     return r_coeff(KCoeff.beta(i))
-
-
-# ---------------------------------------------------------------------------
-# graded pieces of the equivariant coefficient ring
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class KRGCoeffPiece:
-    """Degree-q piece of the equivariant coefficient assembly.
-
-    free: tuple of (IrrepClass, rank); torsion: tuple of (IrrepClass,
-    Z/2 rank).  Only R and H classes contribute torsion; complex pairs
-    contribute one free summand per even degree.
-    """
-
-    degree: int
-    free: tuple
-    torsion: tuple
-
-    def free_rank(self):
-        return sum(r for _, r in self.free)
-
-    def torsion_rank(self):
-        return sum(r for _, r in self.torsion)
-
-
-def kr_g_pt_piece(classes, q: int) -> KRGCoeffPiece:
-    """Assemble the degree-q coefficient piece from classified irreps.
-
-    ``classes`` is an iterable of IrrepClass covering every needed
-    irreducible, with exactly one entry per complex pair.  An R-type
-    class contributes the KO pattern, an H-type class the same pattern
-    shifted by -4 (with the degree-0 copy carrying the mu scaling), and
-    a complex pair one free Z per even degree.
-    """
-    q = q % 8
-    free, torsion = [], []
-    for cls in classes:
-        if cls.type == "C":
-            if q % 2 == 0:
-                free.append((cls, 1))
-            continue
-        shift = 0 if cls.type == "R" else -4
-        for name, deg in KR_DEGREE.items():
-            if (deg + shift) % 8 == q:
-                (torsion if name in KR_TORSION else free).append((cls, 1))
-    return KRGCoeffPiece(q, tuple(free), tuple(torsion))

@@ -2,8 +2,8 @@
 
 Supported families: SU(n), Sp(n), Spin(n), G2, F4, E6, E7, E8, U(n), and
 finite products of these.  All arithmetic is exact: weights are integer
-tuples, inner products are Fractions, multiplicities and dimensions are
-Python ints.
+tuples, inner products are taken in an integer multiple of the invariant
+form, multiplicities and dimensions are Python ints.
 
 Conventions
 -----------
@@ -21,6 +21,7 @@ semisimple cover.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -112,20 +113,14 @@ def _symmetrizers(a) -> tuple:
     for i in range(rank):
         if d[i] is None:  # disconnected diagram piece
             d[i] = Fraction(1)
-    scale = 1
-    for x in d:
-        scale = scale * x.denominator // _gcd(scale, x.denominator)
+    scale = _common_denominator(d)
     vals = [int(x * scale) for x in d]
-    g = 0
-    for v in vals:
-        g = _gcd(g, v)
+    g = math.gcd(*vals)
     return tuple(v // g for v in vals)
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+def _common_denominator(fractions) -> int:
+    return math.lcm(*(x.denominator for x in fractions))
 
 
 def _invert_fraction_matrix(a):
@@ -190,8 +185,9 @@ class RootData:
     """Shared interface: weights are integer tuples of length self.dim.
 
     Subclasses provide the simple-reflection action, pairings with simple
-    coroots, the invariant inner product and dominance; the generic
-    character and tensor machinery below only uses that interface.
+    coroots, the invariant inner product, the positive roots and
+    dominance; the generic character and tensor machinery below only
+    uses that interface.
     """
 
     spec: GroupSpec
@@ -209,16 +205,17 @@ class RootData:
     def reflect_simple(self, v, i):
         raise NotImplementedError
 
-    def simple_root_vec(self, i):
-        """Simple root alpha_i as a weight-lattice vector."""
-        raise NotImplementedError
-
     def ip(self, v, w):
-        """Invariant inner product, exact Fraction."""
+        """Invariant inner product, scaled by a fixed positive integer so
+        that it is integer-valued on weights."""
         raise NotImplementedError
 
     def rho_vec(self):
         """A rho substitute: any vector with <rho, alpha_i^vee> = 1 for all i."""
+        raise NotImplementedError
+
+    def positive_root_vecs(self):
+        """Positive roots as (weight-lattice vector, height) pairs."""
         raise NotImplementedError
 
     def is_dominant(self, v):
@@ -267,6 +264,9 @@ class RootData:
     def dual_weight(self, lam):
         """Highest weight of the dual representation: -w0(lam)."""
         self.check_dominant(lam)
+        return self._minus_w0(lam)
+
+    def _minus_w0(self, lam):
         return tuple(-x for x in self.antidominate(lam))
 
     def orbit(self, v):
@@ -297,10 +297,16 @@ class SimpleRootData(RootData):
         self.cartan = cartan_matrix(series, rank)
         self.d = _symmetrizers(self.cartan)
         ainv = _invert_fraction_matrix(self.cartan)
-        # quadratic form on Dynkin labels: (omega_i, omega_j) = ainv[j][i]*d_j
-        self.qform = tuple(tuple(ainv[j][i] * self.d[j] for j in range(rank))
-                           for i in range(rank))
+        # quadratic form on Dynkin labels: (omega_i, omega_j) = ainv[j][i]*d_j,
+        # scaled by the least common denominator of its entries
+        qform = [[ainv[j][i] * self.d[j] for j in range(rank)] for i in range(rank)]
+        scale = _common_denominator(itertools.chain(*qform))
+        self.gram = tuple(tuple(int(x * scale) for x in row) for row in qform)
         self._positive_roots = None
+        self._root_norms = {}
+        # -w0 permutes the fundamental weights: w0(omega_i) = -omega_sigma(i)
+        self._dual_perm = tuple(self.antidominate(w).index(-1)
+                                for w in self.fundamental_weights())
 
     def n_simple(self):
         return self.rank
@@ -315,12 +321,9 @@ class SimpleRootData(RootData):
         col = self.cartan
         return tuple(v[j] - c * col[j][i] for j in range(self.rank))
 
-    def simple_root_vec(self, i):
-        return tuple(self.cartan[j][i] for j in range(self.rank))
-
     def ip(self, v, w):
-        q = self.qform
-        return sum(v[i] * q[i][j] * w[j] for i in range(self.rank) for j in range(self.rank)
+        g = self.gram
+        return sum(v[i] * g[i][j] * w[j] for i in range(self.rank) for j in range(self.rank)
                    if v[i] and w[j])
 
     def rho_vec(self):
@@ -329,6 +332,10 @@ class SimpleRootData(RootData):
     def fundamental_weights(self):
         return tuple(tuple(1 if j == i else 0 for j in range(self.rank))
                      for i in range(self.rank))
+
+    def _minus_w0(self, lam):
+        # sigma is an involution, so label i of -w0(lam) is lam[sigma(i)]
+        return tuple(lam[s] for s in self._dual_perm)
 
     # -- roots ---------------------------------------------------------------
     def positive_roots(self):
@@ -356,15 +363,22 @@ class SimpleRootData(RootData):
         a = self.cartan
         return tuple(sum(a[i][j] * c[j] for j in range(self.rank)) for i in range(self.rank))
 
+    def positive_root_vecs(self):
+        return tuple((self.root_to_weight(c), sum(c)) for c in self.positive_roots())
+
     def coroot_pairing(self, v, c):
         """<v, alpha^vee> for the root with simple-root coordinates c."""
-        num = sum(c[j] * self.d[j] * v[j] for j in range(self.rank))
-        dal = sum(c[j] * c[k] * self.d[k] * self.cartan[k][j]
-                  for j in range(self.rank) for k in range(self.rank))
-        val = Fraction(2 * num, dal)
-        if val.denominator != 1:
-            raise InvariantError(f"<{v}, alpha^vee> = {val} for {c}: not an integer")
-        return int(val)
+        norm = self._root_norms.get(c)
+        if norm is None:
+            norm = self._root_norms[c] = sum(
+                c[j] * c[k] * self.d[k] * self.cartan[k][j]
+                for j in range(self.rank) for k in range(self.rank))
+        num = 2 * sum(c[j] * self.d[j] * v[j] for j in range(self.rank))
+        val, rem = divmod(num, norm)
+        if rem:
+            raise InvariantError(
+                f"<{v}, alpha^vee> = {Fraction(num, norm)} for {c}: not an integer")
+        return val
 
     def positive_coroot_pairing(self, v):
         return sum(self.coroot_pairing(v, c) for c in self.positive_roots())
@@ -400,11 +414,8 @@ class UnRootData(RootData):
         w[i], w[i + 1] = w[i + 1], w[i]
         return tuple(w)
 
-    def simple_root_vec(self, i):
-        return tuple(1 if j == i else (-1 if j == i + 1 else 0) for j in range(self.n))
-
     def ip(self, v, w):
-        return Fraction(sum(x * y for x, y in zip(v, w)))
+        return sum(x * y for x, y in zip(v, w))
 
     def rho_vec(self):
         # rho substitute (n-1, ..., 1, 0); differs from rho by a multiple of
@@ -417,6 +428,10 @@ class UnRootData(RootData):
 
     def positive_roots(self):
         return tuple((i, j) for i in range(self.n) for j in range(i + 1, self.n))
+
+    def positive_root_vecs(self):
+        return tuple((tuple(1 if k == i else (-1 if k == j else 0) for k in range(self.n)),
+                      j - i) for i, j in self.positive_roots())
 
     def positive_coroot_pairing(self, v):
         return sum(v[i] - v[j] for i, j in self.positive_roots())
@@ -446,10 +461,15 @@ class ProductRootData(RootData):
         return tuple(tuple(v[s]) for s in self.slices)
 
     def join(self, parts):
-        out = []
-        for p in parts:
-            out.extend(p)
-        return tuple(out)
+        return tuple(itertools.chain(*parts))
+
+    def combine(self, maps):
+        """Weight -> multiplicity map of a product from one map per factor."""
+        out = {}
+        for combo in itertools.product(*[m.items() for m in maps]):
+            weights, mults = zip(*combo)
+            out[self.join(weights)] = math.prod(mults)  # join is injective
+        return out
 
     def n_simple(self):
         return sum(f.n_simple() for f in self.factors)
@@ -471,15 +491,6 @@ class ProductRootData(RootData):
         out = list(v)
         out[s] = part
         return tuple(out)
-
-    def simple_root_vec(self, i):
-        f, s, j = self._locate(i)
-        vec = [0] * self.dim
-        vec[s] = list(f.simple_root_vec(j))
-        return tuple(vec)
-
-    def ip(self, v, w):
-        return sum(f.ip(tuple(v[s]), tuple(w[s])) for f, s in zip(self.factors, self.slices))
 
     def rho_vec(self):
         return self.join([f.rho_vec() for f in self.factors])
@@ -537,103 +548,77 @@ def weyl_dimension(rd: RootData, lam: Weight) -> int:
     """dim V_lam = prod over positive roots of <lam+rho, a^vee>/<rho, a^vee>."""
     rd.check_dominant(lam)
     if isinstance(rd, ProductRootData):
-        out = 1
-        for f, p in zip(rd.factors, rd.split(lam)):
-            out *= weyl_dimension(f, p)
-        return out
+        return math.prod(weyl_dimension(f, p) for f, p in zip(rd.factors, rd.split(lam)))
     rho = rd.rho_vec()
     lr = tuple(x + r for x, r in zip(lam, rho))
-    num = Fraction(1)
+    num = den = 1
     if isinstance(rd, UnRootData):
         for i, j in rd.positive_roots():
-            num *= Fraction(lr[i] - lr[j], rho[i] - rho[j])
+            num *= lr[i] - lr[j]
+            den *= rho[i] - rho[j]
     else:
         for c in rd.positive_roots():
-            num *= Fraction(rd.coroot_pairing(lr, c), rd.coroot_pairing(rho, c))
-    if num.denominator != 1:
-        raise InvariantError(f"Weyl dimension of {lam} is {num}: not an integer")
-    return int(num)
+            num *= rd.coroot_pairing(lr, c)
+            den *= rd.coroot_pairing(rho, c)
+    dim, rem = divmod(num, den)
+    if rem:
+        raise InvariantError(
+            f"Weyl dimension of {lam} is {Fraction(num, den)}: not an integer")
+    return dim
 
 
 @lru_cache(maxsize=None)
 def _dominant_multiplicities(rd_key, lam):
-    rd = _RD_REGISTRY[rd_key]
-    rho = rd.rho_vec()
-    if isinstance(rd, UnRootData):
-        pos_root_vecs = [tuple(1 if k == i else (-1 if k == j else 0) for k in range(rd.n))
-                         for i, j in rd.positive_roots()]
-    else:
-        pos_root_vecs = [rd.root_to_weight(c) for c in rd.positive_roots()]
+    """Multiplicities of the dominant weights of V_lam (all positive).
 
-    # dominant weights mu <= lam, found by BFS subtracting simple roots
-    dom = {lam}
-    seen = {lam}
+    The dominant weights mu <= lam are exactly those reached from lam by
+    subtracting positive roots and keeping only dominant results
+    (Stembridge, "The partial order of dominant weights"), so the search
+    never leaves the dominant chamber.  Freudenthal's formula then runs
+    over them by increasing height of lam - mu, in the integer form ip.
+    """
+    rd = _RD_REGISTRY[rd_key]
+    roots = rd.positive_root_vecs()
+    height = {lam: 0}
     todo = [lam]
     while todo:
-        v = todo.pop()
-        for i in range(rd.n_simple()):
-            a = rd.simple_root_vec(i)
-            w = tuple(x - y for x, y in zip(v, a))
-            if w in seen:
-                continue
-            # prune: lam - w must stay a non-negative root combination and w
-            # must remain in the rep's convex hull; cheap test via norm
-            if rd.ip(tuple(x + r for x, r in zip(w, rho)),
-                     tuple(x + r for x, r in zip(w, rho))) > \
-               rd.ip(tuple(x + r for x, r in zip(lam, rho)),
-                     tuple(x + r for x, r in zip(lam, rho))):
-                continue
-            seen.add(w)
-            todo.append(w)
-            if rd.is_dominant(w):
-                dom.add(w)
+        mu = todo.pop()
+        for a, h in roots:
+            nu = tuple(x - y for x, y in zip(mu, a))
+            if nu not in height and rd.is_dominant(nu):
+                height[nu] = height[mu] + h
+                todo.append(nu)
 
-    lr = tuple(x + r for x, r in zip(lam, rho))
-    clam = rd.ip(lr, lr)
+    rho = rd.rho_vec()
 
-    def height(mu):
-        # height of lam - mu in the root lattice; exact and positive
-        diff = tuple(x - y for x, y in zip(lam, mu))
-        return rd.ip(diff, rho) * 2  # any positive-definite proxy works
-
-    order = sorted(dom, key=lambda m: (height(m), m))
-    mult = {lam: 1}
-    for mu in order:
-        if mu == lam:
-            continue
+    def shifted_norm(mu):
         mr = tuple(x + r for x, r in zip(mu, rho))
-        denom = clam - rd.ip(mr, mr)
+        return rd.ip(mr, mr)
+
+    top = shifted_norm(lam)
+    dominate = lru_cache(maxsize=None)(rd.dominate)  # weights recur across strings
+    mult = {lam: 1}
+    for mu in sorted(height, key=lambda m: (height[m], m))[1:]:
+        denom = top - shifted_norm(mu)
         if denom == 0:
-            mult[mu] = 0
-            continue
-        total = Fraction(0)
-        for av in pos_root_vecs:
-            k = 1
-            while True:
-                nu = tuple(x + k * y for x, y in zip(mu, av))
-                nud = rd.dominate(nu)
-                m = mult.get(nud)
-                if m is None:
-                    if nud in dom:
-                        m = 0  # not yet computed => zero (ordering by height)
-                    else:
-                        break
-                if m == 0:
-                    # weight might simply be outside the rep; stop when the
-                    # norm test says so
-                    nr = tuple(x + r for x, r in zip(nud, rho))
-                    if rd.ip(nr, nr) > clam:
-                        break
-                    k += 1
-                    continue
-                total += 2 * m * rd.ip(nu, av)
-                k += 1
-        m = total / denom
-        if m.denominator != 1:
+            raise InvariantError(f"Freudenthal denominator of {mu} in V_{lam} is zero")
+        total = 0
+        for a, _ in roots:
+            nu = tuple(x + y for x, y in zip(mu, a))
+            pair = rd.ip(nu, a)
+            aa = rd.ip(a, a)
+            # weight strings are unbroken: stop at the first weight outside
+            while (nud := dominate(nu)) in height:
+                total += mult[nud] * pair
+                nu = tuple(x + y for x, y in zip(nu, a))
+                pair += aa
+        m, rem = divmod(2 * total, denom)
+        if rem or m < 1:
             raise InvariantError(
-                f"multiplicity of {mu} in V_{lam} is {m}: not an integer")
-        mult[mu] = int(m)
-    return {k: v for k, v in mult.items() if v > 0}
+                f"multiplicity of {mu} in V_{lam} is {Fraction(2 * total, denom)}: "
+                "not a positive integer")
+        mult[mu] = m
+    return mult
 
 
 _RD_REGISTRY: dict = {}
@@ -645,6 +630,18 @@ def _register(rd: RootData) -> str:
     return key
 
 
+@lru_cache(maxsize=None)
+def _orbit_character(rd_key, lam):
+    """The character of V_lam for one simple or unitary factor; shared, so
+    never handed to a caller."""
+    rd = _RD_REGISTRY[rd_key]
+    out = {}
+    for mu, m in _dominant_multiplicities(rd_key, lam).items():
+        for w in rd.orbit(mu):
+            out[w] = m
+    return out
+
+
 def character(rd: RootData, lam: Weight) -> dict:
     """Formal character of V_lam: finite map weight -> multiplicity.
 
@@ -653,21 +650,8 @@ def character(rd: RootData, lam: Weight) -> dict:
     """
     rd.check_dominant(lam)
     if isinstance(rd, ProductRootData):
-        parts = [character(f, p) for f, p in zip(rd.factors, rd.split(lam))]
-        combined = {}
-        for combo in itertools.product(*[p.items() for p in parts]):
-            w = rd.join([c[0] for c in combo])
-            m = 1
-            for c in combo:
-                m *= c[1]
-            combined[w] = combined.get(w, 0) + m
-        return combined
-    dom = _dominant_multiplicities(_register(rd), tuple(lam))
-    out = {}
-    for mu, m in dom.items():
-        for w in rd.orbit(mu):
-            out[w] = m
-    return out
+        return rd.combine([character(f, p) for f, p in zip(rd.factors, rd.split(lam))])
+    return dict(_orbit_character(_register(rd), tuple(lam)))
 
 
 def tensor_decompose(rd: RootData, lam: Weight, mu: Weight) -> dict:
@@ -679,16 +663,8 @@ def tensor_decompose(rd: RootData, lam: Weight, mu: Weight) -> dict:
     rd.check_dominant(lam)
     rd.check_dominant(mu)
     if isinstance(rd, ProductRootData):
-        parts = [tensor_decompose(f, a, b)
-                 for f, a, b in zip(rd.factors, rd.split(lam), rd.split(mu))]
-        out = {}
-        for combo in itertools.product(*[p.items() for p in parts]):
-            w = rd.join([c[0] for c in combo])
-            m = 1
-            for c in combo:
-                m *= c[1]
-            out[w] = out.get(w, 0) + m
-        return out
+        return rd.combine([tensor_decompose(f, a, b)
+                           for f, a, b in zip(rd.factors, rd.split(lam), rd.split(mu))])
     if weyl_dimension(rd, mu) > weyl_dimension(rd, lam):
         lam, mu = mu, lam
     rho = rd.rho_vec()

@@ -131,6 +131,28 @@ def test_compute_matches_reference_bytes(group, inv, capsys):
     assert capsys.readouterr().out.encode("utf-8") == expected
 
 
+@pytest.mark.parametrize("group,split", [("E6", (2, 0, 2)), ("E7", (4, 3, 0)),
+                                         ("E8", (8, 0, 0))])
+def test_compute_exceptional_groups(group, split, capsys):
+    assert run(["compute", "--group", group, "--involution", "trivial",
+                "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    gens = data["generators"]
+    assert tuple(sum(g["kind"] == k for g in gens) for k in ("dR", "dH", "lam")) == split
+    assert data["omega_form"] is (split[2] == 0)
+    rels = {r["lhs"]: r["rhs"] for r in data["relations"]}
+    assert all(rels[f"{g['name']}^2"] == "0" for g in gens)
+
+
+@pytest.mark.parametrize("group", ["E6", "F4", "Spin10"])
+def test_verify_all_on_large_groups(group, capsys):
+    assert run(["verify", "--group", group, "--involution", "trivial",
+                "--suite", "all"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["passed"] is True
+    assert all(r["status"] == "pass" for r in report["results"])
+
+
 def test_invariant_violation_exits_four(monkeypatch, capsys):
     # pairing with the non-root (2, 1) makes every coroot pairing fractional
     pairing = SimpleRootData.coroot_pairing

@@ -4,16 +4,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eqkr.coeffs import (
+    KR_BASIS,
+    KR_DEGREE,
+    KR_TORSION,
     KCoeff,
     KRCoeff,
     c_coeff,
-    kr_g_pt_piece,
     kr_normalize,
     r_coeff,
     r_pattern,
 )
 from eqkr.groups import build_root_data
-from eqkr.realstruct import Involution, classify_type
+from eqkr.presentation import build_kr_presentation, poincare_table, rclass_indices
+from eqkr.realstruct import Involution
 
 ONE = KRCoeff.unit()
 ETA = KRCoeff.basis("eta")
@@ -122,40 +125,48 @@ def test_c_r_random(y):
 # equivariant graded pieces
 # ---------------------------------------------------------------------------
 
-def _trivial_group_classes():
-    rd = build_root_data("SU2")
-    inv = Involution(rd, "trivial")
-    return [classify_type(rd, inv, (0,))]  # just the trivial irrep (R type)
+def _kr(name, kind):
+    rd = build_root_data(name)
+    return build_kr_presentation(rd, Involution(rd, kind))
 
 
 def test_trivial_group_pattern():
-    classes = _trivial_group_classes()
+    # KR*(pt) itself: (free rank, Z/2 rank) in degrees 0, -1, ..., -7
     expected = {0: (1, 0), -1: (0, 1), -2: (0, 1), -3: (0, 0),
                 -4: (1, 0), -5: (0, 0), -6: (0, 0), -7: (0, 0)}
     for q, (free, tors) in expected.items():
-        piece = kr_g_pt_piece(classes, q)
-        assert (piece.free_rank(), piece.torsion_rank()) == (free, tors)
+        names = [name for name, deg in KR_DEGREE.items() if deg % 8 == q % 8]
+        assert (sum(name not in KR_TORSION for name in names),
+                sum(name in KR_TORSION for name in names)) == (free, tors)
 
 
 def test_su2_pieces():
-    rd = build_root_data("SU2")
-    inv = Involution(rd, "trivial")
-    classes = [classify_type(rd, inv, (n,)) for n in range(4)]
-    piece = kr_g_pt_piece(classes, -4)
-    quat_contribs = [c for c, _ in piece.free if c.type == "H"]
-    assert any(c.weight == (1,) for c in quat_contribs)
-    piece0 = kr_g_pt_piece(classes, 0)
-    kinds = {(c.type) for c, _ in piece0.free}
-    assert kinds == {"R", "H"}  # R-type classes plus mu-shifted H-type
-    # every self-dual irrep contributes exactly one free summand here
-    assert piece0.free_rank() == len(classes)
+    # the engine's coefficient classes: an H-type irreducible carries the
+    # KO pattern shifted by -4, so its mu lands in degree 0
+    p = _kr("SU2", "trivial")
+    for n in range(4):
+        kind = p.classify((n,)).type
+        assert kind == ("R", "H")[n % 2]
+        shift = 0 if kind == "R" else -4
+        degrees = {}
+        for name in KR_BASIS:
+            (term,) = p.class_element((n,), name).terms
+            degrees[name] = p.term_degree(term) % 8
+        assert degrees == {name: (deg + shift) % 8 for name, deg in KR_DEGREE.items()}
+        # every self-dual irrep contributes exactly one free summand in degree 0
+        free0 = [name for name, d in degrees.items() if d == 0 and name not in KR_TORSION]
+        assert free0 == (["1"] if kind == "R" else ["mu"])
 
 
 def test_complex_pairs_contribute_free_even_degrees():
-    rd = build_root_data("SU3")
-    inv = Involution(rd, "trivial")
-    pair = classify_type(rd, inv, (0, 1))
-    for q in range(0, -8, -1):
-        piece = kr_g_pt_piece([pair], q)
-        assert piece.torsion_rank() == 0
-        assert piece.free_rank() == (1 if q % 2 == 0 else 0)
+    p = _kr("SU3", "trivial")
+    # r(beta^i) of one member of the pair (1, 0)/(0, 1): one class in each
+    # even degree
+    plain = [idx for idx in rclass_indices(p.split.t, (0, 1))
+             if not any(idx.eps) and not any(idx.nu)]
+    degrees = sorted(p.term_degree(t) for idx in plain for t in p.rclass_element(idx).terms)
+    assert degrees == [-6, -4, -2, 0]
+    # the whole pair adds free ranks and no torsion to the module table
+    with_pair, without = poincare_table(p, 3), poincare_table(p, 1)
+    assert all(with_pair[q][1] == without[q][1] for q in with_pair)
+    assert all(with_pair[q][0] > without[q][0] for q in with_pair)

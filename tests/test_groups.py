@@ -11,7 +11,10 @@ import eqkr
 from eqkr.groups import (
     DominanceError,
     InvariantError,
+    SimpleRootData,
     UnsupportedGroupError,
+    _dominant_multiplicities,
+    _register,
     build_root_data,
     character,
     dual_highest_weight,
@@ -69,6 +72,26 @@ def _w0(rd):
     return w0s[0]
 
 
+def _w0_by_reduced_word(rd):
+    """w0 as the product of the reflections that carry rho to -rho.
+
+    rho is regular, so the only element sending it to -rho is w0; the
+    word must have one letter per positive root.
+    """
+    rho = rd.rho_vec()
+    m = tuple(tuple(int(i == j) for j in range(rd.dim)) for i in range(rd.dim))
+    v, length = rho, 0
+    while True:
+        up = [i for i in range(rd.n_simple()) if rd.pairing_simple(v, i) > 0]
+        if not up:
+            break
+        v = rd.reflect_simple(v, up[0])
+        m = _matmul(_reflection_matrix(rd, up[0]), m)
+        length += 1
+    assert v == tuple(-x for x in rho) and length == len(rd.positive_roots())
+    return m
+
+
 def _assert_dual_is_minus_w0(rd, w0):
     for lam in rd.fundamental_weights():
         assert _apply(w0, lam) == tuple(-x for x in rd.dual_weight(lam))
@@ -104,13 +127,19 @@ def test_sp2_root_data_against_weyl_enumeration():
 
 
 def test_w0_negates_positive_roots():
-    for name in ("SU3", "Sp2", "Spin7", "G2"):
+    for name in ("SU2", "SU3", "SU4", "SU5", "SU6", "Sp2", "Spin7", "Spin8", "Spin10", "G2",
+                 "E6", "E7"):
         rd = build_root_data(name)
-        w0 = _w0(rd)
+        w0 = _w0_by_reduced_word(rd)
+        if len(rd.positive_roots()) <= 20:  # |W| <= 1920: enumerate the whole group
+            assert w0 == _w0(rd)
         pos = {rd.root_to_weight(c) for c in rd.positive_roots()}
         neg = {tuple(-x for x in v) for v in pos}
         assert {_apply(w0, v) for v in pos} == neg
         _assert_dual_is_minus_w0(rd, w0)
+        # -w0 moves Dynkin labels only on A_n (n >= 2), D_odd and E6
+        moved = any(rd.dual_weight(w) != w for w in rd.fundamental_weights())
+        assert moved == (name in ("SU3", "SU4", "SU5", "SU6", "Spin10", "E6")), name
 
 
 def test_cartan_matrix_invariants():
@@ -228,6 +257,15 @@ def test_tensor_is_character_homomorphism(name, pairs):
         assert dims == weyl_dimension(rd, a) * weyl_dimension(rd, b)
 
 
+@pytest.mark.parametrize("name", ["SU6", "Spin10"])
+def test_tensor_with_the_trivial_weight_is_identity(name):
+    rd = build_root_data(name)
+    zero = rd.zero()
+    assert _dominant_multiplicities(_register(rd), zero) == {zero: 1}
+    for w in rd.fundamental_weights():
+        assert tensor_decompose(rd, zero, w) == tensor_decompose(rd, w, zero) == {w: 1}
+
+
 def test_duality():
     su3 = build_root_data("SU3")
     assert dual_highest_weight(su3, (1, 0)) == (0, 1)
@@ -240,6 +278,15 @@ def test_duality():
         for _ in range(5):
             lam = tuple(rng.randrange(3) for _ in range(rd.rank))
             assert dual_highest_weight(rd, dual_highest_weight(rd, lam)) == lam
+
+
+def test_character_returns_a_fresh_dict():
+    rd = build_root_data("SU3")
+    ch = character(rd, (1, 1))
+    ch[(0, 0)] = 99
+    del ch[(1, 1)]
+    assert character(rd, (1, 1))[(0, 0)] == 2
+    assert (1, 1) in character(rd, (1, 1))
 
 
 def test_determinism():
@@ -319,3 +366,24 @@ def test_invariant_error_survives_optimized_mode():
     res = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, timeout=60)
     assert res.returncode == 0, res.stderr
+
+
+def _broken_form(monkeypatch, form):
+    monkeypatch.setattr(SimpleRootData, "ip", lambda self, v, w: form(v, w))
+    rd = build_root_data("SU3")
+    return lambda lam: _dominant_multiplicities.__wrapped__(_register(rd), lam)
+
+
+def test_zero_freudenthal_denominator_raises_typed_error(monkeypatch):
+    # a form that vanishes makes every denominator |lam+rho|^2 - |mu+rho|^2 zero
+    multiplicities = _broken_form(monkeypatch, lambda v, w: 0)
+    with pytest.raises(InvariantError, match="denominator of \\(0, 0\\) .* is zero"):
+        multiplicities((1, 1))
+
+
+def test_non_integral_freudenthal_quotient_raises_typed_error(monkeypatch):
+    # the plain dot product of Dynkin labels is not W-invariant: the weight
+    # (0, 1) of the symmetric square comes out as 8/5
+    multiplicities = _broken_form(monkeypatch, lambda v, w: sum(x * y for x, y in zip(v, w)))
+    with pytest.raises(InvariantError, match="8/5"):
+        multiplicities((2, 0))
