@@ -50,6 +50,7 @@ from .verifier import (
     verify_cr,
     verify_leibniz,
     verify_module_iso,
+    verify_oracle,
     verify_squares,
     verify_weyl_denominator,
 )

@@ -113,7 +113,7 @@ def main(argv=None) -> int:
             _emit(render(p, args.truncate, args.seed), args.out)
             return EXIT_OK
         # verify
-        wants_group_checks = args.suite in ("fast", "all")
+        wants_group_checks = args.suite in ("fast", "all", "oracle")
         p = None
         un_rank = None
         spec = parse_group(args.group)

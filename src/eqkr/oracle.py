@@ -130,14 +130,13 @@ def _subsets(n, k):
 
 
 def exterior_power(u, k):
-    """k-th compound matrix (action on wedge^k of the defining space)."""
-    n = u.shape[0]
-    subs = _subsets(n, k)
-    out = np.zeros((len(subs), len(subs)), dtype=complex)
-    for a, rows in enumerate(subs):
-        for b, cols in enumerate(subs):
-            out[a, b] = np.linalg.det(u[np.ix_(rows, cols)])
-    return out
+    """k-th compound matrix (action on wedge^k of the defining space).
+
+    Entry (a, b) is the minor of u on rows subs[a] and columns subs[b];
+    all minors are gathered into one stack and LAPACK factors each.
+    """
+    subs = np.array(_subsets(u.shape[0], k), dtype=np.intp)
+    return np.linalg.det(u[subs[:, None, :, None], subs[None, :, None, :]])
 
 
 def _contraction_matrix(n, k, form):
@@ -158,7 +157,9 @@ def _contraction_matrix(n, k, form):
 
 
 def _null_space(mat, tol):
-    _, sv, vh = np.linalg.svd(mat)
+    # A wide matrix needs the full V to expose its kernel; a tall one
+    # needs no more than its thin factors, so the m x m U is never built.
+    _, sv, vh = np.linalg.svd(mat, full_matrices=mat.shape[0] < mat.shape[1])
     if mat.shape[0] < mat.shape[1]:
         sv = np.concatenate([sv, np.zeros(mat.shape[1] - mat.shape[0])])
     scale = max(sv[0], 1.0) if len(sv) else 1.0

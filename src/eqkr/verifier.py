@@ -421,6 +421,42 @@ def verify_rclass_squares(p: Presentation, seed: int = DEFAULT_SEED) -> CheckRes
     return _timed(f"rclass-squares[{p.rd.spec}/{p.inv.name}]", seed, run)
 
 
+def verify_oracle(p: Presentation, seed: int = DEFAULT_SEED) -> CheckResult:
+    """The matrix oracle agrees with the catalog rule.
+
+    Every self-twisted-dual fundamental weight that has both a matrix
+    model and a catalog type is decided by the antilinear-intertwiner
+    oracle, sampled with this seed, and compared with
+    ``Involution.catalog_type``.  Skipped when no such weight exists
+    (products, exceptional and orthogonal groups).
+    """
+    # only this check needs numpy; the other suites start without it
+    from .oracle import OracleError, matrix_oracle_type, rep_for_weight
+    name = f"oracle[{p.rd.spec}/{p.inv.name}]"
+    cases = []
+    for w in p.rd.fundamental_weights():
+        if p.inv.twisted_dual_weight(w) != w:
+            continue
+        rep, catalog = rep_for_weight(p.rd, w), p.inv.catalog_type(w)
+        if rep is not None and catalog is not None:
+            cases.append((w, rep, catalog))
+    if not cases:
+        return CheckResult(name, "skipped",
+                           "no self-twisted-dual fundamental with a matrix "
+                           "model and a catalog type", seed)
+
+    def run():
+        for w, rep, catalog in cases:
+            try:
+                got, _ = matrix_oracle_type(rep, p.inv.kinds[0], seed=seed)
+            except OracleError as exc:
+                return f"weight {w}: {exc}"
+            if got != catalog:
+                return f"weight {w} ({rep.label}): oracle {got}, catalog {catalog}"
+        return None
+    return _timed(name, seed, run)
+
+
 # ---------------------------------------------------------------------------
 # mutants (negative controls) and suites
 # ---------------------------------------------------------------------------
@@ -459,7 +495,7 @@ class VerificationReport:
         return all(r.status != "fail" for r in self.results)
 
 
-SUITES = ("none", "fast", "all", "weyl")
+SUITES = ("none", "fast", "all", "weyl", "oracle")
 
 
 def run_suite(p: Presentation | None, suite: str, seed: int = DEFAULT_SEED,
@@ -491,6 +527,8 @@ def run_suite(p: Presentation | None, suite: str, seed: int = DEFAULT_SEED,
     if suite == "all" and target is not None:
         if not _has_un_factor(target):
             checks.append(lambda: verify_module_iso(target, truncation, seed))
+    if suite == "oracle" and target is not None:
+        checks.append(lambda: verify_oracle(target, seed))
     if suite in ("all", "weyl"):
         n = un_rank
         if n is None and p is not None and _un_rank_of(p) is not None:

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import eqkr
 from eqkr.cli import main
 from eqkr.groups import SimpleRootData, build_root_data
 from eqkr.presentation import build_kr_presentation
@@ -55,6 +59,27 @@ def test_verify_weyl_suite(tmp_path):
                 "--out", str(out)]) == 0
     data = json.loads(out.read_text())
     assert data["results"][0]["name"].startswith("weyl-denominator")
+
+
+@pytest.mark.parametrize("group,involution,status", [
+    ("SU4", "sigmaH", "pass"), ("Sp3", "trivial", "pass"),
+    ("G2", "trivial", "skipped")])
+def test_verify_oracle_suite(tmp_path, group, involution, status):
+    out = tmp_path / "o.json"
+    assert run(["verify", "--group", group, "--involution", involution,
+                "--suite", "oracle", "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert [(r["name"], r["status"]) for r in data["results"]] == [
+        (f"oracle[{group}/{involution}]", status)]
+
+
+def test_cli_starts_without_numpy():
+    # only the oracle needs numpy; it is imported when an oracle check runs
+    code = "import sys, eqkr.cli; sys.exit('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(eqkr.__file__).parents[1]))
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, timeout=60)
+    assert res.returncode == 0, res.stderr
 
 
 def test_probe_exits_five(tmp_path):

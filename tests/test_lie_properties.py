@@ -74,13 +74,18 @@ def test_character_is_weyl_invariant(case):
 
 def _horizontal_strips(shape, size):
     """Shapes inner with shape/inner a horizontal strip of the given size."""
+    floors = shape[1:] + (0,)
+    # room[i]: the most cells rows i, i+1, ... can give up together
+    room = [sum(a - b for a, b in zip(shape[i:], floors[i:]))
+            for i in range(len(shape) + 1)]
+
     def rows(i, left):
         if i == len(shape):
             if left == 0:
                 yield ()
             return
-        floor = shape[i + 1] if i + 1 < len(shape) else 0
-        for take in range(min(left, shape[i] - floor) + 1):
+        for take in range(max(0, left - room[i + 1]),
+                          min(left, shape[i] - floors[i]) + 1):
             for rest in rows(i + 1, left - take):
                 yield (shape[i] - take,) + rest
     return rows(0, size)
@@ -111,7 +116,8 @@ def _partitions(total, parts, top):
         if total == 0:
             yield ()
         return
-    for first in range(min(total, top), -1, -1):
+    # the first part is the largest, so it is at least total / parts
+    for first in range(min(total, top), -(-total // parts) - 1, -1):
         for rest in _partitions(total - first, parts - 1, first):
             yield (first,) + rest
 

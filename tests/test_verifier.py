@@ -1,5 +1,6 @@
 import pytest
 
+from eqkr import oracle
 from eqkr.groups import build_root_data
 from eqkr.presentation import build_kr_presentation
 from eqkr.realstruct import Involution
@@ -11,6 +12,7 @@ from eqkr.verifier import (
     verify_cr,
     verify_leibniz,
     verify_module_iso,
+    verify_oracle,
     verify_rclass_squares,
     verify_squares,
     verify_weyl_denominator,
@@ -101,9 +103,38 @@ def test_suite_composition():
     rep = run_suite(p, "all", truncation=20)
     names = {r.name.split("[")[0] for r in rep.results}
     assert "module-iso" in names
+    assert "oracle" not in names
+    assert rep.passed
+    rep = run_suite(p, "oracle")
+    assert [r.name for r in rep.results] == ["oracle[SU3/sigmaR]"]
     assert rep.passed
     with pytest.raises(ValueError):
         run_suite(p, "everything")
+
+
+def test_oracle_check_fails_on_disagreement(monkeypatch):
+    p = kr("SU4", "sigmaH")
+    assert verify_oracle(p).passed
+    catalog = p.inv.catalog_type
+    flipped = {"R": "H", "H": "R"}
+    monkeypatch.setattr(p.inv, "catalog_type", lambda w: flipped[catalog(w)])
+    res = verify_oracle(p)
+    assert res.status == "fail"
+    assert res.witness.startswith("weight (1, 0, 0) (SU4 defining): oracle H, catalog R")
+    monkeypatch.undo()
+
+    def inconclusive(rep, kind, **kw):
+        raise oracle.OracleError(f"oracle inconclusive for {rep.label}")
+    monkeypatch.setattr(oracle, "matrix_oracle_type", inconclusive)
+    res = verify_oracle(p)
+    assert res.status == "fail" and "inconclusive" in res.witness
+
+
+def test_oracle_check_skips_weights_without_a_catalog_type():
+    su2 = build_root_data("SU2")
+    custom = Involution(su2, ((0,),), matrix_j=[[1.0, 0.0], [0.0, 1.0]])
+    res = verify_oracle(build_kr_presentation(su2, custom))
+    assert res.status == "skipped" and "catalog type" in res.witness
 
 
 def test_probe_makes_suite_fail():
