@@ -74,10 +74,6 @@ class KCoeff:
     def is_zero(self):
         return all(a == 0 for a in self.c)
 
-    def degrees(self):
-        """Z/8 degrees present: beta^i sits in degree -2i mod 8."""
-        return {(-2 * i) % 8 for i, a in enumerate(self.c) if a}
-
 
 @dataclass(frozen=True)
 class KRCoeff:
@@ -130,13 +126,6 @@ class KRCoeff:
     def is_zero(self):
         return self.one == 0 and self.eta == 0 and self.eta2 == 0 and self.mu == 0
 
-    def degrees(self):
-        out = set()
-        for name, v in self.as_dict().items():
-            if v:
-                out.add(KR_DEGREE[name] % 8)
-        return out
-
 
 def kr_normalize(monomials) -> KRCoeff:
     """Reduce a raw sum of monomials to normal form.
@@ -145,25 +134,13 @@ def kr_normalize(monomials) -> KRCoeff:
     periodicity_power) tuples.  Idempotent: feeding the basis expansion
     of a normal form back in reproduces it.
     """
+    eta, mu = KRCoeff(eta=1), KRCoeff(mu=1)
     total = KRCoeff()
     for coeff, etap, mup, brp in monomials:
         del brp  # periodicity class is 1 after the collapse
         term = KRCoeff(one=coeff)
-        if etap >= 3:
-            continue  # eta^3 = 0
-        if etap and mup:
-            continue  # eta.mu = 0
-        if etap == 1:
-            term = KRCoeff(eta=coeff)
-        elif etap == 2:
-            term = KRCoeff(eta2=coeff)
-        if mup:
-            # mu^2 = 4, so mu^(2k) = 4^k and mu^(2k+1) = 4^k mu
-            scale = 4 ** (mup // 2)
-            if mup % 2:
-                term = KRCoeff(mu=coeff * scale)
-            else:
-                term = KRCoeff(one=coeff * scale)
+        for factor in (eta,) * etap + (mu,) * mup:
+            term = term * factor
         total = total + term
     return total
 

@@ -1,4 +1,8 @@
-"""Numerical antilinear-intertwiner oracle for R-vs-H decisions.
+"""Numerical antilinear-intertwiner oracle that checks R-vs-H decisions.
+
+The oracle decides no type in the engine: the classifier in
+eqkr.realstruct uses overrides and catalog rules only, and this module
+checks those rules independently (``eqkr verify --suite oracle``).
 
 For a self-twisted-dual unitary representation rho and an involution
 sigma(g) = J gbar J^{-1}, the oracle solves the linear system
@@ -270,20 +274,16 @@ def rep_for_weight(rd: RootData, lam) -> UnitaryRep | None:
     return None
 
 
-def _sigma_on_defining(inv_kind, family, n, custom_j=None):
+def _sigma_on_defining(inv_kind, family, n):
     """sigma as a map on defining-representation matrices, or None."""
     if inv_kind == "trivial":
-        return lambda u: u, None
+        return lambda u: u
     if inv_kind == "sigmaR" and family in ("SU", "U"):
-        return (lambda u: np.conj(u)), np.eye(n, dtype=complex)
+        return np.conj
     if inv_kind == "sigmaH" and family in ("SU", "U") and n % 2 == 0:
         j = symplectic_j(n // 2)
-        return (lambda u: j @ np.conj(u) @ j.conj().T), j
-    if inv_kind == "custom" and custom_j is not None:
-        j = custom_j
-        jinv = np.linalg.inv(j)
-        return (lambda u: j @ np.conj(u) @ jinv), j
-    return None, None
+        return lambda u: j @ np.conj(u) @ j.conj().T
+    return None
 
 
 def lie_basis(family, n):
@@ -297,8 +297,7 @@ def lie_basis(family, n):
 
 
 def matrix_oracle_type(rep: UnitaryRep, inv_kind: str,
-                       tol: float = DEFAULT_TOL, seed: int = DEFAULT_SEED,
-                       custom_j=None):
+                       tol: float = DEFAULT_TOL, seed: int = DEFAULT_SEED):
     """Decide R vs H for a self-twisted-dual representation.
 
     Returns (type, S) where S is the intertwiner matrix.  Raises
@@ -306,7 +305,7 @@ def matrix_oracle_type(rep: UnitaryRep, inv_kind: str,
     ("not irreducible or not self-conjugate") or when S.Sbar is not a
     real multiple of the identity within tolerance ("inconclusive").
     """
-    sigma, _ = _sigma_on_defining(inv_kind, rep.family, rep.n, custom_j)
+    sigma = _sigma_on_defining(inv_kind, rep.family, rep.n)
     if sigma is None:
         raise OracleError(f"no matrix realization of {inv_kind} on "
                           f"{rep.family}({rep.n})")
@@ -347,22 +346,3 @@ def matrix_oracle_type(rep: UnitaryRep, inv_kind: str,
             raise OracleError(f"oracle residual {resid:.2e} above tolerance "
                               f"for {rep.label}")
     return ("R" if c > 0 else "H"), s
-
-
-def oracle_type_for_weight(rd: RootData, inv, lam):
-    """Oracle answer for a weight, or None when no matrix model exists."""
-    rep = rep_for_weight(rd, lam)
-    if rep is None:
-        return None
-    kind = inv.kinds[0]
-    try:
-        if isinstance(kind, str):
-            t, _ = matrix_oracle_type(rep, kind)
-        elif getattr(inv, "matrix_j", None) is not None:
-            t, _ = matrix_oracle_type(rep, "custom",
-                                      custom_j=np.asarray(inv.matrix_j))
-        else:
-            return None
-    except OracleError:
-        return None
-    return t

@@ -56,6 +56,7 @@ from .realstruct import (
     TYPE_R,
     FundamentalSplit,
     Involution,
+    classify_type,
     split_fundamentals,
 )
 
@@ -296,7 +297,6 @@ class Presentation:
         w = tuple(w)
         cached = self._classify_cache.get(w)
         if cached is None:
-            from .realstruct import classify_type
             cached = classify_type(self.rd, self.inv, w)
             self._classify_cache[w] = cached
         return cached
@@ -762,7 +762,7 @@ class Presentation:
 # builders
 # ---------------------------------------------------------------------------
 
-def build_bz_presentation(rd: RootData, equivariant: bool = True,
+def build_bz_presentation(rd: RootData,
                           inv: Involution | None = None) -> Presentation:
     """K*_G(G) as an exterior algebra over R(G), or K*(G) when augmented.
 
@@ -771,8 +771,7 @@ def build_bz_presentation(rd: RootData, equivariant: bool = True,
     """
     factors = tuple(("phi", w, -1) for w in rd.fundamental_weights())
     gens = tuple(Generator("dG", w, i) for i, (_, w, _) in enumerate(factors))
-    return Presentation(rd, inv, None, "BZ" if equivariant else "K",
-                        factors, gens)
+    return Presentation(rd, inv, None, "BZ", factors, gens)
 
 
 def augment_bz(p: Presentation) -> Presentation:

@@ -7,13 +7,15 @@ An irreducible is of complex type when it is not isomorphic to its
 twisted dual; otherwise it carries an antilinear intertwiner squaring
 to +1 (Real type) or -1 (Quaternionic type).
 
-The classifier resolves self-twisted-dual weights by, in priority
-order: a user override table, a catalog rule, or the numerical
-intertwiner oracle in eqkr.oracle.  The decision path is recorded in
-the IrrepClass provenance field.  Catalog rules:
+The classifier resolves a self-twisted-dual weight by a user override
+table or else a catalog rule, and raises UnclassifiableError when
+neither applies; the decision path is recorded in the IrrepClass
+provenance field.  The numerical intertwiner oracle in eqkr.oracle
+decides nothing here: it checks the catalog rules independently
+(``eqkr verify --suite oracle`` and the tests).  Catalog rules:
 
   * trivial sigma: type R iff <lam, 2 rho^vee> is even (the classical
-    self-dual criterion; cross-checked against the oracle in tests);
+    self-dual criterion);
   * complex conjugation on SU(n)/U(n): every irreducible is type R
     (entrywise conjugation in an integral weight basis is a compatible
     antilinear involution);
@@ -24,7 +26,7 @@ the IrrepClass provenance field.  Catalog rules:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .groups import (
     ProductRootData,
@@ -41,7 +43,7 @@ INVOLUTION_NAMES = ("trivial", "sigmaR", "sigmaH")
 
 
 class UnclassifiableError(ValueError):
-    """A self-twisted-dual weight with no override, rule or matrix model."""
+    """A self-twisted-dual weight with no override and no catalog rule."""
 
 
 class InvolutionSpecError(ValueError):
@@ -71,10 +73,11 @@ class Involution:
     lattice action ("diagram part") of each cataloged kind is: identity
     for ``trivial``; the duality automorphism -w0 for ``sigmaR`` and
     ``sigmaH`` (an inner twist does not change the lattice action).  A
-    user-defined kind is a permutation of the factor's simple roots.
+    user-defined kind is a permutation of the factor's simple roots; it
+    has no catalog rule, so its self-twisted-dual weights need overrides.
     """
 
-    def __init__(self, rd: RootData, kinds, overrides=None, matrix_j=None):
+    def __init__(self, rd: RootData, kinds, overrides=None):
         if isinstance(kinds, str):
             kinds = tuple(kinds for _ in rd.spec.factors)
         kinds = tuple(kinds)
@@ -94,20 +97,8 @@ class Involution:
         self.rd = rd
         self.kinds = kinds
         self.overrides = dict(overrides or {})
-        self.matrix_j = matrix_j
         self._factors = rd.factors if isinstance(rd, ProductRootData) else (rd,)
         self._check_diagram_involutive()
-        if matrix_j is not None:
-            if len(rd.spec.factors) != 1:
-                raise InvolutionSpecError(
-                    "a matrix realization applies to a single factor")
-            import numpy as np
-            jsq = np.asarray(matrix_j) @ np.asarray(matrix_j)
-            eye = np.eye(jsq.shape[0])
-            if not (np.allclose(jsq, eye, atol=1e-9)
-                    or np.allclose(jsq, -eye, atol=1e-9)):
-                raise InvolutionSpecError(
-                    "matrix realization must square to +-identity")
 
     def __repr__(self):
         return f"Involution({self.rd.spec}, {','.join(map(str, self.kinds))})"
@@ -154,7 +145,7 @@ class Involution:
         if kind == "trivial":
             if f.dual_weight(lam) != lam:
                 return None  # complex within the factor; handled globally
-            return TYPE_R if f.positive_coroot_pairing(lam) % 2 == 0 else TYPE_H
+            return fs_rule_type(f, lam)
         fam = f.spec.factors[0][0]
         if kind == "sigmaR":
             if fam in ("SU", "U"):
@@ -183,9 +174,6 @@ class Involution:
                 h_parity ^= 1
         return TYPE_H if h_parity else TYPE_R
 
-    def factor_data(self):
-        return tuple(zip(self.kinds, self._factors))
-
 
 def _total_degree_parity(f: RootData, lam) -> int:
     """Parity of the central element -1 in U(2m)/SU(2m) acting on V_lam."""
@@ -208,7 +196,8 @@ def fs_rule_type(rd: RootData, lam) -> str:
     """Type of a self-dual irreducible under the trivial involution.
 
     R when <lam, 2 rho^vee> is even, H when odd.  Must agree with the
-    matrix oracle wherever both apply (enforced in the test suite).
+    matrix oracle wherever both apply (enforced in the test suite and by
+    ``eqkr verify --suite oracle``).
     """
     rd.check_dominant(lam)
     if rd.dual_weight(lam) != lam:
@@ -216,14 +205,14 @@ def fs_rule_type(rd: RootData, lam) -> str:
     return TYPE_R if rd.positive_coroot_pairing(lam) % 2 == 0 else TYPE_H
 
 
-def classify_type(rd: RootData, inv: Involution, lam, use_oracle: bool = True) -> IrrepClass:
+def classify_type(rd: RootData, inv: Involution, lam) -> IrrepClass:
     """Classify V_lam as R, C or H relative to the involution.
 
-    Complex type is definitional (twisted dual differs from lam).  The
-    remaining cases consult, in priority order, the user override
-    table, the catalog rule, and the matrix oracle; the path taken is
-    recorded in provenance.  Raises UnclassifiableError rather than
-    guessing.
+    Exactly one path decides, and provenance records which: complex
+    type by ``definition`` (the twisted dual differs from lam); for a
+    self-twisted-dual weight, the user ``override`` table, else the
+    catalog ``rule``.  With neither, raises UnclassifiableError rather
+    than guessing.
     """
     lam = tuple(lam)
     star = inv.twisted_dual_weight(lam)
@@ -238,15 +227,9 @@ def classify_type(rd: RootData, inv: Involution, lam, use_oracle: bool = True) -
     t = inv.catalog_type(lam)
     if t is not None:
         return IrrepClass(lam, lam, t, "rule")
-    if use_oracle:
-        from . import oracle
-        t = oracle.oracle_type_for_weight(rd, inv, lam)
-        if t is not None:
-            return IrrepClass(lam, lam, t, "oracle")
     raise UnclassifiableError(
         f"weight {lam} of {rd.spec} is self-twisted-dual but has no "
-        "override, no catalog rule and no matrix model; supply an "
-        "override table")
+        "override and no catalog rule; supply an override table")
 
 
 @dataclass(frozen=True)
@@ -262,7 +245,6 @@ class FundamentalSplit:
     quat: tuple
     cplx: tuple
     pairs: tuple
-    classes: tuple = field(repr=False, default=())
 
     @property
     def r(self):
@@ -287,11 +269,10 @@ def split_fundamentals(rd: RootData, inv: Involution) -> FundamentalSplit:
     """
     fundamentals = rd.fundamental_weights()
     fund_set = set(fundamentals)
-    real, quat, cplx, pairs, classes = [], [], [], [], []
+    real, quat, cplx, pairs = [], [], [], []
     seen_cplx = set()
     for w in fundamentals:
         cls = classify_type(rd, inv, w)
-        classes.append(cls)
         if cls.type == TYPE_R:
             real.append(w)
         elif cls.type == TYPE_H:
@@ -310,7 +291,7 @@ def split_fundamentals(rd: RootData, inv: Involution) -> FundamentalSplit:
             pairs.append((rep, other))
             seen_cplx.update((w, cls.twisted_dual))
     split = FundamentalSplit(tuple(real), tuple(quat), tuple(cplx),
-                             tuple(pairs), tuple(classes))
+                             tuple(pairs))
     if split.r + split.s + 2 * split.t != len(fundamentals):
         raise UnclassifiableError(
             f"split counts r={split.r} s={split.s} t={split.t} do not cover "

@@ -54,10 +54,6 @@ def generator_name(p: Presentation, g) -> str:
     return f"δ_G[{','.join(map(str, g.payload))}]"
 
 
-def element_text(e) -> str:
-    return repr(e)
-
-
 def presentation_payload(p: Presentation, truncation: int = 50,
                          seed: int = 0) -> dict:
     """The documented presentation schema as a plain dict."""
@@ -80,7 +76,7 @@ def presentation_payload(p: Presentation, truncation: int = 50,
             provenance = "generator square zero (image of the odd derivation)"
         relations.append({
             "lhs": f"{generator_name(p, g)}^2",
-            "rhs": element_text(sq),
+            "rhs": repr(sq),
             "provenance": provenance,
         })
     if p.kind == "KR" and p.split is not None and p.split.t:
@@ -102,7 +98,7 @@ def presentation_payload(p: Presentation, truncation: int = 50,
                 res = rclass_square(p, idx)
                 relations.append({
                     "lhs": f"r[1;{i};{a+1};-]^2",
-                    "rhs": element_text(res.element),
+                    "rhs": repr(res.element),
                     "provenance": (
                         f"case {res.case}; transpositions "
                         f"{res.transpositions}"

@@ -92,18 +92,6 @@ class LaurentForm:
     def is_zero(self):
         return not self.terms
 
-    def monomial_unit_content(self):
-        """Largest monomial unit dividing the form (exponent-wise minimum)."""
-        if not self.terms:
-            return (0,) * self.n
-        mins = [min(e[j] for (e, _) in self.terms) for j in range(self.n)]
-        return tuple(mins)
-
-    def shift(self, exps):
-        return LaurentForm(self.n, {
-            (tuple(a - b for a, b in zip(e, exps)), d): c
-            for (e, d), c in self.terms.items()})
-
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -129,7 +117,7 @@ def _wedge_sign(d1, d2):
 # torus restrictions for U(n)
 # ---------------------------------------------------------------------------
 
-def torus_restriction_un(n: int, field_tag: str, k: int) -> LaurentForm:
+def torus_restriction_un(n: int, k: int) -> LaurentForm:
     """Torus restriction of the degree-shifted generator of wedge^k.
 
     The restricted class decomposes over the weights of wedge^k of the
@@ -138,17 +126,9 @@ def torus_restriction_un(n: int, field_tag: str, k: int) -> LaurentForm:
     the derivation class of that character line,
 
         sum_J  e_J . d(e_J).
-
-    ``field_tag`` is "R" for the conjugation involution (any k) and
-    must match the parity rule for the symplectic one: "H" for odd k,
-    "R" for even k.
     """
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range 1..{n}")
-    if field_tag not in ("R", "H"):
-        raise ValueError("field tag must be R or H")
-    if field_tag == "H" and k % 2 == 0:
-        raise ValueError("even exterior powers carry the R structure")
     out = LaurentForm.zero(n)
     for subset in itertools.combinations(range(n), k):
         exps = tuple(1 if j in subset else 0 for j in range(n))
@@ -198,5 +178,5 @@ def weyl_denominator_product(n: int):
         char_prod = char_prod * character_restriction_form(n, k)
     weighted = LaurentForm.one(n)
     for k in range(1, n + 1):
-        weighted = weighted * torus_restriction_un(n, "R", k)
+        weighted = weighted * torus_restriction_un(n, k)
     return char_prod, weighted

@@ -82,6 +82,19 @@ def test_cli_starts_without_numpy():
     assert res.returncode == 0, res.stderr
 
 
+def test_unclassifiable_exit_loads_no_numpy():
+    # Sp2/sigmaR has a matrix model but no catalog rule: the classifier
+    # stops at exit 3 without consulting the oracle
+    code = ("import sys; from eqkr.cli import main; "
+            "code = main(['compute', '--group', 'Sp2', '--involution', "
+            "'sigmaR']); sys.exit(100 * ('numpy' in sys.modules) + code)")
+    env = dict(os.environ, PYTHONPATH=str(Path(eqkr.__file__).parents[1]))
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 3, res.stderr
+    assert "no override and no catalog rule" in res.stderr
+
+
 def test_probe_exits_five(tmp_path):
     out = tmp_path / "bad.json"
     code = run(["verify", "--group", "SU3", "--involution", "sigmaR",

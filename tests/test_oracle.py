@@ -16,7 +16,6 @@ from eqkr.oracle import (
     symmetric_rep,
     symplectic_j,
 )
-from eqkr.realstruct import Involution
 
 
 def _random_complex(rng, rows, cols):
@@ -120,27 +119,3 @@ def test_sigma_h_alternation_cross_check():
         rep = defining_rep("SU", 4) if k == 1 else exterior_rep("SU", 4, k)
         t, _ = matrix_oracle_type(rep, "sigmaH")
         assert t == expect
-
-
-def test_classifier_falls_back_to_oracle():
-    # a user-defined involution: custom diagram part plus an explicit
-    # matrix realization, so only the oracle can decide the type
-    from eqkr.realstruct import classify_type
-    su2 = build_root_data("SU2")
-    inv = Involution(su2, ((0,),), matrix_j=np.eye(2))
-    cls = classify_type(su2, inv, (1,))
-    assert cls.type == "R"  # entrywise conjugation admits S = identity
-    assert cls.provenance == "oracle"
-    inv2 = Involution(su2, ((0,),), matrix_j=symplectic_j(1))
-    cls2 = classify_type(su2, inv2, (1,))
-    # J ubar J^{-1} = u on SU(2), so this is the trivial involution in
-    # disguise and the defining representation is quaternionic
-    assert cls2.type == "H"
-    assert cls2.provenance == "oracle"
-
-
-def test_matrix_realization_invariant():
-    from eqkr.realstruct import InvolutionSpecError
-    su2 = build_root_data("SU2")
-    with pytest.raises(InvolutionSpecError):
-        Involution(su2, ((0,),), matrix_j=np.array([[1.0, 1.0], [0.0, 1.0]]))

@@ -116,6 +116,16 @@ def test_unclassifiable_catalog_gap():
         classify_type(e8, inv, (1, 0, 0, 0, 0, 0, 0, 0))
 
 
+def test_custom_involution_needs_an_override():
+    # a custom diagram part has no catalog rule, so only an override can
+    # type a self-twisted-dual weight, even where a matrix model exists
+    su2 = build_root_data("SU2")
+    with pytest.raises(UnclassifiableError, match="no catalog rule"):
+        classify_type(su2, Involution(su2, ((0,),)), (1,))
+    cls = classify_type(su2, Involution(su2, ((0,),), overrides={(1,): "H"}), (1,))
+    assert cls.type == "H" and cls.provenance == "override"
+
+
 def test_un_trivial_split_has_no_catalog():
     u2 = build_root_data("U2")
     with pytest.raises(UnclassifiableError):

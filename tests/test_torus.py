@@ -30,23 +30,21 @@ def test_form_model_basics():
 
 
 def test_restriction_examples():
-    assert torus_restriction_un(1, "R", 1) == \
+    assert torus_restriction_un(1, 1) == \
         LaurentForm.monomial(1, (1,), (0,))
-    got = torus_restriction_un(2, "R", 1)
+    got = torus_restriction_un(2, 1)
     assert got == LaurentForm.monomial(2, (1, 0), (0,)) + \
         LaurentForm.monomial(2, (0, 1), (1,))
-    got = torus_restriction_un(2, "R", 2)
+    got = torus_restriction_un(2, 2)
     # e1 e2 (x) d(e1 e2) = e1 e2 (e2 de1 + e1 de2)
     assert got == LaurentForm.monomial(2, (1, 2), (0,)) + \
         LaurentForm.monomial(2, (2, 1), (1,))
 
 
-def test_parity_rule_for_symplectic_case():
-    assert not torus_restriction_un(2, "H", 1).is_zero()
-    with pytest.raises(ValueError):
-        torus_restriction_un(2, "H", 2)  # even powers carry R
-    with pytest.raises(ValueError):
-        torus_restriction_un(2, "R", 3)  # out of range
+def test_restriction_rejects_k_out_of_range():
+    for k in (0, 3):
+        with pytest.raises(ValueError):
+            torus_restriction_un(2, k)
 
 
 def test_character_restriction_jacobian_n2():

@@ -132,7 +132,9 @@ def test_oracle_check_fails_on_disagreement(monkeypatch):
 
 def test_oracle_check_skips_weights_without_a_catalog_type():
     su2 = build_root_data("SU2")
-    custom = Involution(su2, ((0,),), matrix_j=[[1.0, 0.0], [0.0, 1.0]])
+    # a custom diagram involution has no catalog rule; the override
+    # only lets the presentation be built
+    custom = Involution(su2, ((0,),), overrides={(1,): "H"})
     res = verify_oracle(build_kr_presentation(su2, custom))
     assert res.status == "skipped" and "catalog type" in res.witness
 
