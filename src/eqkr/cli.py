@@ -27,7 +27,6 @@ from .realstruct import (
     InvolutionSpecError,
     UnclassifiableError,
     involution_from_name,
-    split_fundamentals,
 )
 from .serialize import (
     presentation_json,
@@ -35,7 +34,13 @@ from .serialize import (
     report_json,
     report_text,
 )
-from .verifier import DEFAULT_SEED, DEFAULT_TRUNCATION, SUITES, run_suite
+from .verifier import (
+    DEFAULT_SEED,
+    DEFAULT_TRUNCATION,
+    MUTANT_KINDS,
+    SUITES,
+    run_suite,
+)
 
 EXIT_OK = 0
 EXIT_SPEC = 2
@@ -74,18 +79,28 @@ def _build_parser():
     sp = sub.add_parser("verify", help="run property checks")
     common(sp)
     sp.add_argument("--suite", choices=SUITES, default="fast")
-    sp.add_argument("--sensitivity-probe", metavar="NAME", default=None,
+    sp.add_argument("--sensitivity-probe", choices=MUTANT_KINDS, default=None,
                     help=argparse.SUPPRESS)
     return ap
 
 
 def _load_overrides(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    out = {}
-    for entry in data.get("overrides", []):
-        out[tuple(int(x) for x in entry["weight"])] = entry["type"]
-    return out
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise InvolutionSpecError(
+            f"cannot read override file {path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise InvolutionSpecError(
+            f"override file {path} is not JSON: {exc}") from None
+    try:
+        return {tuple(int(x) for x in entry["weight"]): entry["type"]
+                for entry in data.get("overrides", [])}
+    except (AttributeError, KeyError, TypeError, ValueError):
+        raise InvolutionSpecError(
+            f"override file {path} must hold "
+            '{"overrides": [{"weight": [..], "type": "R"}, ...]}') from None
 
 
 def _emit(text, out_path):
@@ -96,39 +111,28 @@ def _emit(text, out_path):
         sys.stdout.write(text)
 
 
-def _build(args):
+def _involution(args):
     rd = build_root_data(parse_group(args.group))
     overrides = _load_overrides(args.override) if args.override else None
-    inv = involution_from_name(rd, args.involution, overrides=overrides)
-    split = split_fundamentals(rd, inv)
-    return build_kr_presentation(rd, inv, split)
+    return involution_from_name(rd, args.involution, overrides=overrides)
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        inv = _involution(args)
         if args.command == "compute":
-            p = _build(args)
+            p = build_kr_presentation(inv.rd, inv)
             render = presentation_json if args.format == "json" else presentation_text
             _emit(render(p, args.truncate, args.seed), args.out)
             return EXIT_OK
-        # verify
-        wants_group_checks = args.suite in ("fast", "all", "oracle")
+        # verify: the weyl and none suites need no presentation, so they
+        # also run where none can be built (U(n) with the trivial involution)
         p = None
-        un_rank = None
-        spec = parse_group(args.group)
-        if any(fam == "U" for fam, n in spec.factors):
-            un_rank = next(n for fam, n in spec.factors if fam == "U")
-        if wants_group_checks or args.suite == "weyl":
-            try:
-                p = _build(args)
-            except UnclassifiableError:
-                if wants_group_checks:
-                    raise
-                p = None  # the weyl suite runs without a presentation
-        report = run_suite(p, args.suite, args.seed, args.truncate,
-                           un_rank=un_rank,
-                           probe=getattr(args, "sensitivity_probe", None))
+        if args.suite in ("fast", "all", "oracle"):
+            p = build_kr_presentation(inv.rd, inv)
+        report = run_suite(p, args.suite, args.seed, args.truncate, inv=inv,
+                           probe=args.sensitivity_probe)
         render = report_json if args.format == "json" else report_text
         _emit(render(report), args.out)
         return EXIT_OK if report.passed else EXIT_VERIFY

@@ -58,6 +58,7 @@ from .realstruct import (
     Involution,
     classify_type,
     split_fundamentals,
+    twisted_dual,
 )
 
 
@@ -256,24 +257,21 @@ class Presentation:
         self.zero_weight = rd.zero()
         self._classify_cache = {}
         self._tensor_cache = {}
-        self._gen_by_factor = {}
-        self._lam_gen = {}
-        for g in self.gens:
-            if g.kind == "lam":
-                self._lam_gen[g.pair] = g.index
-        for fi, (role, w, pair) in enumerate(self.factors):
-            if role in ("phi", "theta"):
-                for g in self.gens:
-                    if g.kind in ("dR", "dH") and g.payload == w:
-                        self._gen_by_factor[fi] = g.index
-        self._factor_tau = {}
-        for fi, (role, w, pair) in enumerate(self.factors):
-            if role == "u":
-                self._factor_tau[fi] = fi + 1
-            elif role == "v":
-                self._factor_tau[fi] = fi - 1
-            else:
-                self._factor_tau[fi] = fi
+        self._lam_gen = {g.pair: g.index for g in self.gens if g.kind == "lam"}
+        self._lam_pair = {g.index: g.pair for g in self.gens if g.kind == "lam"}
+        gen_of_weight = {g.payload: g.index for g in self.gens
+                         if g.kind in ("dR", "dH")}
+        self._gen_by_factor = {fi: gen_of_weight[w]
+                               for fi, (_, w, _) in enumerate(self.factors)
+                               if w in gen_of_weight}
+        self._pair_factors = {(pair, role): fi
+                              for fi, (role, _, pair) in enumerate(self.factors)
+                              if role in ("u", "v")}
+        # tau on factors: dG[f] -> -dG[f*]; None where f* is no factor
+        # (U(n) without an involution), an error only once it is used
+        factor_of = {w: fi for fi, (_, w, _) in enumerate(self.factors)}
+        self._factor_tau = tuple(factor_of.get(twisted_dual(rd, inv, w))
+                                 for _, w, _ in self.factors)
 
     @property
     def omega_form(self):
@@ -300,6 +298,16 @@ class Presentation:
             cached = classify_type(self.rd, self.inv, w)
             self._classify_cache[w] = cached
         return cached
+
+    def _tau_factor(self, fi):
+        """Index of the factor f* with tau(dG[f]) = -dG[f*]."""
+        fs = self._factor_tau[fi]
+        if fs is None:
+            w = self.factors[fi][1]
+            raise PresentationError(
+                f"twisted dual {twisted_dual(self.rd, self.inv, w)} of "
+                f"fundamental {w} is not fundamental")
+        return fs
 
     def pair_rep(self, w):
         cls = self.classify(w)
@@ -328,15 +336,6 @@ class Presentation:
             _, i, eps, nu = rslot
             d -= 2 * i + len(eps) + len(nu)
         return canon_degree(d)
-
-    def term_parity(self, t):
-        if self.kind in ("BZ", "K"):
-            return len(t[2]) % 2
-        _, _, plain, rslot = t
-        par = sum(self.gens[gi].parity for gi in plain)
-        if rslot is not None:
-            par += len(rslot[2]) + len(rslot[3])
-        return par % 2
 
     def term_label(self, t):
         if self.kind in ("BZ", "K"):
@@ -418,26 +417,23 @@ class Presentation:
             rhos = {tuple(w): c for w, c in idx.rho.items()}
         else:
             rhos = {tuple(idx.rho): 1}
-        bits = [self._pair_factor(k, "u") for k, e in enumerate(idx.eps) if e]
-        bits += [self._pair_factor(k, "v") for k, n in enumerate(idx.nu) if n]
-        # reorder the definition sequence (u block, then v block) into sorted
-        # factor order; the v factors enter as dG[abar gamma] = -dG[sigmabar gamma]
-        sign = (-1) ** sum(idx.nu) * _permutation_sign_to_sorted(bits)
+        eps = tuple(k for k, e in enumerate(idx.eps) if e)
+        nu = tuple(k for k, n in enumerate(idx.nu) if n)
         out = {}
         for w, c in rhos.items():
             if w != self.zero_weight and self.classify(w).type != TYPE_C:
                 raise PresentationError(
                     f"rho weight {w} must be trivial or complex type")
-            for term, cc in self._realify_term(w, idx.i, tuple(sorted(bits)),
-                                               c * sign):
+            (w, j, bits), sign = self._slot_to_bz((w, idx.i, eps, nu))
+            for term, cc in self._realify_term(w, j, bits, c * sign):
                 out[term] = out.get(term, 0) + cc
         return self._element(out)
 
     def _pair_factor(self, k, role):
-        for fi, (r, w, pair) in enumerate(self.factors):
-            if pair == k and r == role:
-                return fi
-        raise PresentationError(f"no factor for pair {k} role {role}")
+        fi = self._pair_factors.get((k, role))
+        if fi is None:
+            raise PresentationError(f"no factor for pair {k} role {role}")
+        return fi
 
     # -- BZ arithmetic -------------------------------------------------------------
     def _mul_bz_terms(self, t1, c1, t2, c2):
@@ -464,11 +460,10 @@ class Presentation:
 
     def _tau_bz_term(self, w, j, bits):
         """tau-image of one BZ term; returns (w*, bits*, sign)."""
-        ws = self.inv.twisted_dual_weight(w)
-        mapped = [self._factor_tau[b] for b in bits]
+        mapped = [self._tau_factor(b) for b in bits]
         sign = ((-1) ** (j % 2) * (-1) ** len(bits)
                 * _permutation_sign_to_sorted(mapped))
-        return ws, tuple(sorted(mapped)), sign
+        return twisted_dual(self.rd, self.inv, w), tuple(sorted(mapped)), sign
 
     def _tau_bz(self, terms):
         out = {}
@@ -519,11 +514,6 @@ class Presentation:
                            if self.factors[fi][0] == "u"))
         nu = tuple(sorted(self.factors[fi][2] for fi in bl
                           if self.factors[fi][0] == "v"))
-        # interleaved u/v factors -> u block then v block
-        crossings = sum(1 for a in eps for b in nu if b < a)
-        sign *= (-1) ** crossings
-        # canonical r-class factors are dG[abar gamma] = -dG[sigmabar gamma]
-        sign *= (-1) ** len(nu)
         plain = tuple(sorted(plain))
 
         rho = None
@@ -552,19 +542,22 @@ class Presentation:
             return self._realify_term(ws, j0, mapped, coeff * tsign,
                                       allow_flip=False)
 
-        out = []
         if rho is None and not eps and not nu:
-            for name, val in r_pattern(j).as_dict().items():
-                if val:
-                    out.append(((cw, name, plain, None), coeff * sign * val))
-            return out
+            return [((cw, name, plain, None), coeff * sign * val)
+                    for name, val in r_pattern(j).as_dict().items() if val]
         slot = (rho, j % 4, eps, nu)
-        for gi in plain:
-            g = self.gens[gi]
-            if g.kind == "lam" and (g.pair in eps or g.pair in nu):
-                return []  # lam_k times a slot using index k vanishes
-        out.append(((cw, "1", plain, slot), coeff * sign))
-        return out
+        if self._lam_kills(plain, slot):
+            return []
+        # the leftover factors bl are the slot's, sorted: r(bl) = s . r(slot)
+        _, slot_sign = self._slot_to_bz(slot)
+        return [((cw, "1", plain, slot), coeff * sign * slot_sign)]
+
+    def _lam_kills(self, plain, slot):
+        """lam_k in the plain monomial times a slot using pair k vanishes."""
+        if slot is None:
+            return False
+        used = set(slot[2]) | set(slot[3])
+        return any(self._lam_pair.get(gi) in used for gi in plain)
 
     def realify_bz(self, e: RingElement) -> RingElement:
         """Realification of a K-theory element (from the complexify target).
@@ -583,12 +576,17 @@ class Presentation:
         return self._element(out)
 
     def _slot_to_bz(self, slot):
-        """A BZ term whose realification is exactly the slot class."""
+        """A BZ term whose realification is exactly the slot class.
+
+        The slot (rho, i, eps, nu) is r(beta^i . rho . u block . v
+        block): dG[gamma_k] for k in eps, then dG[abar gamma_k] =
+        -dG[sigmabar gamma_k] for k in nu.  Returns the term with its
+        delta factors sorted and the sign s with r(slot) = s . r(term).
+        """
         rho, i, eps, nu = slot
         bits = [self._pair_factor(k, "u") for k in eps]
         bits += [self._pair_factor(k, "v") for k in nu]
-        crossings = sum(1 for a in eps for b in nu if b < a)
-        sign = (-1) ** (crossings + len(nu))
+        sign = (-1) ** len(nu) * _permutation_sign_to_sorted(bits)
         w = self.zero_weight if rho is None else rho
         return (w, i, tuple(sorted(bits))), sign
 
@@ -709,11 +707,7 @@ class Presentation:
                 if mg is None:
                     continue
                 nplain, nsign = mg
-                if tslot is not None and any(
-                        self.gens[gi].kind == "lam"
-                        and (self.gens[gi].pair in tslot[2]
-                             or self.gens[gi].pair in tslot[3])
-                        for gi in nplain):
+                if self._lam_kills(nplain, tslot):
                     continue
                 key = (tw, tcls, nplain, tslot)
                 out[key] = out.get(key, 0) + coeff * cc * nsign
@@ -904,23 +898,25 @@ def delta_lift(p: Presentation, poly, twist: str | None = None) -> RingElement:
     determinant).  Leibniz gives d(prod f^a) = sum_i a_i f^{a-e_i} df_i
     with the cofactor expanded exactly into the weight basis.
 
-    ``twist``: None, "sigmabar" (precompose with the twisted dual), or
-    "abar" (the anti-involution pullback, which flips the sign:
-    d(abar* rho) = -d(sigmabar* rho)).
+    ``twist``: None; "sigmabar", the derivation of sigmabar* poly (the
+    twisted dual permutes the fundamentals); or "abar", the pullback
+    along the anti-involution, which is tau o delta: the presentation's
+    twisted conjugation applied to the derivation of poly.  The law
+    d(abar* rho) = -d(sigmabar* rho) thus compares tau with
+    delta o sigmabar*.
     """
     if p.kind == "KR":
         if twist is not None:
             raise PresentationError(
                 "twisted arguments apply to the K-theory derivation")
         return _delta_lift_kr(p, poly)
+    if twist == "abar":
+        return p._element(p._tau_bz(delta_lift(p, poly).terms))
     funds = [w for _, w, _ in p.factors]
-    sign = 1
-    if twist in ("sigmabar", "abar"):
-        perm = _fundamental_twist_perm(p, funds)
+    if twist == "sigmabar":
+        perm = [p._tau_factor(i) for i in range(len(funds))]
         poly = {tuple(exp[perm[i]] for i in range(len(funds))): c
                 for exp, c in poly.items()}
-        if twist == "abar":
-            sign = -1
     elif twist is not None:
         raise PresentationError(f"unknown twist {twist!r}")
     out = p.zero()
@@ -935,7 +931,7 @@ def delta_lift(p: Presentation, poly, twist: str | None = None) -> RingElement:
             cof = list(exp)
             cof[i] -= 1
             for w, m in _expand_monomial(p.rd, tuple(funds), tuple(cof)).items():
-                out = out + p.dg_element(i, 0, w) * (sign * c * a * m)
+                out = out + p.dg_element(i, 0, w) * (c * a * m)
     return out
 
 
@@ -966,19 +962,6 @@ def _delta_lift_kr(p: Presentation, poly):
                     coeff_elem = coeff_elem * p.class_element(funds[k])
             out = out + coeff_elem * p.gen_element(gen_of[i]) * (c * a)
     return out
-
-
-def _fundamental_twist_perm(p: Presentation, funds):
-    perm = []
-    for w in funds:
-        ws = (p.inv.twisted_dual_weight(w) if p.inv is not None
-              else p.rd.dual_weight(w))
-        try:
-            perm.append(funds.index(ws))
-        except ValueError:
-            raise PresentationError(
-                f"twisted dual {ws} of fundamental {w} is not fundamental")
-    return perm
 
 
 @lru_cache(maxsize=None)
@@ -1076,6 +1059,8 @@ class ComplexificationMap:
     def __init__(self, source: Presentation, target: Presentation):
         self.source = source
         self.target = target
+        self._factor_by_gen = {gi: fi for fi, gi
+                               in source._gen_by_factor.items()}
 
     def __call__(self, e: RingElement) -> RingElement:
         p, q = self.source, self.target
@@ -1087,9 +1072,7 @@ class ComplexificationMap:
             for gi in plain:
                 g = p.gens[gi]
                 if g.kind in ("dR", "dH"):
-                    fi = next(f for f, (role, w, _) in enumerate(p.factors)
-                              if w == g.payload and role in ("phi", "theta"))
-                    part = part * q.dg_element(fi, 1)
+                    part = part * q.dg_element(self._factor_by_gen[gi], 1)
                 else:
                     u = p._pair_factor(g.pair, "u")
                     v = p._pair_factor(g.pair, "v")
@@ -1156,6 +1139,18 @@ def plain_monomials(p: Presentation):
             for bits in itertools.combinations(range(n), k)]
 
 
+def plain_monomial_elements(p: Presentation):
+    """The plain monomials as ring elements, each a product of its
+    generators through the engine, in plain_monomials order."""
+    out = []
+    for bits in plain_monomials(p):
+        m = p.one()
+        for g in bits:
+            m = m * p.gen_element(g)
+        out.append(m)
+    return out
+
+
 def rclass_indices(t: int, rho=None):
     """Every valid realified-class index over t complex pairs with the
     given rho and Bott exponent 0..3, the bare r(beta^i rho) included."""
@@ -1208,12 +1203,7 @@ def poincare_table(p: Presentation, bound: int = 50):
         pieces.append((len(pairs), [p.rclass_element(idx)
                                     for rho in (cls.weight, cls.twisted_dual)
                                     for idx in rclass_indices(t, rho)]))
-    monomials = []
-    for bits in plain_monomials(p):
-        m = p.one()
-        for g in bits:
-            m = m * p.gen_element(g)
-        monomials.append(m)
+    monomials = plain_monomial_elements(p)
     for count, factors in pieces:
         terms = set()
         for m in monomials:

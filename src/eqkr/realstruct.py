@@ -187,8 +187,11 @@ def _total_degree_parity(f: RootData, lam) -> int:
 # spec operations
 # ---------------------------------------------------------------------------
 
-def twisted_dual(rd: RootData, inv: Involution, lam) -> tuple:
-    """Highest weight of the conjugate representation twisted by sigma."""
+def twisted_dual(rd: RootData, inv: Involution | None, lam) -> tuple:
+    """Highest weight of the conjugate representation twisted by sigma;
+    the plain dual when no involution is given."""
+    if inv is None:
+        return rd.dual_weight(lam)
     return inv.twisted_dual_weight(lam)
 
 

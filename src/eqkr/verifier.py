@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass, field
 
 from .coeffs import KR_BASIS, KCoeff, KRCoeff, c_coeff, r_coeff
-from .groups import UnsupportedGroupError
+from .groups import GroupSpec, UnsupportedGroupError
 from .presentation import (
     Presentation,
     RClassIndex,
@@ -27,12 +27,12 @@ from .presentation import (
     delta_lift,
     dominant_weights_up_to_dim,
     noneq_table,
-    plain_monomials,
+    plain_monomial_elements,
     poincare_table,
     rclass_indices,
     rclass_square,
 )
-from .realstruct import TYPE_C
+from .realstruct import TYPE_C, Involution
 from .torus import (
     LaurentForm,
     top_form,
@@ -76,13 +76,8 @@ def _timed(name, seed, fn):
 
 def odd_monomials(p: Presentation, degree: int):
     """Normal-form monomials of the given pure odd degree."""
-    out = []
-    for bits in plain_monomials(p):
-        e = p.one()
-        for g in bits:
-            e = e * p.gen_element(g)
-        if not e.is_zero() and e.degrees() == [degree]:
-            out.append(e)
+    out = [e for e in plain_monomial_elements(p)
+           if not e.is_zero() and e.degrees() == [degree]]
     if p.split is not None and p.split.t:
         rhos = [None] + [rep for rep, _ in p.split.pairs]
         for idx in rclass_indices(p.split.t):
@@ -146,7 +141,9 @@ def verify_leibniz(p: Presentation, bound: int = 15,
     For all irreducibles of dimension <= bound, lifting the polynomial
     identity V_a . V_b = sum m_nu V_nu along the derivation gives the
     same element on both sides; on every complex pair the pullback
-    rewrite d(abar* gamma) = -d(sigmabar* gamma) holds.
+    rewrite d(abar* gamma) = -d(sigmabar* gamma) holds, which compares
+    the engine's tau (the abar twist of delta_lift is tau o delta) with
+    delta o sigmabar*.
     ``flip_twist_sign`` breaks the rewrite on purpose (sensitivity
     control).
     """
@@ -449,6 +446,9 @@ def verify_oracle(p: Presentation, seed: int = DEFAULT_SEED) -> CheckResult:
 # mutants (negative controls) and suites
 # ---------------------------------------------------------------------------
 
+MUTANT_KINDS = ("delta-square", "tau-flip")
+
+
 def make_mutant(p: Presentation, kind: str) -> Presentation:
     """A deliberately broken copy of a presentation, for sensitivity tests.
 
@@ -456,16 +456,17 @@ def make_mutant(p: Presentation, kind: str) -> Presentation:
     nonzero square.  "tau-flip": realified slots skip the
     tau-canonicalisation, so r(x) and r(tau x) stay distinct terms.
     """
+    if kind not in MUTANT_KINDS:
+        raise ValueError(
+            f"unknown mutant kind {kind!r}; pick one of {MUTANT_KINDS}")
     bad = Presentation(p.rd, p.inv, p.split, p.kind, p.factors, p.gens,
                        p.relation_overrides)
     if kind == "delta-square":
         lam = next((g for g in p.gens if g.kind == "lam"), None)
         bad.relation_overrides[("square", p.gens[0].index)] = (
             bad.one() if lam is None else bad.gen_element(lam.index))
-    elif kind == "tau-flip":
-        bad.pair_rep = tuple  # every weight is its own pair representative
     else:
-        raise ValueError(f"unknown mutant kind {kind!r}")
+        bad.pair_rep = tuple  # every weight is its own pair representative
     return bad
 
 
@@ -487,19 +488,23 @@ SUITES = ("none", "fast", "all", "weyl", "oracle")
 
 
 def run_suite(p: Presentation | None, suite: str, seed: int = DEFAULT_SEED,
-              truncation: int = DEFAULT_TRUNCATION, un_rank: int | None = None,
+              truncation: int = DEFAULT_TRUNCATION, inv: Involution | None = None,
               probe: str | None = None) -> VerificationReport:
     """Run a named check suite on a built presentation.
 
-    ``un_rank`` supplies the U(n) rank for the Weyl-denominator check
-    (defaults to the group's own rank when it is a U family).
-    ``probe`` injects a named fault for sensitivity testing.
+    ``inv`` (default ``p.inv``) names the group and involution of the
+    report, and its group's U(n) factor sets the rank of the
+    Weyl-denominator check; it is needed when no presentation can be
+    built (U(n) with the trivial involution), which the weyl and none
+    suites allow.  ``probe`` injects a named fault for sensitivity
+    testing.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; pick one of {SUITES}")
-    group = str(p.rd.spec) if p is not None else f"U{un_rank}"
-    invname = p.inv.name if p is not None and p.inv is not None else "trivial"
-    report = VerificationReport(group, invname, suite, seed, truncation)
+    if inv is None:
+        inv = p.inv
+    report = VerificationReport(str(inv.rd.spec), inv.name, suite, seed,
+                                truncation)
     if suite == "none":
         return report
     target = p
@@ -512,15 +517,13 @@ def run_suite(p: Presentation | None, suite: str, seed: int = DEFAULT_SEED,
         checks.append(lambda: verify_leibniz(target, 10, seed))
         if target.split is not None and target.split.t:
             checks.append(lambda: verify_rclass_squares(target, seed))
+    n = _un_rank_of(inv.rd.spec)
     if suite == "all" and target is not None:
-        if not _has_un_factor(target):
+        if n is None:
             checks.append(lambda: verify_module_iso(target, truncation, seed))
     if suite == "oracle" and target is not None:
         checks.append(lambda: verify_oracle(target, seed))
     if suite in ("all", "weyl"):
-        n = un_rank
-        if n is None and p is not None and _un_rank_of(p) is not None:
-            n = _un_rank_of(p)
         if n is not None and n <= 4:
             checks.append(lambda: verify_weyl_denominator(n, seed))
         elif suite == "weyl":
@@ -533,12 +536,6 @@ def run_suite(p: Presentation | None, suite: str, seed: int = DEFAULT_SEED,
     return report
 
 
-def _has_un_factor(p: Presentation):
-    return any(fam == "U" for fam, _ in p.rd.spec.factors)
-
-
-def _un_rank_of(p: Presentation):
-    for fam, n in p.rd.spec.factors:
-        if fam == "U":
-            return n
-    return None
+def _un_rank_of(spec: GroupSpec):
+    """The rank of the first U(n) factor of a group spec, or None."""
+    return next((n for fam, n in spec.factors if fam == "U"), None)

@@ -7,6 +7,8 @@ All assertions are exact unless a tolerance is stated inline.
 import random
 import time
 
+from conftest import GOLDEN, kr
+
 from eqkr.cli import main as cli_main
 from eqkr.coeffs import KCoeff, KRCoeff, c_coeff, r_coeff, r_pattern
 from eqkr.groups import build_root_data
@@ -20,7 +22,6 @@ from eqkr.presentation import (
     RClassIndex,
     augment_bz,
     build_bz_presentation,
-    build_kr_presentation,
     delta_lift,
     exterior_ranks,
     rclass_square,
@@ -35,14 +36,8 @@ from eqkr.verifier import (
     verify_weyl_denominator,
 )
 
-OMEGA_GOLDEN = [("SU3", "sigmaR"), ("SU2", "trivial"), ("SU4", "sigmaH"),
-                ("Sp2", "trivial")]
-ALL_GOLDEN = OMEGA_GOLDEN + [("SU3", "trivial")]
-
-
-def kr(name, kind):
-    rd = build_root_data(name)
-    return build_kr_presentation(rd, Involution(rd, kind))
+# every golden case but SU3/trivial, which has a complex pair (t = 1)
+OMEGA_GOLDEN = [case for case in GOLDEN if case != ("SU3", "trivial")]
 
 
 def report(num, label, detail=""):
@@ -117,7 +112,7 @@ def test_criterion_4_brylinski_zhang_side():
 
 
 def test_criterion_5_derivation_laws():
-    for name, kind in ALL_GOLDEN:
+    for name, kind in GOLDEN:
         res = verify_leibniz(kr(name, kind), 15)
         assert res.passed, res.witness
     # the stated instance on SU(2): d(V (x) V) = 2 V dV = d(V_2) + d(1)
@@ -172,7 +167,7 @@ def test_criterion_6_relation_table():
 
 def test_criterion_7_module_isomorphism():
     t0 = time.perf_counter()
-    for name, kind in ALL_GOLDEN:
+    for name, kind in GOLDEN:
         res = verify_module_iso(kr(name, kind), truncation=30)
         assert res.passed, f"{name}/{kind}: {res.witness}"
     elapsed = time.perf_counter() - t0
@@ -182,7 +177,7 @@ def test_criterion_7_module_isomorphism():
 
 def test_criterion_8_universal_odd_squares():
     rng = random.Random(20240801)
-    for name, kind in ALL_GOLDEN:
+    for name, kind in GOLDEN:
         p = kr(name, kind)
         for degree in (1, -3):
             pool = odd_monomials(p, degree)

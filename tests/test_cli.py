@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import GOLDEN
 
 import eqkr
 from eqkr.cli import main
@@ -15,8 +16,6 @@ from eqkr.serialize import presentation_payload
 from eqkr.verifier import make_mutant
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
-GOLDEN = [("SU2", "trivial"), ("SU3", "sigmaR"), ("SU4", "sigmaH"),
-          ("Sp2", "trivial"), ("SU3", "trivial")]
 
 
 def run(argv):
@@ -59,6 +58,39 @@ def test_verify_weyl_suite(tmp_path):
                 "--out", str(out)]) == 0
     data = json.loads(out.read_text())
     assert data["results"][0]["name"].startswith("weyl-denominator")
+
+
+@pytest.mark.parametrize("suite", ["weyl", "none"])
+def test_verify_without_presentation_labels_the_requested_group(suite, capsys):
+    # SU2xU2/trivial has no presentation; the report still names it
+    assert run(["verify", "--group", "SU2xU2", "--suite", suite]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert (data["group"], data["involution"]) == ("SU2xU2", "trivial,trivial")
+    if suite == "weyl":
+        assert [r["name"] for r in data["results"]] == ["weyl-denominator[U(2)]"]
+
+
+@pytest.mark.parametrize("content", [
+    None,
+    "{not json",
+    json.dumps({"overrides": [{"type": "R"}]}),
+    json.dumps({"overrides": [{"weight": [1]}]}),
+], ids=["missing", "not-json", "no-weight", "no-type"])
+def test_bad_override_file_exits_two(tmp_path, capsys, content):
+    ov = tmp_path / "ov.json"
+    if content is not None:
+        ov.write_text(content)
+    assert run(["compute", "--group", "SU2", "--override", str(ov)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(ov) in err
+
+
+def test_unknown_probe_exits_two(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "--group", "SU3", "--sensitivity-probe", "no-such"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "delta-square" in err and "tau-flip" in err
 
 
 @pytest.mark.parametrize("group,involution,status", [

@@ -1,5 +1,6 @@
 import random
 
+from conftest import kr
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,9 +15,7 @@ from eqkr.coeffs import (
     r_coeff,
     r_pattern,
 )
-from eqkr.groups import build_root_data
-from eqkr.presentation import build_kr_presentation, poincare_table, rclass_indices
-from eqkr.realstruct import Involution
+from eqkr.presentation import poincare_table, rclass_indices
 
 ONE = KRCoeff.unit()
 ETA = KRCoeff.basis("eta")
@@ -125,11 +124,6 @@ def test_c_r_random(y):
 # equivariant graded pieces
 # ---------------------------------------------------------------------------
 
-def _kr(name, kind):
-    rd = build_root_data(name)
-    return build_kr_presentation(rd, Involution(rd, kind))
-
-
 def test_trivial_group_pattern():
     # KR*(pt) itself: (free rank, Z/2 rank) in degrees 0, -1, ..., -7
     expected = {0: (1, 0), -1: (0, 1), -2: (0, 1), -3: (0, 0),
@@ -143,7 +137,7 @@ def test_trivial_group_pattern():
 def test_su2_pieces():
     # the engine's coefficient classes: an H-type irreducible carries the
     # KO pattern shifted by -4, so its mu lands in degree 0
-    p = _kr("SU2", "trivial")
+    p = kr("SU2", "trivial")
     for n in range(4):
         kind = p.classify((n,)).type
         assert kind == ("R", "H")[n % 2]
@@ -159,7 +153,7 @@ def test_su2_pieces():
 
 
 def test_complex_pairs_contribute_free_even_degrees():
-    p = _kr("SU3", "trivial")
+    p = kr("SU3", "trivial")
     # r(beta^i) of one member of the pair (1, 0)/(0, 1): one class in each
     # even degree
     plain = [idx for idx in rclass_indices(p.split.t, (0, 1))

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from conftest import GOLDEN, kr
 
 from eqkr.coeffs import KRCoeff
 from eqkr.groups import build_root_data
@@ -12,7 +13,6 @@ from eqkr.presentation import (
     augment_bz,
     augment_element,
     build_bz_presentation,
-    build_kr_presentation,
     canon_degree,
     complexify,
     delta_lift,
@@ -22,15 +22,6 @@ from eqkr.presentation import (
     rclass_square,
 )
 from eqkr.realstruct import Involution
-
-GOLDEN = [("SU2", "trivial"), ("SU3", "sigmaR"), ("SU4", "sigmaH"),
-          ("Sp2", "trivial"), ("SU3", "trivial")]
-
-
-def kr(name, kind):
-    rd = build_root_data(name)
-    return build_kr_presentation(rd, Involution(rd, kind))
-
 
 # ---------------------------------------------------------------------------
 # Brylinski-Zhang side
@@ -264,6 +255,31 @@ def test_delta_lift_examples():
     assert da == -ds
 
 
+def test_tau_swaps_the_fundamentals_of_a_complex_pair():
+    su3 = build_root_data("SU3")
+    bz = build_bz_presentation(su3, inv=Involution(su3, "trivial"))
+    # tau(dG[f]) = -dG[f*], and (1, 0)* = (0, 1) under the trivial involution
+    tau_d = bz._element(bz._tau_bz(bz.dg_element(0).terms))
+    assert tau_d == -bz.dg_element(1)
+
+
+def test_delta_lift_twists_without_an_involution():
+    bz = build_bz_presentation(build_root_data("SU3"))
+    for lam in [(1, 0), (0, 1), (1, 1), (2, 0)]:
+        poly = as_fundamental_polynomial(bz.rd, lam)
+        assert delta_lift(bz, poly, twist="abar") == \
+            -delta_lift(bz, poly, twist="sigmabar")
+
+
+def test_delta_lift_twists_need_fundamental_duals():
+    # the dual of a U(2) fundamental is no fundamental: the presentation
+    # builds, and a twist raises once it reaches that factor
+    bz = build_bz_presentation(build_root_data("U2"))
+    for twist in ("sigmabar", "abar"):
+        with pytest.raises(PresentationError, match="is not fundamental"):
+            delta_lift(bz, {(1, 0): 1}, twist=twist)
+
+
 def test_delta_lift_un_laurent():
     u2 = build_root_data("U2")
     bz = build_bz_presentation(u2)
@@ -355,9 +371,7 @@ def test_stress_verifier_on_wider_groups():
     for name, kind in [("SU5", "trivial"), ("Sp3", "trivial"),
                        ("Spin7", "trivial"), ("SU2xSU2",
                                               ("trivial", "trivial"))]:
-        p = kr(name, kind) if isinstance(kind, str) else \
-            build_kr_presentation(build_root_data(name),
-                                  Involution(build_root_data(name), kind))
+        p = kr(name, kind)
         assert verify_squares(p, n_random=20).passed
         assert verify_cr(p, n_random=20).passed
         assert verify_module_iso(p, 18).passed

@@ -1,8 +1,9 @@
 import pytest
+from conftest import GOLDEN, kr
 
 from eqkr import oracle
 from eqkr.groups import build_root_data
-from eqkr.presentation import build_kr_presentation
+from eqkr.presentation import Presentation, build_kr_presentation
 from eqkr.realstruct import Involution
 from eqkr.verifier import (
     CheckResult,
@@ -17,15 +18,6 @@ from eqkr.verifier import (
     verify_squares,
     verify_weyl_denominator,
 )
-
-GOLDEN = [("SU2", "trivial"), ("SU3", "sigmaR"), ("SU4", "sigmaH"),
-          ("Sp2", "trivial"), ("SU3", "trivial")]
-
-
-def kr(name, kind):
-    rd = build_root_data(name)
-    return build_kr_presentation(rd, Involution(rd, kind))
-
 
 @pytest.mark.parametrize("name,kind", GOLDEN)
 def test_squares_pass_on_golden(name, kind):
@@ -70,6 +62,18 @@ def test_negative_controls_fail():
     assert res.status == "fail" and res.witness.startswith("degree ")
     res = verify_leibniz(p3, 8, flip_twist_sign=True)
     assert res.status == "fail" and "rewrite" in res.witness
+
+
+def test_leibniz_catches_a_dropped_tau_sign(monkeypatch):
+    tau_term = Presentation._tau_bz_term
+
+    def unsigned(self, w, j, bits):
+        ws, mapped, sign = tau_term(self, w, j, bits)
+        return ws, mapped, sign * (-1) ** len(bits)  # drops the dG sign
+
+    monkeypatch.setattr(Presentation, "_tau_bz_term", unsigned)
+    res = verify_leibniz(kr("SU3", "trivial"), 10)
+    assert res.status == "fail" and "pullback rewrite" in res.witness
 
 
 def test_check_result_requires_witness_on_failure():
@@ -146,6 +150,7 @@ def test_probe_makes_suite_fail():
 
 
 def test_un_suite_runs_weyl_only():
-    rep = run_suite(None, "weyl", un_rank=2)
+    u2 = Involution(build_root_data("U2"), "trivial")
+    rep = run_suite(None, "weyl", inv=u2)
     assert rep.passed
     assert [r.name for r in rep.results] == ["weyl-denominator[U(2)]"]
