@@ -16,8 +16,6 @@ from .groups import (
     weyl_dimension,
     character,
     tensor_decompose,
-    dual_highest_weight,
-    restrict_to_torus,
 )
 from .realstruct import (
     Involution,
@@ -37,7 +35,6 @@ from .presentation import (
     PresentationError,
     build_bz_presentation,
     build_kr_presentation,
-    multiply,
     rclass_square,
     delta_lift,
     complexify,

@@ -691,17 +691,3 @@ def tensor_decompose(rd: RootData, lam: Weight, mu: Weight) -> dict:
         w = tuple(a - r for a, r in zip(v, rho))
         out[w] = out.get(w, 0) + sign * m
     return {k: v for k, v in out.items() if v != 0}
-
-
-def dual_highest_weight(rd: RootData, lam: Weight) -> Weight:
-    """Highest weight of the dual representation, -w0(lam)."""
-    return rd.dual_weight(lam)
-
-
-def restrict_to_torus(rd: RootData, lam: Weight) -> dict:
-    """Weight multiplicities of V_lam restricted to the maximal torus.
-
-    This is the formal character, exposed separately as the restriction
-    homomorphism to R(T).
-    """
-    return character(rd, lam)

@@ -1,8 +1,8 @@
 """Numerical antilinear-intertwiner oracle that checks R-vs-H decisions.
 
 The oracle decides no type in the engine: the classifier in
-eqkr.realstruct uses overrides and catalog rules only, and this module
-checks those rules independently (``eqkr verify --suite oracle``).
+eqkr.realstruct uses overrides and the catalog rule only, and this
+module checks that rule independently (``eqkr verify --suite oracle``).
 
 For a self-twisted-dual unitary representation rho and an involution
 sigma(g) = J gbar J^{-1}, the oracle solves the linear system
@@ -278,7 +278,8 @@ def _sigma_on_defining(inv_kind, family, n):
     """sigma as a map on defining-representation matrices, or None."""
     if inv_kind == "trivial":
         return lambda u: u
-    if inv_kind == "sigmaR" and family in ("SU", "U"):
+    if inv_kind == "sigmaR":
+        # entrywise conjugation; it preserves Sp(n) in the sp_basis form
         return np.conj
     if inv_kind == "sigmaH" and family in ("SU", "U") and n % 2 == 0:
         j = symplectic_j(n // 2)

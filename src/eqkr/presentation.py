@@ -747,10 +747,6 @@ class Presentation:
         e = self.gen_element(g)
         return e * e
 
-    def relation_table(self):
-        """Square relations for the listed generators (override-aware)."""
-        return {g.label(): self.generator_square(g) for g in self.gens}
-
 
 # ---------------------------------------------------------------------------
 # builders
@@ -811,13 +807,6 @@ def build_kr_presentation(rd: RootData, inv: Involution,
 # spec operations
 # ---------------------------------------------------------------------------
 
-def multiply(p: Presentation, a: RingElement, b: RingElement) -> RingElement:
-    """Normalized graded-commutative product in the presentation."""
-    p._check_same(a)
-    p._check_same(b)
-    return a * b
-
-
 @dataclass
 class RClassSquareResult:
     element: RingElement
@@ -844,7 +833,7 @@ def rclass_square(p: Presentation, idx: RClassIndex) -> RClassSquareResult:
     if idx.factor_count == 0:
         raise PresentationError(
             "rclass_square needs at least one delta factor; a bare "
-            "realification is coefficient-ring arithmetic (use multiply)")
+            "realification is coefficient-ring arithmetic (use a * b)")
     e = p.rclass_element(idx)
     sq = e * e
 

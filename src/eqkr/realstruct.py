@@ -8,20 +8,24 @@ twisted dual; otherwise it carries an antilinear intertwiner squaring
 to +1 (Real type) or -1 (Quaternionic type).
 
 The classifier resolves a self-twisted-dual weight by a user override
-table or else a catalog rule, and raises UnclassifiableError when
+table or else the catalog rule, and raises UnclassifiableError when
 neither applies; the decision path is recorded in the IrrepClass
 provenance field.  The numerical intertwiner oracle in eqkr.oracle
-decides nothing here: it checks the catalog rules independently
-(``eqkr verify --suite oracle`` and the tests).  Catalog rules:
+decides nothing here: it checks the catalog rule independently
+(``eqkr verify --suite oracle`` and the tests).
 
-  * trivial sigma: type R iff <lam, 2 rho^vee> is even (the classical
-    self-dual criterion);
-  * complex conjugation on SU(n)/U(n): every irreducible is type R
-    (entrywise conjugation in an integral weight basis is a compatible
-    antilinear involution);
-  * the symplectic-type involution on SU(2m)/U(2m): type follows the
-    parity of the central element -1 acting on V_lam, i.e. R for even
-    total degree and H for odd.
+Catalog rule: each cataloged sigma has a central element z_sigma
+(CENTRAL_ELEMENT), and a self-twisted-dual V_lam is R iff lam(z_sigma) =
++1; across product factors the signs multiply.  Two rows suffice:
+
+  * z = exp(2 pi i rho^vee), acting by (-1)^<lam, 2 rho^vee>: the trivial
+    sigma (Frobenius-Schur), and sigmaH = Ad(J) o sigmaR on SU(2m)/U(2m),
+    where z = J^2 = -1 = exp(2 pi i rho^vee);
+  * z = 1, so every irreducible is R: sigmaR, the Chevalley involution
+    (-1 on a maximal torus) of every family, since the split real form
+    carries every irreducible.
+
+A user-defined diagram permutation has no row.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from dataclasses import dataclass
 from .groups import (
     ProductRootData,
     RootData,
-    SimpleRootData,
     UnRootData,
 )
 
@@ -40,6 +43,11 @@ TYPE_C = "C"
 TYPE_H = "H"
 
 INVOLUTION_NAMES = ("trivial", "sigmaR", "sigmaH")
+
+# z_sigma per cataloged kind; lam(exp(2 pi i rho^vee)) = (-1)^<lam, 2 rho^vee>
+Z_EXP_RHO = "exp(2 pi i rho^vee)"
+Z_ONE = "1"
+CENTRAL_ELEMENT = {"trivial": Z_EXP_RHO, "sigmaR": Z_ONE, "sigmaH": Z_EXP_RHO}
 
 
 class UnclassifiableError(ValueError):
@@ -73,8 +81,10 @@ class Involution:
     lattice action ("diagram part") of each cataloged kind is: identity
     for ``trivial``; the duality automorphism -w0 for ``sigmaR`` and
     ``sigmaH`` (an inner twist does not change the lattice action).  A
-    user-defined kind is a permutation of the factor's simple roots; it
-    has no catalog rule, so its self-twisted-dual weights need overrides.
+    user-defined kind is a permutation of a simple factor's simple roots;
+    it has no catalog row, so its self-twisted-dual weights need
+    overrides.  ``overrides`` maps self-twisted-dual dominant weights to
+    R or H; every entry is checked here, before any weight is classified.
     """
 
     def __init__(self, rd: RootData, kinds, overrides=None):
@@ -99,6 +109,14 @@ class Involution:
         self.overrides = dict(overrides or {})
         self._factors = rd.factors if isinstance(rd, ProductRootData) else (rd,)
         self._check_diagram_involutive()
+        for lam, t in self.overrides.items():
+            if t not in (TYPE_R, TYPE_H):
+                raise InvolutionSpecError(
+                    f"override for {lam} must be R or H, got {t!r}")
+            if self.twisted_dual_weight(lam) != lam:
+                raise InvolutionSpecError(
+                    f"override weight {lam} is not self-twisted-dual: it is "
+                    "of complex type and cannot be R or H")
 
     def __repr__(self):
         return f"Involution({self.rd.spec}, {','.join(map(str, self.kinds))})"
@@ -110,11 +128,15 @@ class Involution:
     def _check_diagram_involutive(self):
         for kind, f in zip(self.kinds, self._factors):
             if isinstance(kind, tuple):
+                if isinstance(f, UnRootData):
+                    raise InvolutionSpecError(
+                        f"custom diagram permutations need a simple factor, "
+                        f"got {f.spec}")
                 if len(kind) != f.n_simple():
                     raise InvolutionSpecError("diagram permutation has wrong length")
                 if any(kind[kind[i]] != i for i in range(len(kind))):
                     raise InvolutionSpecError("diagram part must square to identity")
-                if isinstance(f, SimpleRootData) and kind not in f.diagram_automorphisms():
+                if kind not in f.diagram_automorphisms():
                     raise InvolutionSpecError(
                         "permutation does not preserve the Cartan matrix")
 
@@ -140,47 +162,20 @@ class Involution:
         return self._factor_twisted_dual(self.kinds[0], rd, lam)
 
     # -- catalog typing for self-twisted-dual weights -----------------------
-    def _factor_rule(self, kind, f: RootData, lam):
-        """Catalog type of a self-twisted-dual factor weight, or None."""
-        if kind == "trivial":
-            if f.dual_weight(lam) != lam:
-                return None  # complex within the factor; handled globally
-            return fs_rule_type(f, lam)
-        fam = f.spec.factors[0][0]
-        if kind == "sigmaR":
-            if fam in ("SU", "U"):
-                return TYPE_R
-            return None
-        if kind == "sigmaH":
-            return TYPE_R if _total_degree_parity(f, lam) == 0 else TYPE_H
-        return None
-
     def catalog_type(self, lam):
-        """Combined catalog type, or None when some factor has no rule.
+        """Catalog type of a self-twisted-dual weight, or None when some
+        factor's kind has no catalog row (a custom diagram permutation).
 
-        Factor types combine like tensor products of antilinear
-        structures: an even number of H factors gives R, odd gives H.
+        H iff exp(2 pi i rho^vee) acts by -1, i.e. iff <lam_f, 2 rho^vee>
+        summed over the factors f whose z_sigma is that element is odd.
         """
-        if isinstance(self.rd, ProductRootData):
-            parts = self.rd.split(lam)
-        else:
-            parts = (lam,)
-        h_parity = 0
-        for kind, f, p in zip(self.kinds, self._factors, parts):
-            t = self._factor_rule(kind, f, p)
-            if t is None:
-                return None
-            if t == TYPE_H:
-                h_parity ^= 1
-        return TYPE_H if h_parity else TYPE_R
-
-
-def _total_degree_parity(f: RootData, lam) -> int:
-    """Parity of the central element -1 in U(2m)/SU(2m) acting on V_lam."""
-    if isinstance(f, UnRootData):
-        return sum(lam) % 2
-    # SU(2m) Dynkin labels: fundamental k has total degree k
-    return sum((i + 1) * a for i, a in enumerate(lam)) % 2
+        if any(isinstance(k, tuple) for k in self.kinds):
+            return None
+        parts = self.rd.split(lam) if isinstance(self.rd, ProductRootData) else (lam,)
+        parity = sum(f.positive_coroot_pairing(p)
+                     for k, f, p in zip(self.kinds, self._factors, parts)
+                     if CENTRAL_ELEMENT[k] == Z_EXP_RHO)
+        return TYPE_H if parity % 2 else TYPE_R
 
 
 # ---------------------------------------------------------------------------
@@ -198,14 +193,15 @@ def twisted_dual(rd: RootData, inv: Involution | None, lam) -> tuple:
 def fs_rule_type(rd: RootData, lam) -> str:
     """Type of a self-dual irreducible under the trivial involution.
 
-    R when <lam, 2 rho^vee> is even, H when odd.  Must agree with the
+    R when <lam, 2 rho^vee> is even, H when odd: the trivial row of the
+    catalog, read through ``Involution.catalog_type``.  Must agree with the
     matrix oracle wherever both apply (enforced in the test suite and by
     ``eqkr verify --suite oracle``).
     """
     rd.check_dominant(lam)
     if rd.dual_weight(lam) != lam:
         raise ValueError(f"weight {lam} is not self-dual")
-    return TYPE_R if rd.positive_coroot_pairing(lam) % 2 == 0 else TYPE_H
+    return Involution(rd, "trivial").catalog_type(lam)
 
 
 def classify_type(rd: RootData, inv: Involution, lam) -> IrrepClass:
@@ -222,11 +218,7 @@ def classify_type(rd: RootData, inv: Involution, lam) -> IrrepClass:
     if star != lam:
         return IrrepClass(lam, star, TYPE_C, "definition")
     if lam in inv.overrides:
-        t = inv.overrides[lam]
-        if t not in (TYPE_R, TYPE_H):
-            raise UnclassifiableError(
-                f"override for {lam} must be R or H, got {t!r}")
-        return IrrepClass(lam, lam, t, "override")
+        return IrrepClass(lam, lam, inv.overrides[lam], "override")
     t = inv.catalog_type(lam)
     if t is not None:
         return IrrepClass(lam, lam, t, "rule")

@@ -134,8 +134,7 @@ def verify_squares(p: Presentation, seed: int = DEFAULT_SEED,
 
 
 def verify_leibniz(p: Presentation, bound: int = 15,
-                   seed: int = DEFAULT_SEED,
-                   flip_twist_sign: bool = False) -> CheckResult:
+                   seed: int = DEFAULT_SEED) -> CheckResult:
     """The derivation is well defined across tensor identities.
 
     For all irreducibles of dimension <= bound, lifting the polynomial
@@ -144,8 +143,6 @@ def verify_leibniz(p: Presentation, bound: int = 15,
     rewrite d(abar* gamma) = -d(sigmabar* gamma) holds, which compares
     the engine's tau (the abar twist of delta_lift is tau o delta) with
     delta o sigmabar*.
-    ``flip_twist_sign`` breaks the rewrite on purpose (sensitivity
-    control).
     """
     def run():
         bz = build_bz_presentation(p.rd, inv=p.inv)
@@ -178,8 +175,7 @@ def verify_leibniz(p: Presentation, bound: int = 15,
                 poly = as_fundamental_polynomial(p.rd, rep)
                 da = delta_lift(bz, poly, twist="abar")
                 ds = delta_lift(bz, poly, twist="sigmabar")
-                expected = ds if flip_twist_sign else -ds
-                if da != expected:
+                if da != -ds:
                     return (f"pullback rewrite fails on pair {rep}: "
                             f"d(abar*) = {da!r}, -d(sigmabar*) = {(-ds)!r}")
         # KR-side instances for the R/H fundamentals

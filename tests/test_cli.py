@@ -36,10 +36,10 @@ def test_compute_su3_sigma_r(tmp_path, capsys):
 def test_compute_validation_exit_codes(capsys):
     assert run(["compute", "--group", "SU3", "--involution", "sigmaH"]) == 2
     assert run(["compute", "--group", "SU1"]) == 2
-    code = run(["compute", "--group", "E8", "--involution", "sigmaR"])
+    code = run(["compute", "--group", "U2", "--involution", "trivial"])
     assert code == 3
     err = capsys.readouterr().err
-    assert "override" in err and "(1, 0, 0, 0, 0, 0, 0, 0)" in err
+    assert "not fundamental" in err and "(1, 0)" in err
 
 
 def test_verify_golden(tmp_path):
@@ -85,6 +85,22 @@ def test_bad_override_file_exits_two(tmp_path, capsys, content):
     assert err.startswith("error:") and str(ov) in err
 
 
+@pytest.mark.parametrize("group,entry,message", [
+    ("SU2", {"weight": [1, 0, 5], "type": "R"}, "wrong length"),
+    ("SU2", {"weight": [-1], "type": "R"}, "not dominant"),
+    ("SU2", {"weight": [1], "type": "X"}, "must be R or H"),
+    ("SU3", {"weight": [1, 1], "type": "X"}, "must be R or H"),
+    ("SU3", {"weight": [1, 0], "type": "R"}, "not self-twisted-dual"),
+], ids=["length", "dominance", "type", "type-unreached", "complex"])
+def test_bad_override_entry_exits_two(tmp_path, capsys, group, entry, message):
+    # every entry is checked, also one the classifier would never reach
+    ov = tmp_path / "ov.json"
+    ov.write_text(json.dumps({"overrides": [entry]}))
+    assert run(["compute", "--group", group, "--override", str(ov)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+
+
 def test_unknown_probe_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["verify", "--group", "SU3", "--sensitivity-probe", "no-such"])
@@ -95,7 +111,8 @@ def test_unknown_probe_exits_two(capsys):
 
 @pytest.mark.parametrize("group,involution,status", [
     ("SU4", "sigmaH", "pass"), ("Sp3", "trivial", "pass"),
-    ("G2", "trivial", "skipped")])
+    ("G2", "trivial", "skipped"), ("Sp1", "sigmaR", "pass"),
+    ("Sp2", "sigmaR", "pass"), ("Sp3", "sigmaR", "pass")])
 def test_verify_oracle_suite(tmp_path, group, involution, status):
     out = tmp_path / "o.json"
     assert run(["verify", "--group", group, "--involution", involution,
@@ -115,16 +132,16 @@ def test_cli_starts_without_numpy():
 
 
 def test_unclassifiable_exit_loads_no_numpy():
-    # Sp2/sigmaR has a matrix model but no catalog rule: the classifier
-    # stops at exit 3 without consulting the oracle
+    # U2/trivial has a matrix model but no generator catalog: the
+    # classifier stops at exit 3 without consulting the oracle
     code = ("import sys; from eqkr.cli import main; "
-            "code = main(['compute', '--group', 'Sp2', '--involution', "
-            "'sigmaR']); sys.exit(100 * ('numpy' in sys.modules) + code)")
+            "code = main(['compute', '--group', 'U2', '--involution', "
+            "'trivial']); sys.exit(100 * ('numpy' in sys.modules) + code)")
     env = dict(os.environ, PYTHONPATH=str(Path(eqkr.__file__).parents[1]))
     res = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, timeout=60)
     assert res.returncode == 3, res.stderr
-    assert "no override and no catalog rule" in res.stderr
+    assert "not fundamental" in res.stderr
 
 
 def test_probe_exits_five(tmp_path):
@@ -212,6 +229,20 @@ def test_compute_exceptional_groups(group, split, capsys):
     assert data["omega_form"] is (split[2] == 0)
     rels = {r["lhs"]: r["rhs"] for r in data["relations"]}
     assert all(rels[f"{g['name']}^2"] == "0" for g in gens)
+
+
+@pytest.mark.parametrize("group,split", [("E6", (6, 0, 0)), ("Spin8", (4, 0, 0)),
+                                         ("G2", (2, 0, 0))])
+def test_sigma_r_on_exceptional_and_orthogonal_groups(group, split, capsys):
+    # the Chevalley involution types every fundamental R
+    assert run(["compute", "--group", group, "--involution", "sigmaR"]) == 0
+    gens = json.loads(capsys.readouterr().out)["generators"]
+    assert tuple(sum(g["kind"] == k for g in gens) for k in ("dR", "dH", "lam")) == split
+    assert run(["verify", "--group", group, "--involution", "sigmaR",
+                "--suite", "all"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["passed"] is True
+    assert all(r["status"] == "pass" for r in report["results"])
 
 
 @pytest.mark.parametrize("group", ["E6", "F4", "Spin10"])

@@ -17,7 +17,6 @@ from eqkr.presentation import (
     complexify,
     delta_lift,
     exterior_ranks,
-    multiply,
     poincare_table,
     rclass_square,
 )
@@ -94,7 +93,7 @@ def test_multiply_examples():
     assert (a * a).is_zero()
     assert a * b == -(b * a)
     with pytest.raises(PresentationError):
-        multiply(p, a, kr("SU2", "trivial").one())
+        a * kr("SU2", "trivial").one()
 
 
 def test_eta_mu_rules_on_realified_classes():

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eqkr.groups import build_root_data, tensor_decompose, weyl_dimension
 from eqkr.realstruct import (
@@ -110,10 +111,87 @@ def test_override_priority():
 
 
 def test_unclassifiable_catalog_gap():
-    e8 = build_root_data("E8")
-    inv = Involution(e8, "sigmaR")
-    with pytest.raises(UnclassifiableError):
-        classify_type(e8, inv, (1, 0, 0, 0, 0, 0, 0, 0))
+    # a custom diagram permutation has no catalog row
+    su3 = build_root_data("SU3")
+    inv = Involution(su3, ((1, 0),))
+    with pytest.raises(UnclassifiableError, match="no catalog rule"):
+        classify_type(su3, inv, (1, 0))
+
+
+def test_custom_involution_needs_a_simple_factor():
+    u3 = build_root_data("U3")
+    with pytest.raises(InvolutionSpecError, match="simple factor"):
+        Involution(u3, ((1, 0),))
+    with pytest.raises(InvolutionSpecError, match="simple factor"):
+        Involution(build_root_data("SU2xU3"), ("trivial", (1, 0)))
+
+
+def test_sigma_r_types_every_family_real():
+    for name in ("Sp1", "Sp3", "Spin7", "Spin8", "Spin10", "G2", "F4", "E6", "E7", "E8"):
+        rd = build_root_data(name)
+        inv = Involution(rd, "sigmaR")
+        for w in rd.fundamental_weights():
+            cls = classify_type(rd, inv, w)
+            assert (cls.type, cls.provenance) == ("R", "rule")
+
+
+def test_sigma_h_is_the_parity_of_the_central_minus_one():
+    # -1 in SU(2m)/U(2m) acts on V_lam by (-1)^(total degree)
+    for name in ("SU2", "SU4", "SU6", "U2", "U4"):
+        rd = build_root_data(name)
+        inv = Involution(rd, "sigmaH")
+        for lam in itertools.product(range(-1 if name[0] == "U" else 0, 3), repeat=rd.dim):
+            if not rd.is_dominant(lam):
+                continue
+            degree = sum(lam) if name[0] == "U" else sum((i + 1) * a for i, a in enumerate(lam))
+            assert classify_type(rd, inv, lam).type == "RH"[degree % 2]
+
+
+FAMILIES = ("SU2", "SU3", "SU4", "SU5", "SU6", "Sp1", "Sp2", "Sp3", "Spin7", "Spin8",
+            "Spin10", "G2", "F4", "E6", "E7", "E8", "U1", "U2", "U3", "U4")
+CATALOGED = ([(g, k) for g in FAMILIES for k in ("trivial", "sigmaR")]
+             + [(g, "sigmaH") for g in ("SU2", "SU4", "SU6", "U2", "U4")])
+
+
+def self_twisted_dual_generators(inv):
+    """Generators of the self-twisted-dual dominant weights: w or w + tau(w)
+    over the fundamentals (and, for U(n), the inverse determinant)."""
+    rd = inv.rd
+    ws = list(rd.fundamental_weights())
+    if rd.spec.factors[0][0] == "U":
+        ws.append((-1,) * rd.dim)
+    out = set()
+    for w in ws:
+        star = inv.twisted_dual_weight(w)
+        out.add(w if star == w else tuple(a + b for a, b in zip(w, star)))
+    return sorted(out)
+
+
+@st.composite
+def self_twisted_dual_pair(draw):
+    name, kind = draw(st.sampled_from(CATALOGED))
+    rd = build_root_data(name)
+    inv = Involution(rd, kind)
+    gens = self_twisted_dual_generators(inv)
+
+    def weight():
+        coeffs = draw(st.lists(st.integers(0, 2), min_size=len(gens), max_size=len(gens)))
+        return tuple(sum(c * g[i] for c, g in zip(coeffs, gens)) for i in range(rd.dim))
+    return rd, inv, weight(), weight()
+
+
+@given(self_twisted_dual_pair())
+@settings(max_examples=150, deadline=None)
+def test_catalog_type_is_multiplicative(case):
+    # V_{lam+mu} occurs once in V_lam (x) V_mu, so the antilinear
+    # structures of the two factors induce its type: R.R = H.H = R, R.H = H
+    rd, inv, lam, mu = case
+    a, b = classify_type(rd, inv, lam).type, classify_type(rd, inv, mu).type
+    top = tuple(x + y for x, y in zip(lam, mu))
+    assert a in "RH" and b in "RH"
+    assert classify_type(rd, inv, top).type == ("R" if a == b else "H")
+    if weyl_dimension(rd, lam) * weyl_dimension(rd, mu) <= 400:
+        assert tensor_decompose(rd, lam, mu)[top] == 1
 
 
 def test_custom_involution_needs_an_override():

@@ -1,7 +1,7 @@
 import pytest
 from conftest import GOLDEN, kr
 
-from eqkr import oracle
+from eqkr import oracle, realstruct
 from eqkr.groups import build_root_data
 from eqkr.presentation import Presentation, build_kr_presentation
 from eqkr.realstruct import Involution
@@ -60,8 +60,6 @@ def test_negative_controls_fail():
     p3 = kr("SU3", "trivial")
     res = verify_module_iso(make_mutant(p3, "tau-flip"), 20)
     assert res.status == "fail" and res.witness.startswith("degree ")
-    res = verify_leibniz(p3, 8, flip_twist_sign=True)
-    assert res.status == "fail" and "rewrite" in res.witness
 
 
 def test_leibniz_catches_a_dropped_tau_sign(monkeypatch):
@@ -132,6 +130,16 @@ def test_oracle_check_fails_on_disagreement(monkeypatch):
     monkeypatch.setattr(oracle, "matrix_oracle_type", inconclusive)
     res = verify_oracle(p)
     assert res.status == "fail" and "inconclusive" in res.witness
+
+
+@pytest.mark.parametrize("group,kind,wrong", [
+    ("SU4", "sigmaH", realstruct.Z_ONE),
+    ("Sp2", "sigmaR", realstruct.Z_EXP_RHO)])
+def test_oracle_check_catches_a_wrong_central_element(monkeypatch, group, kind, wrong):
+    assert verify_oracle(kr(group, kind)).passed
+    monkeypatch.setitem(realstruct.CENTRAL_ELEMENT, kind, wrong)
+    res = verify_oracle(kr(group, kind))
+    assert res.status == "fail" and "catalog" in res.witness
 
 
 def test_oracle_check_skips_weights_without_a_catalog_type():
