@@ -95,12 +95,22 @@ def _load_overrides(path):
         raise InvolutionSpecError(
             f"override file {path} is not JSON: {exc}") from None
     try:
-        return {tuple(int(x) for x in entry["weight"]): entry["type"]
+        return {_override_weight(entry): entry["type"]
                 for entry in data.get("overrides", [])}
-    except (AttributeError, KeyError, TypeError, ValueError):
+    except (AttributeError, KeyError, TypeError):
         raise InvolutionSpecError(
             f"override file {path} must hold "
-            '{"overrides": [{"weight": [..], "type": "R"}, ...]}') from None
+            '{"overrides": [{"weight": [..], "type": "R"}, ...]} '
+            "with integer weights") from None
+
+
+def _override_weight(entry):
+    # refuse rather than convert: int() would truncate 1.7 and parse "1",
+    # and bool is an int subclass
+    weight = tuple(entry["weight"])
+    if any(type(x) is not int for x in weight):
+        raise TypeError(f"weight {entry['weight']} has a non-integer entry")
+    return weight
 
 
 def _emit(text, out_path):

@@ -194,6 +194,10 @@ class RootData:
     rank: int
     dim: int  # length of weight tuples
 
+    def __init__(self, spec: GroupSpec):
+        self.spec = spec
+        self._key = str(spec)
+
     # -- abstract primitives ------------------------------------------------
     def n_simple(self):
         raise NotImplementedError
@@ -283,14 +287,15 @@ class RootData:
         return frozenset(seen)
 
     def key(self):
-        return str(self.spec)
+        """The registry key of the cached kernels: the group's name."""
+        return self._key
 
 
 class SimpleRootData(RootData):
     """Root data for one simple, simply-connected factor (Dynkin labels)."""
 
     def __init__(self, spec: GroupSpec, series: str, rank: int):
-        self.spec = spec
+        super().__init__(spec)
         self.series = series
         self.rank = rank
         self.dim = rank
@@ -398,7 +403,7 @@ class UnRootData(RootData):
     """U(n) on the lattice Z^n; dominant = weakly decreasing tuples."""
 
     def __init__(self, spec: GroupSpec, n: int):
-        self.spec = spec
+        super().__init__(spec)
         self.n = n
         self.rank = n
         self.dim = n
@@ -447,7 +452,7 @@ class ProductRootData(RootData):
     """Finite ordered product; weights are concatenations of factor weights."""
 
     def __init__(self, spec: GroupSpec, factors):
-        self.spec = spec
+        super().__init__(spec)
         self.factors = tuple(factors)
         self.rank = sum(f.rank for f in factors)
         self.dim = sum(f.dim for f in factors)
@@ -508,9 +513,8 @@ class ProductRootData(RootData):
         return sum(f.positive_coroot_pairing(tuple(v[s]))
                    for f, s in zip(self.factors, self.slices))
 
-    def dual_weight(self, lam):
-        parts = self.split(lam)
-        return self.join([f.dual_weight(p) for f, p in zip(self.factors, parts)])
+    def _minus_w0(self, lam):
+        return self.join([f._minus_w0(p) for f, p in zip(self.factors, self.split(lam))])
 
 
 @lru_cache(maxsize=None)
@@ -547,8 +551,13 @@ def build_root_data(spec: GroupSpec | str) -> RootData:
 def weyl_dimension(rd: RootData, lam: Weight) -> int:
     """dim V_lam = prod over positive roots of <lam+rho, a^vee>/<rho, a^vee>."""
     rd.check_dominant(lam)
+    return _weyl_dimension(rd, lam)
+
+
+def _weyl_dimension(rd: RootData, lam: Weight) -> int:
+    """`weyl_dimension` of a weight known to be dominant."""
     if isinstance(rd, ProductRootData):
-        return math.prod(weyl_dimension(f, p) for f, p in zip(rd.factors, rd.split(lam)))
+        return math.prod(_weyl_dimension(f, p) for f, p in zip(rd.factors, rd.split(lam)))
     rho = rd.rho_vec()
     lr = tuple(x + r for x, r in zip(lam, rho))
     num = den = 1
@@ -650,7 +659,8 @@ def character(rd: RootData, lam: Weight) -> dict:
     """
     rd.check_dominant(lam)
     if isinstance(rd, ProductRootData):
-        return rd.combine([character(f, p) for f, p in zip(rd.factors, rd.split(lam))])
+        return rd.combine([_orbit_character(_register(f), p)
+                           for f, p in zip(rd.factors, rd.split(lam))])
     return dict(_orbit_character(_register(rd), tuple(lam)))
 
 
@@ -658,18 +668,36 @@ def tensor_decompose(rd: RootData, lam: Weight, mu: Weight) -> dict:
     """Brauer-Klimyk decomposition of V_lam (x) V_mu into irreducibles.
 
     Returns a map highest weight -> multiplicity.  Exact; ties cannot
-    occur because rho-shifted weights on walls are dropped.
+    occur because rho-shifted weights on walls are dropped.  The
+    decomposition is cached per simple or unitary factor (a product
+    combines its factors' maps); every call returns a fresh map.
     """
     rd.check_dominant(lam)
     rd.check_dominant(mu)
+    return dict(_decompose(rd, tuple(lam), tuple(mu)))
+
+
+def _decompose(rd: RootData, lam: Weight, mu: Weight) -> dict:
+    """`tensor_decompose` of weights the engine built itself: no dominance
+    check, and on one factor the shared cached map, so read only."""
     if isinstance(rd, ProductRootData):
-        return rd.combine([tensor_decompose(f, a, b)
+        return rd.combine([_klimyk(_register(f), a, b)
                            for f, a, b in zip(rd.factors, rd.split(lam), rd.split(mu))])
-    if weyl_dimension(rd, mu) > weyl_dimension(rd, lam):
+    return _klimyk(_register(rd), lam, mu)
+
+
+@lru_cache(maxsize=None)
+def _klimyk(rd_key, lam, mu):
+    """Klimyk's formula on one simple or unitary factor: V_lam (x) V_mu is
+    the sum over the weights nu of the smaller factor of m(nu) times the
+    signed irreducible at the dominant representative of lam + nu + rho
+    (minus rho).  Shared, so never handed to a caller."""
+    rd = _RD_REGISTRY[rd_key]
+    if _weyl_dimension(rd, mu) > _weyl_dimension(rd, lam):
         lam, mu = mu, lam
     rho = rd.rho_vec()
     out = {}
-    for nu, m in character(rd, mu).items():
+    for nu, m in _orbit_character(rd_key, mu).items():
         v = tuple(a + b + r for a, b, r in zip(lam, nu, rho))
         sign = 1
         while True:

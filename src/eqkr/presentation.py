@@ -47,6 +47,7 @@ from .groups import (
     UnsupportedGroupError,
     tensor_decompose,
     weyl_dimension,
+    _decompose,
     _register,
     _RD_REGISTRY,
 )
@@ -908,7 +909,7 @@ def delta_lift(p: Presentation, poly, twist: str | None = None) -> RingElement:
                 for exp, c in poly.items()}
     elif twist is not None:
         raise PresentationError(f"unknown twist {twist!r}")
-    out = p.zero()
+    out = {}
     for exp, c in poly.items():
         if c == 0:
             continue
@@ -920,8 +921,9 @@ def delta_lift(p: Presentation, poly, twist: str | None = None) -> RingElement:
             cof = list(exp)
             cof[i] -= 1
             for w, m in _expand_monomial(p.rd, tuple(funds), tuple(cof)).items():
-                out = out + p.dg_element(i, 0, w) * (c * a * m)
-    return out
+                t = (w, 0, (i,))
+                out[t] = out.get(t, 0) + c * a * m
+    return p._element(out)
 
 
 def _delta_lift_kr(p: Presentation, poly):
@@ -955,19 +957,28 @@ def _delta_lift_kr(p: Presentation, poly):
 
 @lru_cache(maxsize=None)
 def _expand_monomial_cached(rd_key, funds, exp):
+    """Highest weight -> multiplicity of prod funds[i]^exp[i]; shared, so
+    read only.
+
+    The monomial is the cached expansion of the shorter monomial with
+    the last nonzero exponent lowered by one, tensored with that one
+    fundamental: each new monomial costs one tensor product, and the
+    products run in slot order, fundamental by fundamental.
+    """
     rd = _RD_REGISTRY[rd_key]
-    weights = {rd.zero(): 1}
-    for i, a in enumerate(exp):
+    for f, a in zip(funds, exp):
         if a < 0:
             raise PresentationError(
-                f"negative exponent on non-invertible fundamental {funds[i]}")
-        for _ in range(a):
-            nxt = {}
-            for w, m in weights.items():
-                for w2, m2 in tensor_decompose(rd, w, funds[i]).items():
-                    nxt[w2] = nxt.get(w2, 0) + m * m2
-            weights = nxt
-    return weights
+                f"negative exponent on non-invertible fundamental {f}")
+    last = max((i for i, a in enumerate(exp) if a), default=None)
+    if last is None:
+        return {rd.zero(): 1}
+    shorter = tuple(a - (i == last) for i, a in enumerate(exp))
+    out = {}
+    for w, m in _expand_monomial_cached(rd_key, funds, shorter).items():
+        for w2, m2 in _decompose(rd, w, funds[last]).items():
+            out[w2] = out.get(w2, 0) + m * m2
+    return out
 
 
 def _expand_monomial(rd: RootData, funds, exp):

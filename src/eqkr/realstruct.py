@@ -142,13 +142,14 @@ class Involution:
 
     # -- lattice action -----------------------------------------------------
     def _factor_twisted_dual(self, kind, f: RootData, lam):
-        dual = f.dual_weight(lam)
-        if kind == "trivial":
-            return dual
+        # lam is a factor of a weight twisted_dual_weight has checked
         if kind in ("sigmaR", "sigmaH"):
             # diagram part is the duality automorphism, so the composite
             # with conjugation is the identity on dominant weights
             return tuple(lam)
+        dual = f._minus_w0(lam)
+        if kind == "trivial":
+            return dual
         # custom permutation of simple-root indices (Dynkin labels)
         return tuple(dual[kind[i]] for i in range(len(dual)))
 

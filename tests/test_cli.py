@@ -75,7 +75,10 @@ def test_verify_without_presentation_labels_the_requested_group(suite, capsys):
     "{not json",
     json.dumps({"overrides": [{"type": "R"}]}),
     json.dumps({"overrides": [{"weight": [1]}]}),
-], ids=["missing", "not-json", "no-weight", "no-type"])
+    json.dumps({"overrides": [{"weight": [1.7], "type": "R"}]}),
+    json.dumps({"overrides": [{"weight": ["1"], "type": "R"}]}),
+    json.dumps({"overrides": [{"weight": [True], "type": "R"}]}),
+], ids=["missing", "not-json", "no-weight", "no-type", "float", "string", "bool"])
 def test_bad_override_file_exits_two(tmp_path, capsys, content):
     ov = tmp_path / "ov.json"
     if content is not None:

@@ -287,6 +287,19 @@ def test_character_returns_a_fresh_dict():
     assert (1, 1) in character(rd, (1, 1))
 
 
+@pytest.mark.parametrize("group,lam,mu", [("SU3", (1, 0), (0, 1)),
+                                          ("SU2xSU3", (1, 1, 0), (1, 0, 1))])
+def test_tensor_decompose_returns_a_fresh_dict(group, lam, mu):
+    rd = build_root_data(group)
+    got = tensor_decompose(rd, lam, mu)
+    expected = dict(got)
+    top = tuple(a + b for a, b in zip(lam, mu))
+    got[top] = 99
+    del got[min(got)]
+    assert tensor_decompose(rd, lam, mu) == expected
+    assert tensor_decompose(rd, mu, lam) == expected
+
+
 def test_determinism():
     a = character(build_root_data("SU3"), (2, 1))
     b = character(build_root_data("SU3"), (2, 1))

@@ -5,10 +5,11 @@ import pytest
 from conftest import GOLDEN, kr
 
 from eqkr.coeffs import KRCoeff
-from eqkr.groups import build_root_data
+from eqkr.groups import build_root_data, tensor_decompose
 from eqkr.presentation import (
     PresentationError,
     RClassIndex,
+    _expand_monomial,
     as_fundamental_polynomial,
     augment_bz,
     augment_element,
@@ -299,7 +300,6 @@ def test_delta_lift_kr_side():
 
 def test_as_fundamental_polynomial_roundtrip():
     su3 = build_root_data("SU3")
-    from eqkr.presentation import _expand_monomial
     funds = su3.fundamental_weights()
     for lam in [(0, 0), (1, 0), (1, 1), (2, 1), (0, 3)]:
         poly = as_fundamental_polynomial(su3, lam)
@@ -310,6 +310,47 @@ def test_as_fundamental_polynomial_roundtrip():
                 if total[w] == 0:
                     del total[w]
         assert total == {lam: 1}
+
+
+def _naive_monomial(rd, funds, exp):
+    """prod funds[i]^exp[i], one fundamental at a time; a negative
+    exponent multiplies by the inverse character -funds[i]."""
+    weights = {rd.zero(): 1}
+    for f, a in zip(funds, exp):
+        if a < 0:
+            f, a = tuple(-x for x in f), -a
+        for _ in range(a):
+            nxt = {}
+            for w, m in weights.items():
+                for w2, m2 in tensor_decompose(rd, w, f).items():
+                    nxt[w2] = nxt.get(w2, 0) + m * m2
+            weights = nxt
+    return weights
+
+
+@pytest.mark.parametrize("group,exps", [
+    ("SU3", [(0, 0), (2, 0), (1, 2), (0, 3), (2, 2)]),
+    ("Sp2", [(1, 1), (2, 0), (0, 2), (2, 1)]),
+    ("G2", [(1, 1), (2, 0), (0, 2)]),
+    ("SU2xSU3", [(1, 1, 1), (2, 0, 1), (0, 1, 2), (3, 2, 0)]),
+    ("U3", [(1, 1, -1), (2, 0, -2), (0, 1, 1), (1, 2, 0), (0, 0, -3)]),
+])
+def test_monomial_expansion_matches_naive_product(group, exps):
+    # the expansion builds on cached shorter monomials; the reference
+    # multiplies afresh
+    rd = build_root_data(group)
+    funds = rd.fundamental_weights()
+    for exp in exps:
+        assert _expand_monomial(rd, funds, exp) == _naive_monomial(rd, funds, exp), exp
+
+
+@pytest.mark.parametrize("group,exp", [("SU3", (-1, 2)), ("SU2xSU3", (1, -1, 1)),
+                                       ("U3", (-1, 1, 1)), ("U3", (2, -1, 0))])
+def test_negative_exponent_before_the_last_slot_is_refused(group, exp):
+    rd = build_root_data(group)
+    funds = rd.fundamental_weights()
+    with pytest.raises(PresentationError, match="negative exponent"):
+        _expand_monomial(rd, funds, exp)
 
 
 def test_poincare_table_bz():

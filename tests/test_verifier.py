@@ -1,6 +1,13 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from conftest import GOLDEN, kr
 
+import eqkr
 from eqkr import oracle, realstruct
 from eqkr.groups import build_root_data
 from eqkr.presentation import Presentation, build_kr_presentation
@@ -72,6 +79,26 @@ def test_leibniz_catches_a_dropped_tau_sign(monkeypatch):
     monkeypatch.setattr(Presentation, "_tau_bz_term", unsigned)
     res = verify_leibniz(kr("SU3", "trivial"), 10)
     assert res.status == "fail" and "pullback rewrite" in res.witness
+
+
+def test_leibniz_catches_a_dropped_klimyk_constituent():
+    # a fresh interpreter, so no warm cache can hide the faulty kernel
+    code = ("import sys, eqkr.groups as g; from eqkr.cli import main\n"
+            "klimyk = g._klimyk\n"
+            "def dropped(key, lam, mu):\n"
+            "    out = dict(klimyk(key, lam, mu))\n"
+            "    if len(out) > 1:\n"
+            "        del out[min(out)]\n"
+            "    return out\n"
+            "g._klimyk = dropped\n"
+            "sys.exit(main(['verify', '--group', 'SU3xSU3', '--suite', 'all']))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(eqkr.__file__).parents[1]))
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 5, res.stderr
+    failed = [r["name"].split("[")[0] for r in json.loads(res.stdout)["results"]
+              if r["status"] == "fail"]
+    assert "leibniz" in failed
 
 
 def test_check_result_requires_witness_on_failure():
