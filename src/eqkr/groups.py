@@ -16,6 +16,11 @@ U(n) is modelled directly on the lattice Z^n with Weyl group S_n:
 weights are integer n-tuples, dominant means weakly decreasing, and the
 determinant character (1,...,1) is invertible.  It is not treated via a
 semisimple cover.
+
+Every root data is the product of its factors; a simple or unitary group
+is the product of itself.  Characters, dimensions and tensor products are
+computed factor by factor, by kernels cached per root-data object, and
+build_root_data returns one object per group so those caches are shared.
 """
 
 from __future__ import annotations
@@ -182,12 +187,19 @@ def parse_group(text: str) -> GroupSpec:
 # ---------------------------------------------------------------------------
 
 class RootData:
-    """Shared interface: weights are integer tuples of length self.dim.
+    """A compact group's root data; weights are integer tuples of length
+    self.dim.
 
-    Subclasses provide the simple-reflection action, pairings with simple
+    Every root data is the product of its factors: a simple or unitary
+    group is the product of itself (``factors == (self,)``), and
+    ProductRootData concatenates its factors' weights.  ``split`` cuts a
+    weight into factor parts, ``join`` glues parts back and ``combine``
+    builds a product's weight map from one map per factor.  A factor
+    subclass provides the simple-reflection action, pairings with simple
     coroots, the invariant inner product, the positive roots and
-    dominance; the generic character and tensor machinery below only
-    uses that interface.
+    dominance; the character and tensor kernels below run factor by
+    factor on that interface and are cached per root-data object, which
+    is why build_root_data hands out one object per group.
     """
 
     spec: GroupSpec
@@ -196,9 +208,9 @@ class RootData:
 
     def __init__(self, spec: GroupSpec):
         self.spec = spec
-        self._key = str(spec)
+        self.factors = (self,)
 
-    # -- abstract primitives ------------------------------------------------
+    # -- factor primitives ----------------------------------------------------
     def n_simple(self):
         raise NotImplementedError
 
@@ -231,10 +243,31 @@ class RootData:
 
     def positive_coroot_pairing(self, v):
         """<v, 2 rho^vee> = sum over positive roots of <v, alpha^vee>."""
-        raise NotImplementedError
+        return sum(self.coroot_pairing(v, c) for c in self.positive_roots())
 
     def zero(self):
         return (0,) * self.dim
+
+    # -- the product structure --------------------------------------------------
+    def split(self, v):
+        """The factor parts of a weight."""
+        return (tuple(v),)
+
+    def join(self, parts):
+        """The weight with the given factor parts."""
+        return tuple(itertools.chain(*parts))
+
+    def combine(self, maps):
+        """Weight -> multiplicity map of the product from one map per
+        factor.  With one factor it is that factor's map itself, which may
+        be a shared cached map: read only."""
+        if len(maps) == 1:
+            return maps[0]
+        out = {}
+        for combo in itertools.product(*[m.items() for m in maps]):
+            weights, mults = zip(*combo)
+            out[self.join(weights)] = math.prod(mults)  # join is injective
+        return out
 
     # -- generic machinery ----------------------------------------------------
     def check_dominant(self, v):
@@ -254,24 +287,15 @@ class RootData:
             else:
                 return v
 
-    def antidominate(self, v):
-        """The antidominant representative (the w0-image of a dominant v)."""
-        v = tuple(v)
-        while True:
-            for i in range(self.n_simple()):
-                if self.pairing_simple(v, i) > 0:
-                    v = self.reflect_simple(v, i)
-                    break
-            else:
-                return v
-
     def dual_weight(self, lam):
         """Highest weight of the dual representation: -w0(lam)."""
         self.check_dominant(lam)
         return self._minus_w0(lam)
 
     def _minus_w0(self, lam):
-        return tuple(-x for x in self.antidominate(lam))
+        # w0(lam) is the antidominant weight of the orbit, so -w0(lam) is
+        # the dominant one of the orbit of -lam
+        return self.dominate(tuple(-x for x in lam))
 
     def orbit(self, v):
         """The full Weyl orbit of a weight, as a frozenset."""
@@ -285,10 +309,6 @@ class RootData:
                     seen.add(u)
                     todo.append(u)
         return frozenset(seen)
-
-    def key(self):
-        """The registry key of the cached kernels: the group's name."""
-        return self._key
 
 
 class SimpleRootData(RootData):
@@ -310,7 +330,7 @@ class SimpleRootData(RootData):
         self._positive_roots = None
         self._root_norms = {}
         # -w0 permutes the fundamental weights: w0(omega_i) = -omega_sigma(i)
-        self._dual_perm = tuple(self.antidominate(w).index(-1)
+        self._dual_perm = tuple(self.dominate(tuple(-x for x in w)).index(1)
                                 for w in self.fundamental_weights())
 
     def n_simple(self):
@@ -385,9 +405,6 @@ class SimpleRootData(RootData):
                 f"<{v}, alpha^vee> = {Fraction(num, norm)} for {c}: not an integer")
         return val
 
-    def positive_coroot_pairing(self, v):
-        return sum(self.coroot_pairing(v, c) for c in self.positive_roots())
-
     def diagram_automorphisms(self):
         """All permutations of simple-root indices preserving the Cartan matrix."""
         a = self.cartan
@@ -438,8 +455,9 @@ class UnRootData(RootData):
         return tuple((tuple(1 if k == i else (-1 if k == j else 0) for k in range(self.n)),
                       j - i) for i, j in self.positive_roots())
 
-    def positive_coroot_pairing(self, v):
-        return sum(v[i] - v[j] for i, j in self.positive_roots())
+    def coroot_pairing(self, v, c):
+        i, j = c
+        return v[i] - v[j]
 
     def diagram_automorphisms(self):
         if self.n <= 2:
@@ -465,40 +483,8 @@ class ProductRootData(RootData):
     def split(self, v):
         return tuple(tuple(v[s]) for s in self.slices)
 
-    def join(self, parts):
-        return tuple(itertools.chain(*parts))
-
-    def combine(self, maps):
-        """Weight -> multiplicity map of a product from one map per factor."""
-        out = {}
-        for combo in itertools.product(*[m.items() for m in maps]):
-            weights, mults = zip(*combo)
-            out[self.join(weights)] = math.prod(mults)  # join is injective
-        return out
-
-    def n_simple(self):
-        return sum(f.n_simple() for f in self.factors)
-
-    def _locate(self, i):
-        for f, s in zip(self.factors, self.slices):
-            if i < f.n_simple():
-                return f, s, i
-            i -= f.n_simple()
-        raise IndexError(i)
-
-    def pairing_simple(self, v, i):
-        f, s, j = self._locate(i)
-        return f.pairing_simple(tuple(v[s]), j)
-
-    def reflect_simple(self, v, i):
-        f, s, j = self._locate(i)
-        part = f.reflect_simple(tuple(v[s]), j)
-        out = list(v)
-        out[s] = part
-        return tuple(out)
-
-    def rho_vec(self):
-        return self.join([f.rho_vec() for f in self.factors])
+    def is_dominant(self, v):
+        return all(f.is_dominant(p) for f, p in zip(self.factors, self.split(v)))
 
     def fundamental_weights(self):
         out = []
@@ -509,17 +495,15 @@ class ProductRootData(RootData):
                 out.append(tuple(vec))
         return tuple(out)
 
-    def positive_coroot_pairing(self, v):
-        return sum(f.positive_coroot_pairing(tuple(v[s]))
-                   for f, s in zip(self.factors, self.slices))
-
     def _minus_w0(self, lam):
         return self.join([f._minus_w0(p) for f, p in zip(self.factors, self.split(lam))])
 
 
 @lru_cache(maxsize=None)
-def _build_factor(fam: str, n: int) -> RootData:
-    spec = GroupSpec(((fam, n),))
+def _root_data(spec: GroupSpec) -> RootData:
+    if len(spec.factors) > 1:
+        return ProductRootData(spec, [_root_data(GroupSpec((f,))) for f in spec.factors])
+    (fam, n), = spec.factors
     if fam == "SU":
         return SimpleRootData(spec, "A", n - 1)
     if fam == "Sp":
@@ -536,12 +520,12 @@ def _build_factor(fam: str, n: int) -> RootData:
 
 
 def build_root_data(spec: GroupSpec | str) -> RootData:
-    """Root data for a group spec; deterministic for a given spec."""
+    """Root data for a group spec: one shared object per group, so the
+    kernels cached on it are shared too.  A product's factors are the
+    root data of its one-factor groups."""
     if isinstance(spec, str):
         spec = parse_group(spec)
-    if len(spec.factors) == 1:
-        return _build_factor(*spec.factors[0])
-    return ProductRootData(spec, [_build_factor(fam, n) for fam, n in spec.factors])
+    return _root_data(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -555,20 +539,14 @@ def weyl_dimension(rd: RootData, lam: Weight) -> int:
 
 
 def _weyl_dimension(rd: RootData, lam: Weight) -> int:
-    """`weyl_dimension` of a weight known to be dominant."""
-    if isinstance(rd, ProductRootData):
-        return math.prod(_weyl_dimension(f, p) for f, p in zip(rd.factors, rd.split(lam)))
-    rho = rd.rho_vec()
-    lr = tuple(x + r for x, r in zip(lam, rho))
+    """`weyl_dimension` of a weight known to be dominant, factor by factor."""
     num = den = 1
-    if isinstance(rd, UnRootData):
-        for i, j in rd.positive_roots():
-            num *= lr[i] - lr[j]
-            den *= rho[i] - rho[j]
-    else:
-        for c in rd.positive_roots():
-            num *= rd.coroot_pairing(lr, c)
-            den *= rd.coroot_pairing(rho, c)
+    for f, part in zip(rd.factors, rd.split(lam)):
+        rho = f.rho_vec()
+        lr = tuple(x + r for x, r in zip(part, rho))
+        for c in f.positive_roots():
+            num *= f.coroot_pairing(lr, c)
+            den *= f.coroot_pairing(rho, c)
     dim, rem = divmod(num, den)
     if rem:
         raise InvariantError(
@@ -577,7 +555,7 @@ def _weyl_dimension(rd: RootData, lam: Weight) -> int:
 
 
 @lru_cache(maxsize=None)
-def _dominant_multiplicities(rd_key, lam):
+def _dominant_multiplicities(rd, lam):
     """Multiplicities of the dominant weights of V_lam (all positive).
 
     The dominant weights mu <= lam are exactly those reached from lam by
@@ -586,7 +564,6 @@ def _dominant_multiplicities(rd_key, lam):
     never leaves the dominant chamber.  Freudenthal's formula then runs
     over them by increasing height of lam - mu, in the integer form ip.
     """
-    rd = _RD_REGISTRY[rd_key]
     roots = rd.positive_root_vecs()
     height = {lam: 0}
     todo = [lam]
@@ -630,22 +607,12 @@ def _dominant_multiplicities(rd_key, lam):
     return mult
 
 
-_RD_REGISTRY: dict = {}
-
-
-def _register(rd: RootData) -> str:
-    key = rd.key()
-    _RD_REGISTRY.setdefault(key, rd)
-    return key
-
-
 @lru_cache(maxsize=None)
-def _orbit_character(rd_key, lam):
+def _orbit_character(rd, lam):
     """The character of V_lam for one simple or unitary factor; shared, so
     never handed to a caller."""
-    rd = _RD_REGISTRY[rd_key]
     out = {}
-    for mu, m in _dominant_multiplicities(rd_key, lam).items():
+    for mu, m in _dominant_multiplicities(rd, lam).items():
         for w in rd.orbit(mu):
             out[w] = m
     return out
@@ -658,10 +625,8 @@ def character(rd: RootData, lam: Weight) -> dict:
     spread over Weyl orbits (multiplicity is orbit-constant).
     """
     rd.check_dominant(lam)
-    if isinstance(rd, ProductRootData):
-        return rd.combine([_orbit_character(_register(f), p)
-                           for f, p in zip(rd.factors, rd.split(lam))])
-    return dict(_orbit_character(_register(rd), tuple(lam)))
+    return dict(rd.combine([_orbit_character(f, p)
+                            for f, p in zip(rd.factors, rd.split(lam))]))
 
 
 def tensor_decompose(rd: RootData, lam: Weight, mu: Weight) -> dict:
@@ -680,24 +645,21 @@ def tensor_decompose(rd: RootData, lam: Weight, mu: Weight) -> dict:
 def _decompose(rd: RootData, lam: Weight, mu: Weight) -> dict:
     """`tensor_decompose` of weights the engine built itself: no dominance
     check, and on one factor the shared cached map, so read only."""
-    if isinstance(rd, ProductRootData):
-        return rd.combine([_klimyk(_register(f), a, b)
-                           for f, a, b in zip(rd.factors, rd.split(lam), rd.split(mu))])
-    return _klimyk(_register(rd), lam, mu)
+    return rd.combine([_klimyk(f, a, b)
+                       for f, a, b in zip(rd.factors, rd.split(lam), rd.split(mu))])
 
 
 @lru_cache(maxsize=None)
-def _klimyk(rd_key, lam, mu):
+def _klimyk(rd, lam, mu):
     """Klimyk's formula on one simple or unitary factor: V_lam (x) V_mu is
     the sum over the weights nu of the smaller factor of m(nu) times the
     signed irreducible at the dominant representative of lam + nu + rho
     (minus rho).  Shared, so never handed to a caller."""
-    rd = _RD_REGISTRY[rd_key]
     if _weyl_dimension(rd, mu) > _weyl_dimension(rd, lam):
         lam, mu = mu, lam
     rho = rd.rho_vec()
     out = {}
-    for nu, m in _orbit_character(rd_key, mu).items():
+    for nu, m in _orbit_character(rd, mu).items():
         v = tuple(a + b + r for a, b, r in zip(lam, nu, rho))
         sign = 1
         while True:

@@ -30,7 +30,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from .groups import ProductRootData, RootData
+from .groups import RootData
 
 DEFAULT_TOL = 1e-9
 DEFAULT_SEED = 1789
@@ -247,7 +247,7 @@ def symmetric_rep(family, n, k):
 
 def rep_for_weight(rd: RootData, lam) -> UnitaryRep | None:
     """A concrete matrix model for lam, when the catalog has one."""
-    if isinstance(rd, ProductRootData):
+    if len(rd.factors) > 1:
         return None
     fam, n = rd.spec.factors[0]
     lam = tuple(lam)

@@ -48,8 +48,7 @@ from .groups import (
     tensor_decompose,
     weyl_dimension,
     _decompose,
-    _register,
-    _RD_REGISTRY,
+    _weyl_dimension,
 )
 from .realstruct import (
     TYPE_C,
@@ -229,13 +228,15 @@ def _merge_graded(a, b, parity):
     return tuple(out), sign
 
 
-def _permutation_sign_to_sorted(seq):
+def _inversions(seq):
+    """Number of pairs i < j with seq[i] > seq[j]: the transpositions
+    that sort seq."""
     inv = 0
     for i in range(len(seq)):
         for j in range(i + 1, len(seq)):
             if seq[i] > seq[j]:
                 inv += 1
-    return (-1) ** inv
+    return inv
 
 
 class Presentation:
@@ -246,15 +247,13 @@ class Presentation:
     element operations are pure.
     """
 
-    def __init__(self, rd: RootData, inv, split, kind: str, factors, gens,
-                 relation_overrides=None):
+    def __init__(self, rd: RootData, inv, split, kind: str, factors, gens):
         self.rd = rd
         self.inv = inv
         self.split = split
         self.kind = kind  # "KR" | "BZ" | "K"
         self.factors = tuple(factors)   # (role, weight, pair) in order
         self.gens = tuple(gens)
-        self.relation_overrides = dict(relation_overrides or {})
         self.zero_weight = rd.zero()
         self._classify_cache = {}
         self._tensor_cache = {}
@@ -462,8 +461,7 @@ class Presentation:
     def _tau_bz_term(self, w, j, bits):
         """tau-image of one BZ term; returns (w*, bits*, sign)."""
         mapped = [self._tau_factor(b) for b in bits]
-        sign = ((-1) ** (j % 2) * (-1) ** len(bits)
-                * _permutation_sign_to_sorted(mapped))
+        sign = (-1) ** (j % 2 + len(bits) + _inversions(mapped))
         return twisted_dual(self.rd, self.inv, w), tuple(sorted(mapped)), sign
 
     def _tau_bz(self, terms):
@@ -587,7 +585,7 @@ class Presentation:
         rho, i, eps, nu = slot
         bits = [self._pair_factor(k, "u") for k in eps]
         bits += [self._pair_factor(k, "v") for k in nu]
-        sign = (-1) ** len(nu) * _permutation_sign_to_sorted(bits)
+        sign = (-1) ** (len(nu) + _inversions(bits))
         w = self.zero_weight if rho is None else rho
         return (w, i, tuple(sorted(bits))), sign
 
@@ -740,11 +738,7 @@ class Presentation:
                       for bits in plain_monomials(self))
 
     def generator_square(self, g):
-        if isinstance(g, Generator):
-            g = g.index
-        override = self.relation_overrides.get(("square", g))
-        if override is not None:
-            return override
+        """The relation table's square of a generator."""
         e = self.gen_element(g)
         return e * e
 
@@ -846,10 +840,7 @@ def rclass_square(p: Presentation, idx: RClassIndex) -> RClassSquareResult:
     for k in sorted(s_idx + n_idx):
         rank[("u", k)] = len(rank)
         rank[("v", k)] = len(rank)
-    ranks = [rank[x] for x in seq]
-    transpositions = sum(1 for i in range(len(ranks))
-                         for j in range(i + 1, len(ranks))
-                         if ranks[i] > ranks[j])
+    transpositions = _inversions([rank[x] for x in seq])
 
     case_deg = idx.degree()
     sign = (-1) ** (idx.i + transpositions)
@@ -884,7 +875,7 @@ def delta_lift(p: Presentation, poly, twist: str | None = None) -> RingElement:
 
     ``poly`` maps exponent tuples (one slot per fundamental of the
     presentation's catalog) to integer coefficients; a negative
-    exponent is allowed only on an invertible fundamental (the U(n)
+    exponent is allowed only on an invertible fundamental (a U(n)
     determinant).  Leibniz gives d(prod f^a) = sum_i a_i f^{a-e_i} df_i
     with the cofactor expanded exactly into the weight basis.
 
@@ -920,7 +911,7 @@ def delta_lift(p: Presentation, poly, twist: str | None = None) -> RingElement:
                 continue
             cof = list(exp)
             cof[i] -= 1
-            for w, m in _expand_monomial(p.rd, tuple(funds), tuple(cof)).items():
+            for w, m in _expand_monomial_cached(p.rd, tuple(funds), tuple(cof)).items():
                 t = (w, 0, (i,))
                 out[t] = out.get(t, 0) + c * a * m
     return p._element(out)
@@ -956,80 +947,76 @@ def _delta_lift_kr(p: Presentation, poly):
 
 
 @lru_cache(maxsize=None)
-def _expand_monomial_cached(rd_key, funds, exp):
+def _expand_monomial_cached(rd, funds, exp):
     """Highest weight -> multiplicity of prod funds[i]^exp[i]; shared, so
     read only.
 
     The monomial is the cached expansion of the shorter monomial with
-    the last nonzero exponent lowered by one, tensored with that one
-    fundamental: each new monomial costs one tensor product, and the
-    products run in slot order, fundamental by fundamental.
+    the last nonzero exponent moved one step towards zero, tensored with
+    that one fundamental: each new monomial costs one tensor product, and
+    the products run in slot order, fundamental by fundamental.  A
+    negative exponent tensors with the dual instead; only a
+    one-dimensional fundamental (a U(n) determinant) has its dual as
+    inverse.
     """
-    rd = _RD_REGISTRY[rd_key]
-    for f, a in zip(funds, exp):
-        if a < 0:
-            raise PresentationError(
-                f"negative exponent on non-invertible fundamental {f}")
     last = max((i for i, a in enumerate(exp) if a), default=None)
     if last is None:
         return {rd.zero(): 1}
-    shorter = tuple(a - (i == last) for i, a in enumerate(exp))
+    f = funds[last]
+    step = 1 if exp[last] > 0 else -1
+    if step < 0:
+        if _weyl_dimension(rd, f) != 1:
+            raise PresentationError(
+                f"negative exponent on non-invertible fundamental {f}")
+        f = rd.dual_weight(f)
+    shorter = tuple(a - step * (i == last) for i, a in enumerate(exp))
     out = {}
-    for w, m in _expand_monomial_cached(rd_key, funds, shorter).items():
-        for w2, m2 in _decompose(rd, w, funds[last]).items():
+    for w, m in _expand_monomial_cached(rd, funds, shorter).items():
+        for w2, m2 in _decompose(rd, w, f).items():
             out[w2] = out.get(w2, 0) + m * m2
     return out
 
 
-def _expand_monomial(rd: RootData, funds, exp):
-    key = _register(rd)
-    det_slot = None
-    if isinstance(rd, UnRootData):
-        det = (1,) * rd.n
-        det_slot = funds.index(det) if det in funds else None
-    if det_slot is not None and exp[det_slot] != 0:
-        shift = exp[det_slot]
-        exp = tuple(0 if i == det_slot else a for i, a in enumerate(exp))
-        base = _expand_monomial_cached(key, funds, exp)
-        return {tuple(x + shift for x in w): m for w, m in base.items()}
-    return _expand_monomial_cached(key, funds, exp)
-
-
 def _natural_exponents(rd: RootData, lam):
-    """Exponents a with highest weight of prod f_i^{a_i} equal to lam."""
-    if isinstance(rd, UnRootData):
-        n = rd.n
-        return tuple(lam[k] - lam[k + 1] for k in range(n - 1)) + (lam[-1],)
-    return tuple(lam)  # Dynkin labels do the job for the other families
+    """Exponents a with highest weight of prod f_i^{a_i} equal to lam, in
+    fundamental_weights order: factor by factor, the coordinates of lam in
+    the fundamental weights."""
+    out = []
+    for f, part in zip(rd.factors, rd.split(lam)):
+        if isinstance(f, UnRootData):
+            # lam = sum_k (lam_k - lam_k+1) (1^k, 0^n-k) + lam_n (1^n)
+            out.extend(part[k] - part[k + 1] for k in range(f.n - 1))
+            out.append(part[-1])
+        else:  # Dynkin labels
+            out.extend(part)
+    return tuple(out)
 
 
 def as_fundamental_polynomial(rd: RootData, lam) -> dict:
     """Express the class of V_lam as a polynomial in the fundamentals.
 
     Returns a map exponent-tuple -> integer over the presentation's
-    fundamental catalog (Laurent in the U(n) determinant slot).  The
+    fundamental catalog (Laurent in the U(n) determinant slots).  The
     recursion peels the natural monomial and subtracts the lower
-    constituents; R(G) is a free polynomial ring on the fundamentals,
-    so the expression is unique.
+    constituents; R(G) is a free polynomial ring on the fundamentals
+    (with the determinants inverted), so the expression is unique.
     """
-    return dict(_as_fund_poly_cached(_register(rd), rd.fundamental_weights(),
-                                     tuple(lam)))
+    return dict(_as_fund_poly_cached(rd, rd.fundamental_weights(), tuple(lam)))
 
 
 @lru_cache(maxsize=None)
-def _as_fund_poly_cached(rd_key, funds, lam):
-    rd = _RD_REGISTRY[rd_key]
+def _as_fund_poly_cached(rd, funds, lam):
     if lam == rd.zero():
         return ((tuple([0] * len(funds)), 1),)
     exp = _natural_exponents(rd, lam)
     poly = {exp: 1}
-    for w, m in _expand_monomial(rd, funds, exp).items():
+    for w, m in _expand_monomial_cached(rd, funds, exp).items():
         if w == lam:
             if m != 1:
                 raise PresentationError(
                     f"natural monomial of {lam} has top multiplicity {m}")
             continue
-        for e2, c2 in _as_fund_poly_cached(rd_key, funds, w):
+        for e2, c2 in _as_fund_poly_cached(rd, funds, w):
             poly[e2] = poly.get(e2, 0) - m * c2
     return tuple(sorted((e, c) for e, c in poly.items() if c))
 
@@ -1094,8 +1081,7 @@ def dominant_weights_up_to_dim(rd: RootData, bound: int):
     in number (simply-connected factors; U(n) has infinitely many
     determinant twists).
     """
-    if isinstance(rd, UnRootData) or any(
-            isinstance(f, UnRootData) for f in getattr(rd, "factors", ())):
+    if any(isinstance(f, UnRootData) for f in rd.factors):
         raise UnsupportedGroupError(
             "dimension truncation is not finite for U(n) factors")
     zero = rd.zero()

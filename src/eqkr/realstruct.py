@@ -32,11 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groups import (
-    ProductRootData,
-    RootData,
-    UnRootData,
-)
+from .groups import RootData, UnRootData
 
 TYPE_R = "R"
 TYPE_C = "C"
@@ -107,7 +103,6 @@ class Involution:
         self.rd = rd
         self.kinds = kinds
         self.overrides = dict(overrides or {})
-        self._factors = rd.factors if isinstance(rd, ProductRootData) else (rd,)
         self._check_diagram_involutive()
         for lam, t in self.overrides.items():
             if t not in (TYPE_R, TYPE_H):
@@ -126,7 +121,7 @@ class Involution:
         return ",".join(k if isinstance(k, str) else "custom" for k in self.kinds)
 
     def _check_diagram_involutive(self):
-        for kind, f in zip(self.kinds, self._factors):
+        for kind, f in zip(self.kinds, self.rd.factors):
             if isinstance(kind, tuple):
                 if isinstance(f, UnRootData):
                     raise InvolutionSpecError(
@@ -156,11 +151,8 @@ class Involution:
     def twisted_dual_weight(self, lam):
         rd = self.rd
         rd.check_dominant(lam)
-        if isinstance(rd, ProductRootData):
-            parts = rd.split(lam)
-            return rd.join([self._factor_twisted_dual(k, f, p)
-                            for k, f, p in zip(self.kinds, self._factors, parts)])
-        return self._factor_twisted_dual(self.kinds[0], rd, lam)
+        return rd.join([self._factor_twisted_dual(k, f, p)
+                        for k, f, p in zip(self.kinds, rd.factors, rd.split(lam))])
 
     # -- catalog typing for self-twisted-dual weights -----------------------
     def catalog_type(self, lam):
@@ -172,9 +164,8 @@ class Involution:
         """
         if any(isinstance(k, tuple) for k in self.kinds):
             return None
-        parts = self.rd.split(lam) if isinstance(self.rd, ProductRootData) else (lam,)
         parity = sum(f.positive_coroot_pairing(p)
-                     for k, f, p in zip(self.kinds, self._factors, parts)
+                     for k, f, p in zip(self.kinds, self.rd.factors, self.rd.split(lam))
                      if CENTRAL_ELEMENT[k] == Z_EXP_RHO)
         return TYPE_H if parity % 2 else TYPE_R
 

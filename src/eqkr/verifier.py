@@ -455,12 +455,12 @@ def make_mutant(p: Presentation, kind: str) -> Presentation:
     if kind not in MUTANT_KINDS:
         raise ValueError(
             f"unknown mutant kind {kind!r}; pick one of {MUTANT_KINDS}")
-    bad = Presentation(p.rd, p.inv, p.split, p.kind, p.factors, p.gens,
-                       p.relation_overrides)
+    bad = Presentation(p.rd, p.inv, p.split, p.kind, p.factors, p.gens)
     if kind == "delta-square":
         lam = next((g for g in p.gens if g.kind == "lam"), None)
-        bad.relation_overrides[("square", p.gens[0].index)] = (
-            bad.one() if lam is None else bad.gen_element(lam.index))
+        wrong = bad.one() if lam is None else bad.gen_element(lam.index)
+        square = bad.generator_square
+        bad.generator_square = lambda g: wrong if g == p.gens[0] else square(g)
     else:
         bad.pair_rep = tuple  # every weight is its own pair representative
     return bad

@@ -213,6 +213,14 @@ def test_product_group_cli(tmp_path):
     assert len(data["generators"]) == 2
 
 
+@pytest.mark.parametrize("group,inv", [("SU2xU2", "trivial,sigmaR"),
+                                       ("U2xSU2", "sigmaR,trivial")])
+def test_verify_all_on_products_with_a_unitary_factor(group, inv, capsys):
+    assert run(["verify", "--group", group, "--involution", inv,
+                "--suite", "all"]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+
+
 @pytest.mark.parametrize("group,inv", GOLDEN)
 def test_compute_matches_reference_bytes(group, inv, capsys):
     assert run(["compute", "--group", group, "--involution", inv,

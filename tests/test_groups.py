@@ -14,7 +14,6 @@ from eqkr.groups import (
     SimpleRootData,
     UnsupportedGroupError,
     _dominant_multiplicities,
-    _register,
     build_root_data,
     character,
     parse_group,
@@ -239,6 +238,8 @@ def _char_product(rd, a, b):
     ("SU3", [((1, 0), (0, 1)), ((1, 1), (1, 0)), ((2, 0), (2, 0))]),
     ("Sp2", [((1, 0), (1, 0)), ((0, 1), (1, 0)), ((1, 1), (0, 1))]),
     ("SU4", [((1, 0, 0), (0, 0, 1)), ((0, 1, 0), (0, 1, 0))]),
+    ("U3", [((2, 0, 0), (2, 0, 0)), ((2, 1, 0), (1, 0, -1))]),
+    ("SU2xSU3", [((1, 2, 0), (1, 2, 0)), ((0, 1, 1), (1, 0, 1))]),
 ])
 def test_tensor_is_character_homomorphism(name, pairs):
     rd = build_root_data(name)
@@ -259,7 +260,7 @@ def test_tensor_is_character_homomorphism(name, pairs):
 def test_tensor_with_the_trivial_weight_is_identity(name):
     rd = build_root_data(name)
     zero = rd.zero()
-    assert _dominant_multiplicities(_register(rd), zero) == {zero: 1}
+    assert _dominant_multiplicities(rd, zero) == {zero: 1}
     for w in rd.fundamental_weights():
         assert tensor_decompose(rd, zero, w) == tensor_decompose(rd, w, zero) == {w: 1}
 
@@ -340,6 +341,15 @@ def test_products():
     assert sum(ch.values()) == 4
 
 
+def test_every_root_data_is_the_product_of_its_factors():
+    rd = build_root_data("SU2xSU3")
+    assert rd is build_root_data(parse_group("SU2xSU3"))
+    assert rd.factors[1] is build_root_data("SU3")
+    assert build_root_data("SU3").factors == (build_root_data("SU3"),)
+    with pytest.raises(DominanceError):
+        weyl_dimension(build_root_data("SU2xU2"), (1, 0, 1))  # U2 part (0, 1)
+
+
 def test_group_spec_validation():
     with pytest.raises(UnsupportedGroupError):
         parse_group("SU1")
@@ -382,7 +392,7 @@ def test_invariant_error_survives_optimized_mode():
 def _broken_form(monkeypatch, form):
     monkeypatch.setattr(SimpleRootData, "ip", lambda self, v, w: form(v, w))
     rd = build_root_data("SU3")
-    return lambda lam: _dominant_multiplicities.__wrapped__(_register(rd), lam)
+    return lambda lam: _dominant_multiplicities.__wrapped__(rd, lam)
 
 
 def test_zero_freudenthal_denominator_raises_typed_error(monkeypatch):

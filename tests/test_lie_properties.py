@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 from eqkr.groups import (
     _dominant_multiplicities,
-    _register,
     build_root_data,
     character,
     weyl_dimension,
@@ -53,7 +52,7 @@ def group_and_weight(names):
 def test_orbit_sum_of_multiplicities_is_weyl_dimension(case):
     name, lam = case
     rd = build_root_data(name)
-    dom = _dominant_multiplicities(_register(rd), lam)
+    dom = _dominant_multiplicities(rd, lam)
     assert all(rd.is_dominant(mu) and m > 0 for mu, m in dom.items())
     assert sum(m * len(rd.orbit(mu)) for mu, m in dom.items()) == weyl_dimension(rd, lam)
 
@@ -147,13 +146,13 @@ def test_kostka_hand_values():
 def test_su_multiplicities_are_kostka_numbers(case):
     name, lam = case
     rd = build_root_data(name)
-    assert kostka_mismatches(lam, _dominant_multiplicities(_register(rd), lam)) == set()
+    assert kostka_mismatches(lam, _dominant_multiplicities(rd, lam)) == set()
 
 
 def test_kostka_check_catches_an_off_by_one_multiplicity():
     rd = build_root_data("SU4")
     lam = (1, 0, 1)
-    mults = dict(_dominant_multiplicities(_register(rd), lam))
+    mults = dict(_dominant_multiplicities(rd, lam))
     assert kostka_mismatches(lam, mults) == set()
     mults[(0, 0, 0)] += 1
     assert kostka_mismatches(lam, mults) == {(0, 0, 0)}

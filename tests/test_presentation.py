@@ -9,7 +9,7 @@ from eqkr.groups import build_root_data, tensor_decompose
 from eqkr.presentation import (
     PresentationError,
     RClassIndex,
-    _expand_monomial,
+    _expand_monomial_cached,
     as_fundamental_polynomial,
     augment_bz,
     augment_element,
@@ -305,11 +305,21 @@ def test_as_fundamental_polynomial_roundtrip():
         poly = as_fundamental_polynomial(su3, lam)
         total = {}
         for exp, c in poly.items():
-            for w, m in _expand_monomial(su3, funds, exp).items():
+            for w, m in _expand_monomial_cached(su3, funds, exp).items():
                 total[w] = total.get(w, 0) + c * m
                 if total[w] == 0:
                     del total[w]
         assert total == {lam: 1}
+
+
+@pytest.mark.parametrize("lam,poly", [
+    ((0, 1, 1), {(0, 0, 1): 1}),
+    ((0, 0, -1), {(0, 1, -1): 1}),
+    ((2, 1, -1), {(2, 2, -1): 1, (2, 0, 0): -1, (0, 2, -1): -1, (0, 0, 0): 1}),
+])
+def test_fundamental_polynomial_on_a_product_with_a_unitary_factor(lam, poly):
+    # fundamentals of SU2xU2: (1,0,0), (0,1,0) and the U2 determinant (0,1,1)
+    assert as_fundamental_polynomial(build_root_data("SU2xU2"), lam) == poly
 
 
 def _naive_monomial(rd, funds, exp):
@@ -334,6 +344,7 @@ def _naive_monomial(rd, funds, exp):
     ("G2", [(1, 1), (2, 0), (0, 2)]),
     ("SU2xSU3", [(1, 1, 1), (2, 0, 1), (0, 1, 2), (3, 2, 0)]),
     ("U3", [(1, 1, -1), (2, 0, -2), (0, 1, 1), (1, 2, 0), (0, 0, -3)]),
+    ("SU2xU2", [(1, 1, -1), (2, 2, -1), (0, 0, -2)]),
 ])
 def test_monomial_expansion_matches_naive_product(group, exps):
     # the expansion builds on cached shorter monomials; the reference
@@ -341,7 +352,8 @@ def test_monomial_expansion_matches_naive_product(group, exps):
     rd = build_root_data(group)
     funds = rd.fundamental_weights()
     for exp in exps:
-        assert _expand_monomial(rd, funds, exp) == _naive_monomial(rd, funds, exp), exp
+        got = _expand_monomial_cached(rd, funds, exp)
+        assert got == _naive_monomial(rd, funds, exp), exp
 
 
 @pytest.mark.parametrize("group,exp", [("SU3", (-1, 2)), ("SU2xSU3", (1, -1, 1)),
@@ -350,7 +362,7 @@ def test_negative_exponent_before_the_last_slot_is_refused(group, exp):
     rd = build_root_data(group)
     funds = rd.fundamental_weights()
     with pytest.raises(PresentationError, match="negative exponent"):
-        _expand_monomial(rd, funds, exp)
+        _expand_monomial_cached(rd, funds, exp)
 
 
 def test_poincare_table_bz():
