@@ -243,8 +243,14 @@ class Presentation:
     """A built presentation: generators, relation table, coefficient tag.
 
     Term tuples:  KR: (cw, cls, plain, rslot) with rslot = None or
-    (rho, i, eps, nu);  BZ/K: (w, j, bits).  Immutable once built; the
-    element operations are pure.
+    (rho, i, eps, nu);  BZ/K: (w, j, bits).  Immutable once built, apart
+    from memo tables that fill as it is used; the element operations are
+    pure.  Each presentation memoises its own KR term arithmetic at unit
+    coefficient: ``_mul_table`` maps an ordered pair of terms to their
+    product and ``_realify_table`` maps (w, j, bits, allow_flip) to the
+    realification of that BZ term; ``_weight_tau`` maps a weight to its
+    twisted dual.  A mutant or an augmented copy is a new presentation
+    and starts with empty tables.
     """
 
     def __init__(self, rd: RootData, inv, split, kind: str, factors, gens):
@@ -257,6 +263,9 @@ class Presentation:
         self.zero_weight = rd.zero()
         self._classify_cache = {}
         self._tensor_cache = {}
+        self._mul_table = {}
+        self._realify_table = {}
+        self._weight_tau = {}
         self._lam_gen = {g.pair: g.index for g in self.gens if g.kind == "lam"}
         self._lam_pair = {g.index: g.pair for g in self.gens if g.kind == "lam"}
         gen_of_weight = {g.payload: g.index for g in self.gens
@@ -270,7 +279,7 @@ class Presentation:
         # tau on factors: dG[f] -> -dG[f*]; None where f* is no factor
         # (U(n) without an involution), an error only once it is used
         factor_of = {w: fi for fi, (_, w, _) in enumerate(self.factors)}
-        self._factor_tau = tuple(factor_of.get(twisted_dual(rd, inv, w))
+        self._factor_tau = tuple(factor_of.get(self._tau_weight(w))
                                  for _, w, _ in self.factors)
 
     @property
@@ -305,7 +314,7 @@ class Presentation:
         if fs is None:
             w = self.factors[fi][1]
             raise PresentationError(
-                f"twisted dual {twisted_dual(self.rd, self.inv, w)} of "
+                f"twisted dual {self._tau_weight(w)} of "
                 f"fundamental {w} is not fundamental")
         return fs
 
@@ -436,7 +445,8 @@ class Presentation:
         return fi
 
     # -- BZ arithmetic -------------------------------------------------------------
-    def _mul_bz_terms(self, t1, c1, t2, c2):
+    def _mul_bz_terms(self, t1, t2):
+        """Product of two BZ terms at unit coefficient."""
         w1, j1, b1 = t1
         w2, j2, b2 = t2
         merged = _merge_graded(b1, b2, lambda x: 1)
@@ -444,25 +454,33 @@ class Presentation:
             return {}
         bits, sign = merged
         if self.kind == "K":
-            return {(self.zero_weight, (j1 + j2) % 4, bits): c1 * c2 * sign}
+            return {(self.zero_weight, (j1 + j2) % 4, bits): sign}
         out = {}
         for w, m in self.tensor(w1, w2).items():
-            out[(w, (j1 + j2) % 4, bits)] = c1 * c2 * sign * m
+            out[(w, (j1 + j2) % 4, bits)] = sign * m
         return out
 
     def _bz_mul_dicts(self, a, b):
         out = {}
         for t1, c1 in a.items():
             for t2, c2 in b.items():
-                for t, c in self._mul_bz_terms(t1, c1, t2, c2).items():
-                    out[t] = out.get(t, 0) + c
+                c12 = c1 * c2
+                for t, c in self._mul_bz_terms(t1, t2).items():
+                    out[t] = out.get(t, 0) + c12 * c
         return {t: c for t, c in out.items() if c}
+
+    def _tau_weight(self, w):
+        """Twisted dual of a weight, computed once per weight."""
+        ws = self._weight_tau.get(w)
+        if ws is None:
+            ws = self._weight_tau[w] = twisted_dual(self.rd, self.inv, w)
+        return ws
 
     def _tau_bz_term(self, w, j, bits):
         """tau-image of one BZ term; returns (w*, bits*, sign)."""
         mapped = [self._tau_factor(b) for b in bits]
         sign = (-1) ** (j % 2 + len(bits) + _inversions(mapped))
-        return twisted_dual(self.rd, self.inv, w), tuple(sorted(mapped)), sign
+        return self._tau_weight(w), tuple(sorted(mapped)), sign
 
     def _tau_bz(self, terms):
         out = {}
@@ -474,6 +492,22 @@ class Presentation:
 
     # -- realification ----------------------------------------------------------
     def _realify_term(self, w, j, bits, coeff, allow_flip=True):
+        """Normal-form KR terms of coeff . r(beta^j . V_w . dG-monomial).
+
+        Realification is linear and the mod-2 reduction of torsion atoms
+        happens later, in _normalize_terms, so the unit result is
+        computed once per (w, j, bits, allow_flip) and scaled here.
+        """
+        if coeff == 0:
+            return []
+        key = (w, j, bits, allow_flip)
+        unit = self._realify_table.get(key)
+        if unit is None:
+            unit = self._realify_table[key] = self._realify_unit(w, j, bits,
+                                                                 allow_flip)
+        return [(t, coeff * c) for t, c in unit]
+
+    def _realify_unit(self, w, j, bits, allow_flip):
         """Normal-form KR terms of r(beta^j . V_w . dG-monomial).
 
         Projection-formula identities drive the reduction: R/H-type
@@ -481,8 +515,6 @@ class Presentation:
         pull out as lam generators, an R/H weight pulls out as a
         coefficient atom, and tau-redundant slots flip once.
         """
-        if coeff == 0:
-            return []
         if any(bits[i] >= bits[i + 1] for i in range(len(bits) - 1)):
             raise PresentationError("realification needs sorted delta factors")
         w0, j0, bits0 = w, j, bits
@@ -538,18 +570,17 @@ class Presentation:
             if not allow_flip:
                 raise PresentationError("realified class failed to canonicalize")
             ws, mapped, tsign = self._tau_bz_term(w0, j0, bits0)
-            return self._realify_term(ws, j0, mapped, coeff * tsign,
-                                      allow_flip=False)
+            return self._realify_term(ws, j0, mapped, tsign, allow_flip=False)
 
         if rho is None and not eps and not nu:
-            return [((cw, name, plain, None), coeff * sign * val)
+            return [((cw, name, plain, None), sign * val)
                     for name, val in r_pattern(j).as_dict().items() if val]
         slot = (rho, j % 4, eps, nu)
         if self._lam_kills(plain, slot):
             return []
         # the leftover factors bl are the slot's, sorted: r(bl) = s . r(slot)
         _, slot_sign = self._slot_to_bz(slot)
-        return [((cw, "1", plain, slot), coeff * sign * slot_sign)]
+        return [((cw, "1", plain, slot), sign * slot_sign)]
 
     def _lam_kills(self, plain, slot):
         """lam_k in the plain monomial times a slot using pair k vanishes."""
@@ -658,10 +689,21 @@ class Presentation:
                 # eta and eta^2 kill realified classes
         return frags, slot_frags
 
-    def _mul_kr_terms(self, t1, c1, t2, c2):
+    def _mul_kr_terms(self, t1, t2):
+        """Product of two KR terms at unit coefficient, computed once per
+        ordered pair: the product is bilinear, and the mod-2 reduction of
+        torsion atoms happens later, in _normalize_terms.  The returned
+        dict is the table entry itself: read only."""
+        key = (t1, t2)
+        unit = self._mul_table.get(key)
+        if unit is None:
+            unit = self._mul_table[key] = self._mul_kr_unit(t1, t2)
+        return unit
+
+    def _mul_kr_unit(self, t1, t2):
         cw1, cls1, p1, s1 = t1
         cw2, cls2, p2, s2 = t2
-        coeff = c1 * c2
+        coeff = 1
         # Koszul sign for [p1][s1][p2][s2] -> [p1 p2][s1 s2]
         if s1 is not None:
             spar = (len(s1[2]) + len(s1[3])) % 2
@@ -722,13 +764,13 @@ class Presentation:
         return out
 
     def _mul_elements(self, a, b):
+        mul = self._mul_kr_terms if self.kind == "KR" else self._mul_bz_terms
         out = {}
         for t1, c1 in a.terms.items():
             for t2, c2 in b.terms.items():
-                prod = (self._mul_kr_terms(t1, c1, t2, c2) if self.kind == "KR"
-                        else self._mul_bz_terms(t1, c1, t2, c2))
-                for t, c in prod.items():
-                    out[t] = out.get(t, 0) + c
+                c12 = c1 * c2
+                for t, c in mul(t1, t2).items():
+                    out[t] = out.get(t, 0) + c12 * c
         return self._element(out)
 
     # -- tables ------------------------------------------------------------------

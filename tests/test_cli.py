@@ -134,6 +134,16 @@ def test_cli_starts_without_numpy():
     assert res.returncode == 0, res.stderr
 
 
+def test_python_dash_m_runs_the_cli(capsys):
+    argv = ["verify", "--group", "SU2", "--suite", "fast"]
+    env = dict(os.environ, PYTHONPATH=str(Path(eqkr.__file__).parents[1]))
+    res = subprocess.run([sys.executable, "-m", "eqkr", *argv], env=env,
+                         capture_output=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert run(argv) == 0
+    assert res.stdout == capsys.readouterr().out.encode()
+
+
 def test_unclassifiable_exit_loads_no_numpy():
     # U2/trivial has a matrix model but no generator catalog: the
     # classifier stops at exit 3 without consulting the oracle

@@ -22,6 +22,7 @@ from eqkr.presentation import (
     rclass_square,
 )
 from eqkr.realstruct import Involution
+from eqkr.verifier import odd_monomials
 
 # ---------------------------------------------------------------------------
 # Brylinski-Zhang side
@@ -401,6 +402,56 @@ def test_realify_is_tau_invariant():
             y = bz._element(terms)
             ty = bz._element(dict(bz._tau_bz(y.terms)))
             assert p.realify_bz(y) == p.realify_bz(ty)
+
+
+@pytest.mark.parametrize("name,kind", [("SU3", "trivial"), ("SU4", "sigmaH"),
+                                       ("SU3xSU3", "trivial")])
+def test_product_table_keeps_order_and_slots(name, kind):
+    """A warm product table answers every ordered pair as a fresh
+    presentation does, and odd monomials still anticommute."""
+    warm = kr(name, kind)
+    pool = odd_monomials(warm, 1)
+    for a in pool:
+        for b in pool:
+            a * b
+    assert warm._mul_table
+    fresh = kr(name, kind)
+    fresh_pool = odd_monomials(fresh, 1)
+    n = len(pool)
+    nonzero = 0
+    # the fresh presentation meets each pair in the opposite order
+    for i in reversed(range(n)):
+        for j in reversed(range(n)):
+            ab = pool[i] * pool[j]
+            assert ab.terms == (fresh_pool[i] * fresh_pool[j]).terms
+            assert ab == -(pool[j] * pool[i])
+            nonzero += not ab.is_zero()
+    if name != "SU4":
+        assert nonzero  # SU4/sigmaH has one odd monomial, its square is 0
+
+
+def test_term_tables_are_linear_in_the_coefficient():
+    """Scaling a cached unit result and then reducing mod 2 gives the
+    product and the realification of the scaled arguments."""
+    p = kr("SU3", "trivial")
+    eta, eta2 = p.scalar(KRCoeff.basis("eta")), p.scalar(KRCoeff.basis("eta2"))
+    r = p.rclass_element(RClassIndex(None, 1, (1,), (0,)))
+    r_rho = p.rclass_element(RClassIndex(p.split.pairs[0][0], 0, (0,), (0,)))
+    lam = p.gen_element(next(g for g in p.gens if g.kind == "lam"))
+    x = eta + r + lam + p.one()
+    y = eta2 + r_rho + r * 2 + lam
+    xy = x * y
+    assert any(t[1] in ("eta", "eta2") for t in xy.terms)
+    assert any(t[3] is not None for t in xy.terms)
+    assert (x * 3) * (y * -5) == xy * -15
+    bz = complexify(p).target
+    w = p.split.pairs[0][0]
+    z = (bz.bz_weight(p.zero_weight, 1) + bz.bz_weight(w, 2)
+         + bz.dg_element(0, 0) + bz.dg_element(1, 3, w) * 2)
+    rz = p.realify_bz(z)
+    assert any(t[1] in ("eta", "eta2") for t in rz.terms)
+    for k in (-3, 2, 5):
+        assert p.realify_bz(z * k) == rz * k
 
 
 def test_mixed_split_su4_trivial():

@@ -69,6 +69,20 @@ def test_negative_controls_fail():
     assert res.status == "fail" and res.witness.startswith("degree ")
 
 
+def test_mutants_of_a_warm_presentation_still_fail():
+    # the mutants are taken after the checks have filled p's term tables
+    p3 = kr("SU3", "trivial")
+    assert verify_squares(p3).passed and verify_module_iso(p3, 20).passed
+    assert p3._mul_table and p3._realify_table
+    res = verify_module_iso(make_mutant(p3, "tau-flip"), 20)
+    assert res.status == "fail" and res.witness.startswith("degree ")
+    p = kr("SU3", "sigmaR")
+    assert verify_squares(p).passed
+    assert p._mul_table
+    res = verify_squares(make_mutant(p, "delta-square"))
+    assert res.status == "fail" and res.witness
+
+
 def test_leibniz_catches_a_dropped_tau_sign(monkeypatch):
     tau_term = Presentation._tau_bz_term
 
