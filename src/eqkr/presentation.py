@@ -249,8 +249,9 @@ class Presentation:
     coefficient: ``_mul_table`` maps an ordered pair of terms to their
     product and ``_realify_table`` maps (w, j, bits, allow_flip) to the
     realification of that BZ term; ``_weight_tau`` maps a weight to its
-    twisted dual.  A mutant or an augmented copy is a new presentation
-    and starts with empty tables.
+    twisted dual; ``_derivation_table`` maps (cofactor exponents, i) to
+    the terms of f^cofactor . df_i.  A mutant or an augmented copy is a
+    new presentation and starts with empty tables.
     """
 
     def __init__(self, rd: RootData, inv, split, kind: str, factors, gens):
@@ -266,6 +267,7 @@ class Presentation:
         self._mul_table = {}
         self._realify_table = {}
         self._weight_tau = {}
+        self._derivation_table = {}
         self._lam_gen = {g.pair: g.index for g in self.gens if g.kind == "lam"}
         self._lam_pair = {g.index: g.pair for g in self.gens if g.kind == "lam"}
         gen_of_weight = {g.payload: g.index for g in self.gens
@@ -281,6 +283,9 @@ class Presentation:
         factor_of = {w: fi for fi, (_, w, _) in enumerate(self.factors)}
         self._factor_tau = tuple(factor_of.get(self._tau_weight(w))
                                  for _, w, _ in self.factors)
+        # the factor of each fundamental, in rd.fundamental_weights() order
+        self._fund_factor = tuple(factor_of.get(w)
+                                  for w in rd.fundamental_weights())
 
     @property
     def omega_form(self):
@@ -641,21 +646,26 @@ class Presentation:
 
     # -- KR term multiplication ----------------------------------------------------
     def _typed_mult(self, cw1, cls1, cw2, cls2):
-        """Product of two coefficient atoms with type bookkeeping.
-
-        Returns (fragments, slot_fragments): (weight, cls, coeff)
-        atoms of the R/H assembly and ((rho, i, (), ()), coeff)
-        realified pieces from complex-type constituents.
-        """
+        """Product of two coefficient atoms with type bookkeeping: the
+        class of V_cw1 (x) V_cw2, scaled by cls1 . cls2 (see _rep_class)."""
         h1 = int(cw1 != self.zero_weight and self.classify(cw1).type == TYPE_H)
         h2 = int(cw2 != self.zero_weight and self.classify(cw2).type == TYPE_H)
-        parity = (h1 + h2) % 2
         kr = KRCoeff.basis(cls1) * KRCoeff.basis(cls2)
         if kr.is_zero():
             return [], []
+        return self._rep_class(self.tensor(cw1, cw2), (h1 + h2) % 2, kr)
+
+    def _rep_class(self, decomp, parity, kr):
+        """kr times the class of a real (parity 0) or quaternionic (parity
+        1) representation, given as highest weight -> multiplicity.
+
+        Returns (fragments, slot_fragments): (weight, cls, coeff) atoms of
+        the R/H assembly and ((rho, 2 . parity, (), ()), coeff) realified
+        pieces from complex-type constituents.
+        """
         frags, slot_frags = [], []
         pair_mults = {}
-        for nu_w, m in self.tensor(cw1, cw2).items():
+        for nu_w, m in decomp.items():
             t = self.classify(nu_w).type
             if t == TYPE_C:
                 rep = self.pair_rep(nu_w)
@@ -667,17 +677,16 @@ class Presentation:
             else:
                 if m % 2:
                     raise PresentationError(
-                        f"odd multiplicity {m} of {t}-type {nu_w} in "
-                        f"{cw1} x {cw2}: type bookkeeping violated")
+                        f"odd multiplicity {m} of {t}-type {nu_w} in a "
+                        f"parity-{parity} class: type bookkeeping violated")
                 base, mult = "mu", m // 2
             for name, val in (KRCoeff.basis(base) * kr).as_dict().items():
                 if val:
                     frags.append((nu_w, name, mult * val))
-        j0 = (2 * (h1 + h2)) % 4
+        j0 = 2 * parity
         for rep, (ma, mb) in pair_mults.items():
             if ma != mb:
-                raise PresentationError(
-                    f"unbalanced complex pair {rep} in {cw1} x {cw2}")
+                raise PresentationError(f"unbalanced complex pair {rep}")
             for name, val in kr.as_dict().items():
                 if not val:
                     continue
@@ -716,15 +725,20 @@ class Presentation:
         plain, sign = merged
         coeff *= sign
 
-        frags, slot_frags = self._typed_mult(cw1, cls1, cw2, cls2)
         out = {}
         slots = [s for s in (s1, s2) if s is not None]
+        self._attach_class(out, self._typed_mult(cw1, cls1, cw2, cls2),
+                           plain, slots, coeff)
+        return out
+
+    def _attach_class(self, out, pieces, plain, slots, coeff):
+        """Attach each piece of a coefficient class (see _rep_class)."""
+        frags, slot_frags = pieces
         for w, name, c in frags:
             self._attach(out, w, name, plain, slots, coeff * c)
         for slot, c in slot_frags:
             self._attach(out, self.zero_weight, "1", plain, slots + [slot],
                          coeff * c)
-        return out
 
     def _attach(self, out, cw, cls, plain, slots, coeff):
         """Attach a coefficient atom and slot list to a plain monomial."""
@@ -772,6 +786,29 @@ class Presentation:
                 for t, c in mul(t1, t2).items():
                     out[t] = out.get(t, 0) + c12 * c
         return self._element(out)
+
+    # -- derivation ---------------------------------------------------------------
+    def _derivation_unit(self, cof, i):
+        """f^cof . df_i, the cofactor expanded into irreducibles: in KR,
+        its class (real or quaternionic by the parity of its H-type
+        exponents) times the generator dR or dH[f_i]."""
+        ff = self._fund_factor
+        expansion = _expand_monomial_cached(self.rd,
+                                            self.rd.fundamental_weights(), cof)
+        if self.kind != "KR":
+            return {(w, 0, (ff[i],)): m for w, m in expansion.items()}
+        gen_of = [self._gen_by_factor.get(fi) for fi in ff]
+        if gen_of[i] is None or any(a and g is None
+                                    for a, g in zip(cof, gen_of)):
+            raise PresentationError(
+                "the KR derivation takes exponents on R/H fundamentals only")
+        parity = sum(a for a, g in zip(cof, gen_of)
+                     if a and self.gens[g].kind == "dH") % 2
+        out = {}
+        self._attach_class(out, self._rep_class(expansion, parity,
+                                                KRCoeff.basis("1")),
+                           (gen_of[i],), [], 1)
+        return out
 
     # -- tables ------------------------------------------------------------------
     def monomial_degrees(self):
@@ -915,77 +952,51 @@ def rclass_square(p: Presentation, idx: RClassIndex) -> RClassSquareResult:
 def delta_lift(p: Presentation, poly, twist: str | None = None) -> RingElement:
     """Extend the derivation to a polynomial in the fundamentals.
 
-    ``poly`` maps exponent tuples (one slot per fundamental of the
-    presentation's catalog) to integer coefficients; a negative
-    exponent is allowed only on an invertible fundamental (a U(n)
-    determinant).  Leibniz gives d(prod f^a) = sum_i a_i f^{a-e_i} df_i
-    with the cofactor expanded exactly into the weight basis.
+    ``poly`` maps exponent tuples, one slot per fundamental in
+    ``p.rd.fundamental_weights()`` order for both kinds, to integer
+    coefficients.  A negative exponent needs an invertible, that is
+    one-dimensional, fundamental (a U(n) determinant); in a KR
+    presentation every nonzero exponent must sit on an R/H fundamental.
+    Leibniz gives d(prod f^a) = sum_i a_i f^{a-e_i} df_i, the cofactor
+    expanded exactly into the weight basis; each (cofactor, i) is
+    computed once per presentation.
 
-    ``twist``: None; "sigmabar", the derivation of sigmabar* poly (the
-    twisted dual permutes the fundamentals); or "abar", the pullback
-    along the anti-involution, which is tau o delta: the presentation's
-    twisted conjugation applied to the derivation of poly.  The law
-    d(abar* rho) = -d(sigmabar* rho) thus compares tau with
-    delta o sigmabar*.
+    ``twist`` (K-theory only): None; "sigmabar", the derivation of
+    sigmabar* poly (the twisted dual permutes the fundamentals); or
+    "abar", the pullback along the anti-involution, which is tau o
+    delta: the presentation's twisted conjugation applied to the
+    derivation of poly.  The law d(abar* rho) = -d(sigmabar* rho) thus
+    compares tau with delta o sigmabar*.
     """
-    if p.kind == "KR":
-        if twist is not None:
-            raise PresentationError(
-                "twisted arguments apply to the K-theory derivation")
-        return _delta_lift_kr(p, poly)
+    n = len(p._fund_factor)
+    if any(len(exp) != n for exp in poly):
+        raise PresentationError(
+            f"exponent tuples must have one slot per fundamental ({n})")
+    if twist is not None and p.kind == "KR":
+        raise PresentationError(
+            "twisted arguments apply to the K-theory derivation")
     if twist == "abar":
         return p._element(p._tau_bz(delta_lift(p, poly).terms))
-    funds = [w for _, w, _ in p.factors]
     if twist == "sigmabar":
-        perm = [p._tau_factor(i) for i in range(len(funds))]
-        poly = {tuple(exp[perm[i]] for i in range(len(funds))): c
-                for exp, c in poly.items()}
+        ff = p._fund_factor
+        perm = [ff.index(p._tau_factor(fi)) for fi in ff]
+        poly = {tuple(exp[k] for k in perm): c for exp, c in poly.items()}
     elif twist is not None:
         raise PresentationError(f"unknown twist {twist!r}")
     out = {}
     for exp, c in poly.items():
         if c == 0:
             continue
-        if len(exp) != len(funds):
-            raise PresentationError("exponent tuple length mismatch")
         for i, a in enumerate(exp):
             if a == 0:
                 continue
-            cof = list(exp)
-            cof[i] -= 1
-            for w, m in _expand_monomial_cached(p.rd, tuple(funds), tuple(cof)).items():
-                t = (w, 0, (i,))
+            cof = exp[:i] + (a - 1,) + exp[i + 1:]
+            unit = p._derivation_table.get((cof, i))
+            if unit is None:
+                unit = p._derivation_table[cof, i] = p._derivation_unit(cof, i)
+            for t, m in unit.items():
                 out[t] = out.get(t, 0) + c * a * m
     return p._element(out)
-
-
-def _delta_lift_kr(p: Presentation, poly):
-    funds, gen_of = [], {}
-    for g in p.gens:
-        if g.kind in ("dR", "dH"):
-            gen_of[len(funds)] = g.index
-            funds.append(g.payload)
-    out = p.zero()
-    for exp, c in poly.items():
-        if len(exp) != len(funds):
-            raise PresentationError(
-                "exponent tuple must cover the R/H fundamentals")
-        if c == 0:
-            continue
-        for i, a in enumerate(exp):
-            if a == 0:
-                continue
-            if a < 0:
-                raise PresentationError(
-                    "negative exponents need an invertible fundamental")
-            cof = list(exp)
-            cof[i] -= 1
-            coeff_elem = p.one()
-            for k, e in enumerate(cof):
-                for _ in range(e):
-                    coeff_elem = coeff_elem * p.class_element(funds[k])
-            out = out + coeff_elem * p.gen_element(gen_of[i]) * (c * a)
-    return out
 
 
 @lru_cache(maxsize=None)

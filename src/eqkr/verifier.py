@@ -137,67 +137,55 @@ def verify_leibniz(p: Presentation, bound: int = 15,
                    seed: int = DEFAULT_SEED) -> CheckResult:
     """The derivation is well defined across tensor identities.
 
-    For all irreducibles of dimension <= bound, lifting the polynomial
-    identity V_a . V_b = sum m_nu V_nu along the derivation gives the
-    same element on both sides; on every complex pair the pullback
-    rewrite d(abar* gamma) = -d(sigmabar* gamma) holds, which compares
-    the engine's tau (the abar twist of delta_lift is tau o delta) with
-    delta o sigmabar*.
+    Lifting V_a . V_b = sum m_nu V_nu along the derivation gives the
+    same element on both sides, for every pair of two instance sets: in
+    K*_G(G), the irreducibles of dimension <= bound (with a U(n) factor,
+    the trivial one and the fundamentals); in KR*_G(G^-) with t = 0, the
+    ring of Grothendieck differentials, the R/H fundamentals.  On every
+    complex pair the pullback rewrite d(abar* gamma) = -d(sigmabar*
+    gamma) holds, which compares the engine's tau (the abar twist of
+    delta_lift is tau o delta) with delta o sigmabar*.
     """
     def run():
         bz = build_bz_presentation(p.rd, inv=p.inv)
         try:
             weights = dominant_weights_up_to_dim(p.rd, bound)
         except UnsupportedGroupError:
-            # U(n) factors: infinitely many determinant twists, so sweep
-            # the fundamentals (tensor constituents still enter below)
             weights = [p.rd.zero()] + list(p.rd.fundamental_weights())
-        polys = {w: as_fundamental_polynomial(p.rd, w) for w in weights}
-        lifts = {w: delta_lift(bz, polys[w]) for w in weights}
-        for a, b in itertools.combinations_with_replacement(weights, 2):
-            prod_poly = {}
-            for e1, c1 in polys[a].items():
-                for e2, c2 in polys[b].items():
-                    key = tuple(x + y for x, y in zip(e1, e2))
-                    prod_poly[key] = prod_poly.get(key, 0) + c1 * c2
-            lhs = delta_lift(bz, prod_poly)
-            rhs = bz.zero()
-            for nu, m in p.tensor(a, b).items():
-                if nu not in polys:
-                    polys[nu] = as_fundamental_polynomial(p.rd, nu)
-                    lifts[nu] = delta_lift(bz, polys[nu])
-                rhs = rhs + lifts[nu] * m
-            if lhs != rhs:
-                return (f"derivation disagrees on {a} x {b}: "
-                        f"lhs {lhs!r}, rhs {rhs!r}")
+        instances = [(bz, weights)]
+        if p.kind == "KR" and p.split is not None and p.split.t == 0:
+            instances.append((p, list(p.split.real) + list(p.split.quat)))
+        polys = {}  # V_w in the fundamentals depends on rd alone: shared
+
+        def poly(w):
+            if w not in polys:
+                polys[w] = as_fundamental_polynomial(p.rd, w)
+            return polys[w]
+        for q, ws in instances:
+            lifts = {}
+            for a, b in itertools.combinations_with_replacement(ws, 2):
+                prod_poly = {}
+                for e1, c1 in poly(a).items():
+                    for e2, c2 in poly(b).items():
+                        key = tuple(x + y for x, y in zip(e1, e2))
+                        prod_poly[key] = prod_poly.get(key, 0) + c1 * c2
+                lhs = delta_lift(q, prod_poly)
+                rhs = q.zero()
+                for nu, m in p.tensor(a, b).items():
+                    if nu not in lifts:
+                        lifts[nu] = delta_lift(q, poly(nu))
+                    rhs = rhs + lifts[nu] * m
+                if lhs != rhs:
+                    return (f"derivation disagrees on {a} x {b}: "
+                            f"lhs {lhs!r}, rhs {rhs!r}")
         if p.split is not None:
             for rep, other in p.split.pairs:
-                poly = as_fundamental_polynomial(p.rd, rep)
-                da = delta_lift(bz, poly, twist="abar")
-                ds = delta_lift(bz, poly, twist="sigmabar")
+                rep_poly = as_fundamental_polynomial(p.rd, rep)
+                da = delta_lift(bz, rep_poly, twist="abar")
+                ds = delta_lift(bz, rep_poly, twist="sigmabar")
                 if da != -ds:
                     return (f"pullback rewrite fails on pair {rep}: "
                             f"d(abar*) = {da!r}, -d(sigmabar*) = {(-ds)!r}")
-        # KR-side instances for the R/H fundamentals
-        if p.kind == "KR" and p.split is not None and p.split.t == 0:
-            funds = list(p.split.real) + list(p.split.quat)
-            nf = len(funds)
-            # t = 0, so funds lists every fundamental; order[k] is the
-            # index of funds[k] among the root data's fundamentals
-            order = [p.rd.fundamental_weights().index(f) for f in funds]
-            for i, j in itertools.combinations_with_replacement(range(nf), 2):
-                e1 = tuple(int(k == i) for k in range(nf))
-                e2 = tuple(int(k == j) for k in range(nf))
-                prod = tuple(a + b for a, b in zip(e1, e2))
-                lhs = delta_lift(p, {prod: 1})
-                rhs = p.zero()
-                for nu, m in p.tensor(funds[i], funds[j]).items():
-                    nu_poly = {tuple(exp[k] for k in order): c for exp, c
-                               in as_fundamental_polynomial(p.rd, nu).items()}
-                    rhs = rhs + delta_lift(p, nu_poly) * m
-                if lhs != rhs:
-                    return (f"KR derivation disagrees on {funds[i]} x "
-                            f"{funds[j]}: {lhs!r} vs {rhs!r}")
         return None
     return _timed(f"leibniz[{p.rd.spec}/{p.inv.name};dim<={bound}]", seed, run)
 

@@ -299,6 +299,78 @@ def test_delta_lift_kr_side():
     assert l.degrees() == [1]  # V (x) V is a degree-0 class, d lands in 1
 
 
+def _ring_delta_lift(p, exp):
+    """d(prod f^exp) in a KR presentation, each cofactor a ring product
+    of class elements times the generator dR or dH[f_i]: the derivation
+    spelled out through the engine's multiplication."""
+    funds = p.rd.fundamental_weights()
+    gen_of = {g.payload: g.index for g in p.gens if g.kind in ("dR", "dH")}
+    out = p.zero()
+    for i, a in enumerate(exp):
+        if a == 0:
+            continue
+        cof = p.one()
+        for k, e in enumerate(exp):
+            for _ in range(e - (k == i)):
+                cof = cof * p.class_element(funds[k])
+        out = out + cof * p.gen_element(gen_of[funds[i]]) * a
+    return out
+
+
+@pytest.mark.parametrize("name,kind", [
+    ("SU2", "trivial"), ("SU3", "sigmaR"), ("SU4", "sigmaH"),
+    ("Sp2", "trivial"), ("Sp2xSU2", "trivial"), ("U3", "sigmaR"),
+    ("G2", "trivial"), ("Sp3", "trivial"),
+])
+def test_kr_delta_lift_matches_the_ring_product(name, kind):
+    # every monomial of total degree 1..3 in the R/H fundamentals
+    p = kr(name, kind)
+    n = len(p.rd.fundamental_weights())
+    exps = [e for e in itertools.product(range(4), repeat=n) if 1 <= sum(e) <= 3]
+    for exp in exps:
+        assert delta_lift(p, {exp: 1}) == _ring_delta_lift(p, exp), exp
+
+
+def test_kr_delta_lift_exponents_follow_the_fundamentals():
+    # Sp2: the generators are dR[0,1], dH[1,0] (split order), but exponent
+    # slots follow fundamental_weights(): (1, 0) is omega_1, quaternionic
+    p = kr("Sp2", "trivial")
+    assert [g.label() for g in p.gens] == ["dR[0,1]", "dH[1,0]"]
+    assert delta_lift(p, {(1, 0): 1}) == p.gen_element(1)
+    assert delta_lift(p, {(0, 1): 1}) == p.gen_element(0)
+
+
+def test_kr_delta_lift_refuses_complex_fundamentals():
+    p = kr("SU3", "trivial")  # (1, 0) and (0, 1) form a complex pair
+    for poly in ({(1, 0): 1}, {(0, 2): 3}):
+        with pytest.raises(PresentationError, match="R/H fundamentals"):
+            delta_lift(p, poly)
+
+
+@pytest.mark.parametrize("p", [
+    build_bz_presentation(build_root_data("SU3")), kr("SU3", "sigmaR")],
+    ids=["BZ", "KR"])
+def test_delta_lift_checks_every_exponent_length(p):
+    # a zero coefficient does not excuse a malformed exponent tuple
+    for poly in ({(1,): 0}, {(1, 0): 1, (1, 0, 0): 0}, {(2, 0, 1): 1}):
+        with pytest.raises(PresentationError, match="one slot per fundamental"):
+            delta_lift(p, poly)
+
+
+def test_kr_delta_lift_un_laurent():
+    # the KR twin of test_delta_lift_un_laurent: the determinant (1, 1) of
+    # U2 is invertible and real under sigmaR
+    p = kr("U2", "sigmaR")
+    d_det = p.gens[1]
+    assert d_det.label() == "dR[1,1]"
+    d_inv = delta_lift(p, {(0, -1): 1})
+    assert d_inv == -(p.class_element((-2, -2)) * p.gen_element(d_det))
+    # Leibniz on det . det^-1 = 1
+    lhs = p.class_element((1, 1)) * d_inv + \
+        p.class_element((-1, -1)) * delta_lift(p, {(0, 1): 1})
+    assert lhs.is_zero()
+
+
 def test_as_fundamental_polynomial_roundtrip():
     su3 = build_root_data("SU3")
     funds = su3.fundamental_weights()
