@@ -129,6 +129,10 @@ def _involution(args):
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    if args.truncate < 1:  # even the trivial irreducible has dimension 1
+        print(f"error: --truncate must be at least 1, not {args.truncate}",
+              file=sys.stderr)
+        return EXIT_SPEC
     try:
         inv = _involution(args)
         if args.command == "compute":

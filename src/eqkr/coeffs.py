@@ -19,7 +19,7 @@ c(r(y)) = y + conj(y).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from ._record import FrozenRecord
 
 KR_BASIS = ("1", "eta", "eta2", "mu")
 # The KO pattern of KR*(pt): the degree of each basis class, and the
@@ -29,11 +29,13 @@ KR_DEGREE = {"1": 0, "eta": -1, "eta2": -2, "mu": -4}
 KR_TORSION = frozenset({"eta", "eta2"})
 
 
-@dataclass(frozen=True)
-class KCoeff:
+class KCoeff(FrozenRecord):
     """Element of Z[beta]/(beta^4-1); c[i] is the coefficient of beta^i."""
 
-    c: tuple = (0, 0, 0, 0)
+    __slots__ = ("c",)
+
+    def __init__(self, c=(0, 0, 0, 0)):
+        object.__setattr__(self, "c", c)  # hot, as KRCoeff below
 
     @staticmethod
     def beta(i: int = 1, coeff: int = 1) -> "KCoeff":
@@ -75,18 +77,19 @@ class KCoeff:
         return all(a == 0 for a in self.c)
 
 
-@dataclass(frozen=True)
-class KRCoeff:
+class KRCoeff(FrozenRecord):
     """Normal form a + b.eta + c.eta^2 + d.mu with b, c taken mod 2."""
 
-    one: int = 0
-    eta: int = 0
-    eta2: int = 0
-    mu: int = 0
+    __slots__ = ("one", "eta", "eta2", "mu")
 
-    def __post_init__(self):
-        for name in KR_TORSION:
-            object.__setattr__(self, name, getattr(self, name) % 2)
+    def __init__(self, one=0, eta=0, eta2=0, mu=0):
+        # built thousands of times per verify job: the slots are set
+        # directly, without the loop of Record._init
+        setfield = object.__setattr__
+        setfield(self, "one", one)
+        setfield(self, "eta", eta % 2)  # eta and eta2 are KR_TORSION
+        setfield(self, "eta2", eta2 % 2)
+        setfield(self, "mu", mu)
 
     @staticmethod
     def basis(name: str, coeff: int = 1) -> "KRCoeff":

@@ -28,9 +28,10 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+
+from ._record import FrozenRecord
 
 Weight = tuple  # tuple of ints
 
@@ -153,11 +154,13 @@ _FAMILY_RE = re.compile(r"^(SU|Sp|Spin|U|G|F|E)(\d+)$")
 _MIN_RANK = {"SU": 2, "Sp": 1, "U": 1, "Spin": 5}
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(FrozenRecord):
     """A product of simple-or-unitary factors, e.g. (("SU", 3), ("U", 2))."""
 
-    factors: tuple
+    __slots__ = ("factors",)
+
+    def __init__(self, factors):
+        self._init(factors)
 
     def __str__(self):
         return "x".join(f"{fam}{n}" for fam, n in self.factors)

@@ -35,10 +35,10 @@ Two presentation kinds share one element wrapper:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
+from ._record import FrozenRecord, Record
 from .coeffs import KR_BASIS, KR_DEGREE, KR_TORSION, KRCoeff, c_coeff, r_pattern
 from .groups import (
     InvariantError,
@@ -76,12 +76,16 @@ GEN_DEGREE = {"dR": 1, "dH": -3, "lam": 0, "dG": -1}
 GEN_PARITY = {"dR": 1, "dH": 1, "lam": 0, "dG": 1}
 
 
-@dataclass(frozen=True)
-class Generator:
-    kind: str           # dR | dH | lam | dG
-    payload: tuple      # highest weight (for lam: the pair representative)
-    index: int          # position in the presentation's generator list
-    pair: int = -1      # complex-pair index for lam generators
+class Generator(FrozenRecord):
+    """A generator: ``kind`` is dR | dH | lam | dG, ``payload`` its
+    highest weight (for lam: the pair representative), ``index`` its
+    position in the presentation's generator list and ``pair`` the
+    complex-pair index of a lam generator (-1 otherwise)."""
+
+    __slots__ = ("kind", "payload", "index", "pair")
+
+    def __init__(self, kind, payload, index, pair=-1):
+        self._init(kind, payload, index, pair)
 
     @property
     def degree(self):
@@ -98,8 +102,7 @@ class Generator:
         return f"{self.kind}[{w}]"
 
 
-@dataclass(frozen=True)
-class RClassIndex:
+class RClassIndex(FrozenRecord):
     """Index of a realified generator r_{rho, i, eps, nu}.
 
     rho: None for the trivial representation, a complex-type dominant
@@ -109,25 +112,23 @@ class RClassIndex:
     preceding the first nu index.
     """
 
-    rho: object
-    i: int
-    eps: tuple
-    nu: tuple
+    __slots__ = ("rho", "i", "eps", "nu")
 
-    def __post_init__(self):
-        if self.i < 0:
+    def __init__(self, rho, i, eps, nu):
+        if i < 0:
             raise ValueError("Bott exponent must be >= 0")
-        if len(self.eps) != len(self.nu):
+        if len(eps) != len(nu):
             raise ValueError("eps and nu must have equal length")
-        for e, n in zip(self.eps, self.nu):
+        for e, n in zip(eps, nu):
             if e not in (0, 1) or n not in (0, 1):
                 raise ValueError("eps/nu entries must be bits")
             if e == 1 and n == 1:
                 raise ValueError("eps_k and nu_k may not both be 1")
-        first_e = next((k for k, e in enumerate(self.eps) if e), None)
-        first_n = next((k for k, n in enumerate(self.nu) if n), None)
+        first_e = next((k for k, e in enumerate(eps) if e), None)
+        first_n = next((k for k, n in enumerate(nu) if n), None)
         if first_n is not None and (first_e is None or first_e > first_n):
             raise ValueError("first eps index must precede first nu index")
+        self._init(rho, i, eps, nu)
 
     @property
     def factor_count(self):
@@ -881,12 +882,16 @@ def build_kr_presentation(rd: RootData, inv: Involution,
 # spec operations
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RClassSquareResult:
-    element: RingElement
-    case: str            # "zero" | "eta2" | "mu" | "two"
-    sign: int | None     # the +-1 of the mu/two cases (None otherwise)
-    transpositions: int  # delta-factor sorting count in r(x . tau x)
+class RClassSquareResult(Record):
+    """The square ``element`` of a realified generator; ``case`` is
+    "zero" | "eta2" | "mu" | "two", ``sign`` the +-1 of the mu/two cases
+    (None otherwise) and ``transpositions`` the delta-factor sorting
+    count in r(x . tau x)."""
+
+    __slots__ = ("element", "case", "sign", "transpositions")
+
+    def __init__(self, element, case, sign, transpositions):
+        self._init(element, case, sign, transpositions)
 
 
 def rclass_square(p: Presentation, idx: RClassIndex) -> RClassSquareResult:
@@ -1128,7 +1133,7 @@ class ComplexificationMap:
 # ---------------------------------------------------------------------------
 
 def dominant_weights_up_to_dim(rd: RootData, bound: int):
-    """All dominant weights of dimension <= bound.
+    """All dominant weights of dimension <= bound, as a sorted tuple.
 
     Only for groups whose irreducibles of bounded dimension are finite
     in number (simply-connected factors; U(n) has infinitely many
@@ -1137,6 +1142,18 @@ def dominant_weights_up_to_dim(rd: RootData, bound: int):
     if any(isinstance(f, UnRootData) for f in rd.factors):
         raise UnsupportedGroupError(
             "dimension truncation is not finite for U(n) factors")
+    return _dominant_weights_up_to_dim(rd, bound)
+
+
+@lru_cache(maxsize=None)
+def _dominant_weights_up_to_dim(rd, bound):
+    """`dominant_weights_up_to_dim`, cached per (root data, bound).
+
+    The search climbs from the zero weight by fundamental weights, and
+    w + e_i of a dominant w is dominant.
+    """
+    if bound < 1:  # even the trivial irreducible exceeds the bound
+        return ()
     zero = rd.zero()
     seen = {zero}
     todo = [zero]
@@ -1146,10 +1163,10 @@ def dominant_weights_up_to_dim(rd: RootData, bound: int):
         out.append(w)
         for i in range(rd.dim):
             w2 = tuple(x + (1 if k == i else 0) for k, x in enumerate(w))
-            if w2 not in seen and weyl_dimension(rd, w2) <= bound:
+            if w2 not in seen and _weyl_dimension(rd, w2) <= bound:
                 seen.add(w2)
                 todo.append(w2)
-    return sorted(out)
+    return tuple(sorted(out))
 
 
 def classified_irreps(p: Presentation, bound: int):

@@ -30,8 +30,7 @@ A user-defined diagram permutation has no row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import FrozenRecord
 from .groups import RootData, UnRootData
 
 TYPE_R = "R"
@@ -54,20 +53,17 @@ class InvolutionSpecError(ValueError):
     """Invalid involution for the given group (validation-level error)."""
 
 
-@dataclass(frozen=True)
-class IrrepClass:
+class IrrepClass(FrozenRecord):
     """A dominant weight with its twisted dual, type tag and provenance."""
 
-    weight: tuple
-    twisted_dual: tuple
-    type: str
-    provenance: str
+    __slots__ = ("weight", "twisted_dual", "type", "provenance")
 
-    def __post_init__(self):
-        if self.type in (TYPE_R, TYPE_H) and self.twisted_dual != self.weight:
+    def __init__(self, weight, twisted_dual, type, provenance):
+        if type in (TYPE_R, TYPE_H) and twisted_dual != weight:
             raise ValueError("R/H class must be self-twisted-dual")
-        if self.type == TYPE_C and self.twisted_dual == self.weight:
+        if type == TYPE_C and twisted_dual == weight:
             raise ValueError("complex class must move under the twisted dual")
+        self._init(weight, twisted_dual, type, provenance)
 
 
 class Involution:
@@ -219,8 +215,7 @@ def classify_type(rd: RootData, inv: Involution, lam) -> IrrepClass:
         "override and no catalog rule; supply an override table")
 
 
-@dataclass(frozen=True)
-class FundamentalSplit:
+class FundamentalSplit(FrozenRecord):
     """Fundamental representations split by type.
 
     ``real``/``quat`` hold the self-twisted-dual fundamentals, ``cplx``
@@ -228,10 +223,10 @@ class FundamentalSplit:
     highest weight); ``pairs`` lists (representative, twisted dual).
     """
 
-    real: tuple
-    quat: tuple
-    cplx: tuple
-    pairs: tuple
+    __slots__ = ("real", "quat", "cplx", "pairs")
+
+    def __init__(self, real, quat, cplx, pairs):
+        self._init(real, quat, cplx, pairs)
 
     @property
     def r(self):

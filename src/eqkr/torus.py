@@ -10,11 +10,11 @@ denominator identity behind their independence.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+
+from ._record import FrozenRecord
 
 
-@dataclass(frozen=True)
-class LaurentForm:
+class LaurentForm(FrozenRecord):
     """Finite sum of Laurent-monomial coefficients times wedge factors.
 
     ``terms`` maps (exponents, dbits) to an integer, with ``exponents``
@@ -22,8 +22,10 @@ class LaurentForm:
     the de_j factors.
     """
 
-    n: int
-    terms: dict = field(default_factory=dict)
+    __slots__ = ("n", "terms")
+
+    def __init__(self, n, terms=None):
+        self._init(n, {} if terms is None else terms)
 
     @staticmethod
     def zero(n):

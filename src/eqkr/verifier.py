@@ -12,8 +12,8 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass, field
 
+from ._record import Record
 from .coeffs import KR_BASIS, KCoeff, KRCoeff, c_coeff, r_coeff
 from .groups import GroupSpec, UnsupportedGroupError
 from .presentation import (
@@ -44,17 +44,15 @@ DEFAULT_SEED = 20240801
 DEFAULT_TRUNCATION = 50
 
 
-@dataclass
-class CheckResult:
-    name: str
-    status: str                 # pass | fail | skipped
-    witness: str | None = None
-    seed: int | None = None
-    elapsed: float = 0.0
+class CheckResult(Record):
+    """One check's outcome; ``status`` is pass | fail | skipped."""
 
-    def __post_init__(self):
-        if self.status == "fail" and not self.witness:
+    __slots__ = ("name", "status", "witness", "seed", "elapsed")
+
+    def __init__(self, name, status, witness=None, seed=None, elapsed=0.0):
+        if status == "fail" and not witness:
             raise ValueError("failures must carry a witness")
+        self._init(name, status, witness, seed, elapsed)
 
     @property
     def passed(self):
@@ -454,14 +452,12 @@ def make_mutant(p: Presentation, kind: str) -> Presentation:
     return bad
 
 
-@dataclass
-class VerificationReport:
-    group: str
-    involution: str
-    suite: str
-    seed: int
-    truncation: int
-    results: list = field(default_factory=list)
+class VerificationReport(Record):
+    __slots__ = ("group", "involution", "suite", "seed", "truncation", "results")
+
+    def __init__(self, group, involution, suite, seed, truncation, results=None):
+        self._init(group, involution, suite, seed, truncation,
+                   [] if results is None else results)
 
     @property
     def passed(self):

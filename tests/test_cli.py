@@ -10,7 +10,7 @@ from conftest import GOLDEN
 import eqkr
 from eqkr.cli import main
 from eqkr.groups import SimpleRootData, build_root_data
-from eqkr.presentation import build_kr_presentation
+from eqkr.presentation import _dominant_weights_up_to_dim, build_kr_presentation
 from eqkr.realstruct import involution_from_name
 from eqkr.serialize import presentation_payload
 from eqkr.verifier import make_mutant
@@ -104,6 +104,18 @@ def test_bad_override_entry_exits_two(tmp_path, capsys, group, entry, message):
     assert err.startswith("error:") and message in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["compute", "--group", "SU2", "--truncate", "-1"],
+    ["compute", "--group", "SU3", "--truncate", "0", "--format", "text"],
+    ["verify", "--group", "SU3", "--suite", "all", "--truncate", "-5"],
+])
+def test_truncation_below_one_exits_two(argv, capsys):
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: --truncate must be at least 1")
+
+
 def test_unknown_probe_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["verify", "--group", "SU3", "--sensitivity-probe", "no-such"])
@@ -125,9 +137,14 @@ def test_verify_oracle_suite(tmp_path, group, involution, status):
         (f"oracle[{group}/{involution}]", status)]
 
 
-def test_cli_starts_without_numpy():
-    # only the oracle needs numpy; it is imported when an oracle check runs
-    code = "import sys, eqkr.cli; sys.exit('numpy' in sys.modules)"
+@pytest.mark.parametrize("module", ["numpy", "dataclasses", "inspect"])
+def test_cli_starts_without(module):
+    # only the oracle needs numpy, and it is imported when an oracle check
+    # runs; the records are plain slotted classes, so dataclasses (and the
+    # inspect it pulls in) are never needed.  A module that the bare
+    # interpreter has already loaded is not counted against eqkr.
+    code = ("import sys; bare = set(sys.modules); import eqkr.cli; "
+            f"sys.exit({module!r} in set(sys.modules) - bare)")
     env = dict(os.environ, PYTHONPATH=str(Path(eqkr.__file__).parents[1]))
     res = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, timeout=60)
@@ -276,7 +293,10 @@ def test_verify_all_on_large_groups(group, capsys):
 
 
 def test_invariant_violation_exits_four(monkeypatch, capsys):
-    # pairing with the non-root (2, 1) makes every coroot pairing fractional
+    # pairing with the non-root (2, 1) makes every coroot pairing fractional;
+    # the irreducibles up to the truncation are memoised per root data, so
+    # start cold for compute to meet the Weyl formula
+    _dominant_weights_up_to_dim.cache_clear()
     pairing = SimpleRootData.coroot_pairing
     monkeypatch.setattr(SimpleRootData, "coroot_pairing",
                         lambda self, v, c: pairing(self, v, (2, 1)))

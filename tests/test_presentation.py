@@ -5,7 +5,7 @@ import pytest
 from conftest import GOLDEN, kr
 
 from eqkr.coeffs import KRCoeff
-from eqkr.groups import build_root_data, tensor_decompose
+from eqkr.groups import build_root_data, tensor_decompose, weyl_dimension
 from eqkr.presentation import (
     PresentationError,
     RClassIndex,
@@ -17,6 +17,7 @@ from eqkr.presentation import (
     canon_degree,
     complexify,
     delta_lift,
+    dominant_weights_up_to_dim,
     exterior_ranks,
     poincare_table,
     rclass_square,
@@ -436,6 +437,19 @@ def test_negative_exponent_before_the_last_slot_is_refused(group, exp):
     funds = rd.fundamental_weights()
     with pytest.raises(PresentationError, match="negative exponent"):
         _expand_monomial_cached(rd, funds, exp)
+
+
+@pytest.mark.parametrize("group", ["SU2", "SU3", "Sp2", "G2", "SU3xSU3"])
+def test_dominant_weights_up_to_dim_honour_the_bound(group):
+    rd = build_root_data(group)
+    # dim V_w > w_i (the alpha_i-string through w), so every dominant
+    # weight of dimension <= 10 has entries <= 9
+    dims = {w: weyl_dimension(rd, w)
+            for w in itertools.product(range(10), repeat=rd.dim)}
+    for bound in (-5, 0, 1, 2, 3, 8, 10):
+        got = dominant_weights_up_to_dim(rd, bound)
+        assert got == tuple(sorted(w for w, d in dims.items() if d <= bound))
+        assert got is dominant_weights_up_to_dim(rd, bound)
 
 
 def test_poincare_table_bz():
