@@ -28,7 +28,6 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from fractions import Fraction
 from functools import lru_cache
 
 from ._record import FrozenRecord
@@ -106,43 +105,39 @@ def cartan_matrix(series: str, rank: int) -> tuple:
 
 def _symmetrizers(a) -> tuple:
     """Minimal positive integers d with d_i * a[i][j] == d_j * a[j][i]."""
-    rank = len(a)
-    d = [None] * rank
-    d[0] = Fraction(1)
+    # Dynkin diagrams are connected: walk one from node 0.  Reaching j
+    # from i scales every value found so far by -a[j][i], so that
+    # d_j = d_i a[i][j] / a[j][i] stays an integer.
+    d = [0] * len(a)
+    d[0] = 1
     todo = [0]
     while todo:
         i = todo.pop()
-        for j in range(rank):
-            if a[i][j] != 0 and i != j and d[j] is None:
-                d[j] = d[i] * Fraction(a[i][j], a[j][i])
+        for j in range(len(a)):
+            if a[i][j] and not d[j]:
+                dj = -d[i] * a[i][j]
+                d = [-x * a[j][i] for x in d]
+                d[j] = dj
                 todo.append(j)
-    for i in range(rank):
-        if d[i] is None:  # disconnected diagram piece
-            d[i] = Fraction(1)
-    scale = _common_denominator(d)
-    vals = [int(x * scale) for x in d]
-    g = math.gcd(*vals)
-    return tuple(v // g for v in vals)
+    g = math.gcd(*d)
+    return tuple(x // g for x in d)
 
 
-def _common_denominator(fractions) -> int:
-    return math.lcm(*(x.denominator for x in fractions))
-
-
-def _invert_fraction_matrix(a):
+def _det_adjugate(a):
+    """det a and adj a = det a * a^-1, both integer, by fraction-free
+    Gauss-Jordan elimination (Bareiss).  Every leading principal minor of
+    a Cartan matrix is positive, so no pivot is zero or needs a swap."""
     n = len(a)
-    aug = [[Fraction(a[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    prev = 1
+    for k in range(n):
+        pivot = m[k]
         for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+            if r != k:
+                m[r] = [(pivot[k] * x - m[r][k] * y) // prev
+                        for x, y in zip(m[r], pivot)]
+        prev = pivot[k]
+    return prev, [row[n:] for row in m]
 
 
 # ---------------------------------------------------------------------------
@@ -324,12 +319,12 @@ class SimpleRootData(RootData):
         self.dim = rank
         self.cartan = cartan_matrix(series, rank)
         self.d = _symmetrizers(self.cartan)
-        ainv = _invert_fraction_matrix(self.cartan)
-        # quadratic form on Dynkin labels: (omega_i, omega_j) = ainv[j][i]*d_j,
-        # scaled by the least common denominator of its entries
-        qform = [[ainv[j][i] * self.d[j] for j in range(rank)] for i in range(rank)]
-        scale = _common_denominator(itertools.chain(*qform))
-        self.gram = tuple(tuple(int(x * scale) for x in row) for row in qform)
+        det, adj = _det_adjugate(self.cartan)
+        # quadratic form on Dynkin labels: (omega_i, omega_j) = ainv[j][i]*d_j
+        # with ainv = adj/det, scaled to the least integer multiple
+        qform = [[adj[j][i] * self.d[j] for j in range(rank)] for i in range(rank)]
+        g = math.gcd(det, *itertools.chain(*qform))
+        self.gram = tuple(tuple(x // g for x in row) for row in qform)
         self._positive_roots = None
         self._root_norms = {}
         # -w0 permutes the fundamental weights: w0(omega_i) = -omega_sigma(i)
@@ -404,6 +399,7 @@ class SimpleRootData(RootData):
         num = 2 * sum(c[j] * self.d[j] * v[j] for j in range(self.rank))
         val, rem = divmod(num, norm)
         if rem:
+            from fractions import Fraction
             raise InvariantError(
                 f"<{v}, alpha^vee> = {Fraction(num, norm)} for {c}: not an integer")
         return val
@@ -552,6 +548,7 @@ def _weyl_dimension(rd: RootData, lam: Weight) -> int:
             den *= f.coroot_pairing(rho, c)
     dim, rem = divmod(num, den)
     if rem:
+        from fractions import Fraction
         raise InvariantError(
             f"Weyl dimension of {lam} is {Fraction(num, den)}: not an integer")
     return dim
@@ -603,6 +600,7 @@ def _dominant_multiplicities(rd, lam):
                 pair += aa
         m, rem = divmod(2 * total, denom)
         if rem or m < 1:
+            from fractions import Fraction
             raise InvariantError(
                 f"multiplicity of {mu} in V_{lam} is {Fraction(2 * total, denom)}: "
                 "not a positive integer")

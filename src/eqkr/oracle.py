@@ -161,8 +161,12 @@ def _contraction_matrix(n, k, form):
 
 
 def _null_space(mat, tol):
-    # A wide matrix needs the full V to expose its kernel; a tall one
-    # needs no more than its thin factors, so the m x m U is never built.
+    # A wide matrix needs the full V to expose its kernel.  A tall one is
+    # first reduced to its square R factor (mat = QR): R has the singular
+    # values and right singular vectors of mat, so the SVD runs on n x n
+    # and neither Q nor U is built (Chan's R-SVD).
+    if mat.shape[0] > mat.shape[1]:
+        mat = np.linalg.qr(mat, mode="r")
     _, sv, vh = np.linalg.svd(mat, full_matrices=mat.shape[0] < mat.shape[1])
     if mat.shape[0] < mat.shape[1]:
         sv = np.concatenate([sv, np.zeros(mat.shape[1] - mat.shape[0])])
@@ -319,13 +323,13 @@ def matrix_oracle_type(rep: UnitaryRep, inv_kind: str,
 
     d = rep.size
     eye = np.eye(d)
-    blocks = []
-    for g in samples:
+    system = np.empty((len(samples) * d * d, d * d), dtype=complex)
+    for block, g in zip(np.split(system, len(samples)), samples):
         rg = rep.apply(g)
         rsg = np.conj(rep.apply(sigma(g)))
         # equation rho(g) S - S conj(rho(sigma g)) = 0, row-major vec
-        blocks.append(np.kron(rg, eye) - np.kron(eye, rsg.T))
-    null = _null_space(np.vstack(blocks), 1e-10)
+        np.subtract(np.kron(rg, eye), np.kron(eye, rsg.T), out=block)
+    null = _null_space(system, 1e-10)
     if null.shape[1] != 1:
         raise OracleError(
             f"intertwiner space of {rep.label} has dimension "

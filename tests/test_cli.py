@@ -10,7 +10,7 @@ from conftest import GOLDEN
 import eqkr
 from eqkr.cli import main
 from eqkr.groups import SimpleRootData, build_root_data
-from eqkr.presentation import _dominant_weights_up_to_dim, build_kr_presentation
+from eqkr.presentation import build_kr_presentation
 from eqkr.realstruct import involution_from_name
 from eqkr.serialize import presentation_payload
 from eqkr.verifier import make_mutant
@@ -137,12 +137,15 @@ def test_verify_oracle_suite(tmp_path, group, involution, status):
         (f"oracle[{group}/{involution}]", status)]
 
 
-@pytest.mark.parametrize("module", ["numpy", "dataclasses", "inspect"])
+@pytest.mark.parametrize("module", ["numpy", "dataclasses", "inspect",
+                                    "fractions", "decimal"])
 def test_cli_starts_without(module):
     # only the oracle needs numpy, and it is imported when an oracle check
     # runs; the records are plain slotted classes, so dataclasses (and the
-    # inspect it pulls in) are never needed.  A module that the bare
-    # interpreter has already loaded is not counted against eqkr.
+    # inspect it pulls in) are never needed; the Cartan data are computed
+    # over the integers, and fractions (with decimal) is imported only to
+    # word an invariant error.  A module that the bare interpreter has
+    # already loaded is not counted against eqkr.
     code = ("import sys; bare = set(sys.modules); import eqkr.cli; "
             f"sys.exit({module!r} in set(sys.modules) - bare)")
     env = dict(os.environ, PYTHONPATH=str(Path(eqkr.__file__).parents[1]))
@@ -292,11 +295,10 @@ def test_verify_all_on_large_groups(group, capsys):
     assert all(r["status"] == "pass" for r in report["results"])
 
 
-def test_invariant_violation_exits_four(monkeypatch, capsys):
+def test_invariant_violation_exits_four(monkeypatch, capsys, cold_kernel_caches):
     # pairing with the non-root (2, 1) makes every coroot pairing fractional;
-    # the irreducibles up to the truncation are memoised per root data, so
-    # start cold for compute to meet the Weyl formula
-    _dominant_weights_up_to_dim.cache_clear()
+    # the kernels are memoised per root data, so start cold for compute to
+    # meet the Weyl formula
     pairing = SimpleRootData.coroot_pairing
     monkeypatch.setattr(SimpleRootData, "coroot_pairing",
                         lambda self, v, c: pairing(self, v, (2, 1)))

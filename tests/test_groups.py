@@ -1,7 +1,9 @@
+import math
 import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -152,6 +154,55 @@ def test_cartan_matrix_invariants():
         for i, w in enumerate(rd.fundamental_weights()):
             for j in range(rd.rank):
                 assert rd.pairing_simple(w, j) == int(i == j)
+
+
+def _cartan_data_over_the_rationals(a):
+    """The symmetrizers d and the Gram matrix of a Cartan matrix, computed
+    with Fraction: d propagated along the diagram, the inverse by
+    Gauss-Jordan, the form scaled by the lcm of its denominators."""
+    n = len(a)
+    d = [Fraction(1)] + [None] * (n - 1)
+    todo = [0]
+    while todo:
+        i = todo.pop()
+        for j in range(n):
+            if a[i][j] and d[j] is None:
+                d[j] = d[i] * Fraction(a[i][j], a[j][i])
+                todo.append(j)
+    scale = math.lcm(*(x.denominator for x in d))
+    d = [int(x * scale) for x in d]
+    g = math.gcd(*d)
+    d = [x // g for x in d]
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(a)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col])
+        aug[col], aug[piv] = aug[piv], aug[col]
+        aug[col] = [x / aug[col][col] for x in aug[col]]
+        for r in range(n):
+            if r != col:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    qform = [[aug[j][n + i] * d[j] for j in range(n)] for i in range(n)]
+    scale = math.lcm(*(x.denominator for row in qform for x in row))
+    gram = tuple(tuple(int(x * scale) for x in row) for row in qform)
+    return tuple(d), gram
+
+
+# every catalog series and rank: A1-A8, B2-B8, C2-C8, D4-D8, G2, F4, E6-E8
+_SIMPLE_CATALOG = ([f"SU{r + 1}" for r in range(1, 9)]
+                   + [f"Spin{2 * r + 1}" for r in range(2, 9)]
+                   + [f"Sp{r}" for r in range(2, 9)]
+                   + [f"Spin{2 * r}" for r in range(4, 9)]
+                   + ["G2", "F4", "E6", "E7", "E8"])
+
+
+@pytest.mark.parametrize("name", _SIMPLE_CATALOG)
+def test_integer_cartan_data_match_the_rationals(name):
+    rd = build_root_data(name)
+    d, gram = _cartan_data_over_the_rationals(rd.cartan)
+    assert rd.d == d
+    assert rd.gram == gram
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +446,7 @@ def _broken_form(monkeypatch, form):
     return lambda lam: _dominant_multiplicities.__wrapped__(rd, lam)
 
 
+@pytest.mark.usefixtures("cold_kernel_caches")
 def test_zero_freudenthal_denominator_raises_typed_error(monkeypatch):
     # a form that vanishes makes every denominator |lam+rho|^2 - |mu+rho|^2 zero
     multiplicities = _broken_form(monkeypatch, lambda v, w: 0)
@@ -402,6 +454,7 @@ def test_zero_freudenthal_denominator_raises_typed_error(monkeypatch):
         multiplicities((1, 1))
 
 
+@pytest.mark.usefixtures("cold_kernel_caches")
 def test_non_integral_freudenthal_quotient_raises_typed_error(monkeypatch):
     # the plain dot product of Dynkin labels is not W-invariant: the weight
     # (0, 1) of the symmetric square comes out as 8/5

@@ -64,6 +64,26 @@ def test_null_space_of_wide_and_tall_matrices():
         _close(null.conj().T @ null, np.eye(nullity))
 
 
+@pytest.mark.parametrize("nullity", [1, 2])
+def test_null_space_of_a_stacked_intertwiner_shaped_system(nullity):
+    # 23 blocks of d^2 x d^2, as the oracle stacks them, all vanishing on
+    # the span of the orthonormal columns of k: a tall system that goes
+    # through the QR reduction
+    rng = np.random.default_rng(nullity)
+    d, blocks = 3, 23
+    k = np.linalg.qr(_random_complex(rng, d * d, nullity))[0]
+    off_k = np.eye(d * d) - k @ k.conj().T
+    mat = np.vstack([_random_complex(rng, d * d, d * d) @ off_k
+                     for _ in range(blocks)])
+    null = _null_space(mat, 1e-10)
+    assert null.shape == (d * d, nullity)
+    _close(mat @ null, np.zeros((blocks * d * d, nullity)))
+    _, sv, vh = np.linalg.svd(mat, full_matrices=False)
+    ref = vh[sv < 1e-10 * max(sv[0], 1.0)].conj().T
+    np.testing.assert_allclose(null @ null.conj().T, ref @ ref.conj().T,
+                               rtol=0, atol=1e-12 * sv[0])
+
+
 def test_su2_defining_trivial_is_quaternionic():
     t, s = matrix_oracle_type(defining_rep("SU", 2), "trivial")
     assert t == "H"
@@ -103,6 +123,13 @@ def test_full_wedge2_of_sp2_is_not_irreducible():
     # wedge^2 C^4 is 6-dimensional and reducible over Sp(2)
     with pytest.raises(OracleError):
         matrix_oracle_type(exterior_rep("Sp", 2, 2), "trivial")
+
+
+def test_full_wedge2_of_sp3_is_not_irreducible():
+    # wedge^2 C^6 = V_omega2 + C: the largest system the oracle stacks
+    # (23 * 15^2 rows) still has a two-dimensional intertwiner space
+    with pytest.raises(OracleError, match="dimension 2"):
+        matrix_oracle_type(exterior_rep("Sp", 3, 2), "trivial")
 
 
 def test_su2_symmetric_powers_alternate():
