@@ -24,12 +24,15 @@ Two presentation kinds share one element wrapper:
     twisted conjugation: beta -> -beta, weights -> twisted dual,
     dG[f] -> -dG[f*].
 
-    Every product routes through the projection formula
-    r(x) . y = r(x . c(y)), which realizes the whole relation table:
-    generator squares vanish, eta kills realified classes, mu doubles
-    them and shifts i by 2, realified squares reduce by degree mod 8 to
-    eta^2/mu/zero/two multiples of realified rho sigmabar*rho times lam
-    monomials, and graded commutativity holds with computed signs.
+    The complexification c of a term has one routine,
+    Presentation._c_image, and the product of two terms has two cases:
+    without an r-slot it is type bookkeeping on the coefficient atoms;
+    with one it is the projection formula r(x) . y = r(x . c(y)),
+    which realizes the whole relation table: generator squares vanish,
+    eta kills realified classes, mu doubles them and shifts i by 2,
+    realified squares reduce by degree mod 8 to eta^2/mu/zero/two
+    multiples of realified rho sigmabar*rho times lam monomials, and
+    graded commutativity holds with computed signs.
 """
 
 from __future__ import annotations
@@ -246,7 +249,11 @@ class Presentation:
     Term tuples:  KR: (cw, cls, plain, rslot) with rslot = None or
     (rho, i, eps, nu);  BZ/K: (w, j, bits).  Immutable once built, apart
     from memo tables that fill as it is used; the element operations are
-    pure.  Each presentation memoises its own KR term arithmetic at unit
+    pure.  ``_c_image`` is the one complexification of a KR term,
+    ``_realify`` the one realification of a BZ term dict, and
+    ``_mul_kr_unit`` multiplies two KR terms in two cases: no r-slot
+    (type bookkeeping) or a slot (the projection formula).  Each
+    presentation memoises its own KR term arithmetic at unit
     coefficient: ``_mul_table`` maps an ordered pair of terms to their
     product and ``_realify_table`` maps (w, j, bits, allow_flip) to the
     realification of that BZ term; ``_weight_tau`` maps a weight to its
@@ -276,6 +283,7 @@ class Presentation:
         self._gen_by_factor = {fi: gen_of_weight[w]
                                for fi, (_, w, _) in enumerate(self.factors)
                                if w in gen_of_weight}
+        self._factor_by_gen = {gi: fi for fi, gi in self._gen_by_factor.items()}
         self._pair_factors = {(pair, role): fi
                               for fi, (role, _, pair) in enumerate(self.factors)
                               if role in ("u", "v")}
@@ -434,15 +442,14 @@ class Presentation:
             rhos = {tuple(idx.rho): 1}
         eps = tuple(k for k, e in enumerate(idx.eps) if e)
         nu = tuple(k for k, n in enumerate(idx.nu) if n)
-        out = {}
+        bz = {}
         for w, c in rhos.items():
             if w != self.zero_weight and self.classify(w).type != TYPE_C:
                 raise PresentationError(
                     f"rho weight {w} must be trivial or complex type")
-            (w, j, bits), sign = self._slot_to_bz((w, idx.i, eps, nu))
-            for term, cc in self._realify_term(w, j, bits, c * sign):
-                out[term] = out.get(term, 0) + cc
-        return self._element(out)
+            term, sign = self._slot_to_bz((w, idx.i, eps, nu))
+            bz[term] = c * sign
+        return self._element(self._realify(bz))
 
     def _pair_factor(self, k, role):
         fi = self._pair_factors.get((k, role))
@@ -605,11 +612,15 @@ class Presentation:
             raise PresentationError("realify_bz lands in a KR presentation")
         if e.p.factors != self.factors:
             raise PresentationError("K-theory element has a different catalog")
+        return self._element(self._realify(e.terms))
+
+    def _realify(self, terms):
+        """Realification of a BZ term dict, as KR terms (unreduced)."""
         out = {}
-        for (w, j, bits), c in e.terms.items():
+        for (w, j, bits), c in terms.items():
             for term, cc in self._realify_term(w, j, bits, c):
                 out[term] = out.get(term, 0) + cc
-        return self._element(out)
+        return out
 
     def _slot_to_bz(self, slot):
         """A BZ term whose realification is exactly the slot class.
@@ -626,24 +637,32 @@ class Presentation:
         w = self.zero_weight if rho is None else rho
         return (w, i, tuple(sorted(bits))), sign
 
-    def _c_image_coeff(self, cw, cls):
-        """Complexification of a coefficient atom, as BZ term dict."""
-        k = c_coeff(KRCoeff.basis(cls))
+    def _c_image(self, term):
+        """Complexification of one KR term, as a BZ term dict over this
+        presentation's catalog: V_cw . c(cls), beta^2 more on an H-type
+        weight, times beta dG[f] for dR/dH[f], -beta^3 dG[gamma_k]
+        dG[sigmabar gamma_k] for lam_k, and x + tau x for the slot r(x)."""
+        cw, cls, plain, rslot = term
         shift = 2 if (cw != self.zero_weight
                       and self.classify(cw).type == TYPE_H) else 0
-        out = {}
-        for i, a in enumerate(k.c):
-            if a:
-                out[(cw, (i + shift) % 4, ())] = a
+        out = {(cw, (i + shift) % 4, ()): a
+               for i, a in enumerate(c_coeff(KRCoeff.basis(cls)).c) if a}
+        for gi in plain:
+            g = self.gens[gi]
+            if g.kind == "lam":
+                pair = (self._pair_factor(g.pair, "u"),
+                        self._pair_factor(g.pair, "v"))
+                image = {(self.zero_weight, 3, pair): -1}
+            else:
+                image = {(self.zero_weight, 1, (self._factor_by_gen[gi],)): 1}
+            out = self._bz_mul_dicts(out, image)
+        if rslot is not None:
+            x, sign = self._slot_to_bz(rslot)
+            image = {x: sign}
+            for t, c in self._tau_bz(image).items():
+                image[t] = image.get(t, 0) + c
+            out = self._bz_mul_dicts(out, image)
         return out
-
-    def _c_image_slot(self, slot):
-        term, sign = self._slot_to_bz(slot)
-        base = {term: sign}
-        out = dict(base)
-        for t, c in self._tau_bz(base).items():
-            out[t] = out.get(t, 0) + c
-        return {t: c for t, c in out.items() if c}
 
     # -- KR term multiplication ----------------------------------------------------
     def _typed_mult(self, cw1, cls1, cw2, cls2):
@@ -653,18 +672,19 @@ class Presentation:
         h2 = int(cw2 != self.zero_weight and self.classify(cw2).type == TYPE_H)
         kr = KRCoeff.basis(cls1) * KRCoeff.basis(cls2)
         if kr.is_zero():
-            return [], []
+            return [], {}
         return self._rep_class(self.tensor(cw1, cw2), (h1 + h2) % 2, kr)
 
     def _rep_class(self, decomp, parity, kr):
         """kr times the class of a real (parity 0) or quaternionic (parity
         1) representation, given as highest weight -> multiplicity.
 
-        Returns (fragments, slot_fragments): (weight, cls, coeff) atoms of
-        the R/H assembly and ((rho, 2 . parity, (), ()), coeff) realified
-        pieces from complex-type constituents.
+        Returns (fragments, pairs): (weight, cls, coeff) atoms of the R/H
+        assembly, and the BZ term dict whose realification is the
+        complex-type part: a pair rho + sigmabar*rho of multiplicity m is
+        m . r(beta^(2 . parity) rho), and kr . r(y) = r(c(kr) . y).
         """
-        frags, slot_frags = [], []
+        frags, pairs = [], {}
         pair_mults = {}
         for nu_w, m in decomp.items():
             t = self.classify(nu_w).type
@@ -684,20 +704,14 @@ class Presentation:
             for name, val in (KRCoeff.basis(base) * kr).as_dict().items():
                 if val:
                     frags.append((nu_w, name, mult * val))
-        j0 = 2 * parity
+        ck = c_coeff(kr).c
         for rep, (ma, mb) in pair_mults.items():
             if ma != mb:
                 raise PresentationError(f"unbalanced complex pair {rep}")
-            for name, val in kr.as_dict().items():
-                if not val:
-                    continue
-                if name == "1":
-                    slot_frags.append(((rep, j0, (), ()), ma * val))
-                elif name == "mu":
-                    slot_frags.append(((rep, (j0 + 2) % 4, (), ()),
-                                       2 * ma * val))
-                # eta and eta^2 kill realified classes
-        return frags, slot_frags
+            for i, a in enumerate(ck):
+                if a:
+                    pairs[(rep, (2 * parity + i) % 4, ())] = ma * a
+        return frags, pairs
 
     def _mul_kr_terms(self, t1, t2):
         """Product of two KR terms at unit coefficient, computed once per
@@ -713,60 +727,52 @@ class Presentation:
     def _mul_kr_unit(self, t1, t2):
         cw1, cls1, p1, s1 = t1
         cw2, cls2, p2, s2 = t2
-        coeff = 1
-        # Koszul sign for [p1][s1][p2][s2] -> [p1 p2][s1 s2]
-        if s1 is not None:
-            spar = (len(s1[2]) + len(s1[3])) % 2
-            ppar = sum(self.gens[g].parity for g in p2) % 2
-            if spar and ppar:
-                coeff = -coeff
-        merged = _merge_graded(p1, p2, lambda g: self.gens[g].parity)
-        if merged is None:
-            return {}
-        plain, sign = merged
-        coeff *= sign
-
+        if s1 is None and s2 is None:
+            merged = _merge_graded(p1, p2, self._gen_parity)
+            if merged is None:
+                return {}
+            plain, sign = merged
+            return self._class_terms(self._typed_mult(cw1, cls1, cw2, cls2),
+                                     plain, sign)
+        # a.p.r(x) . y = p . r(c(a) . x . c(y)), with the slot term in
+        # front: y . t = (-1)^(|y| |t|) t . y
+        own, other, sign = t1, t2, 1
+        if s1 is None:
+            own, other = t2, t1
+            sign = (-1) ** (self.term_degree(t1) * self.term_degree(t2) % 2)
+        cw, cls, plain, slot = own
+        x, xsign = self._slot_to_bz(slot)
+        arg = self._bz_mul_dicts(self._c_image((cw, cls, (), None)), {x: xsign})
+        arg = self._bz_mul_dicts(arg, self._c_image(other))
         out = {}
-        slots = [s for s in (s1, s2) if s is not None]
-        self._attach_class(out, self._typed_mult(cw1, cls1, cw2, cls2),
-                           plain, slots, coeff)
+        self._add_times_plain(out, plain, self._realify(arg), sign)
         return out
 
-    def _attach_class(self, out, pieces, plain, slots, coeff):
-        """Attach each piece of a coefficient class (see _rep_class)."""
-        frags, slot_frags = pieces
-        for w, name, c in frags:
-            self._attach(out, w, name, plain, slots, coeff * c)
-        for slot, c in slot_frags:
-            self._attach(out, self.zero_weight, "1", plain, slots + [slot],
-                         coeff * c)
+    def _gen_parity(self, gi):
+        return self.gens[gi].parity
 
-    def _attach(self, out, cw, cls, plain, slots, coeff):
-        """Attach a coefficient atom and slot list to a plain monomial."""
-        if coeff == 0:
-            return
-        if not slots:
-            t = (cw, cls, plain, None)
-            out[t] = out.get(t, 0) + coeff
-            return
-        # r(a) r(b) y = r(a . c(r(b)) . c(y)): first slot stays inside
-        base, bsign = self._slot_to_bz(slots[0])
-        arg = {base: bsign}
-        for s in slots[1:]:
-            arg = self._bz_mul_dicts(arg, self._c_image_slot(s))
-        if cw != self.zero_weight or cls != "1":
-            arg = self._bz_mul_dicts(arg, self._c_image_coeff(cw, cls))
-        for (w, j, bits), c in arg.items():
-            for (tw, tcls, tplain, tslot), cc in self._realify_term(w, j, bits, c):
-                mg = _merge_graded(plain, tplain,
-                                   lambda g: self.gens[g].parity)
-                if mg is None:
-                    continue
-                nplain, nsign = mg
-                if self._lam_kills(nplain, tslot):
-                    continue
-                key = (tw, tcls, nplain, tslot)
-                out[key] = out.get(key, 0) + coeff * cc * nsign
+    def _class_terms(self, pieces, plain, coeff=1):
+        """Terms of a coefficient class (see _rep_class) times a plain
+        monomial, scaled by coeff."""
+        frags, pairs = pieces
+        out = {}
+        for w, name, c in frags:
+            t = (w, name, plain, None)
+            out[t] = out.get(t, 0) + coeff * c
+        self._add_times_plain(out, plain, self._realify(pairs), coeff)
+        return out
+
+    def _add_times_plain(self, out, plain, terms, coeff):
+        """Accumulate coeff . plain . t into out for each KR term t."""
+        for (tw, tcls, tplain, tslot), c in terms.items():
+            merged = _merge_graded(plain, tplain, self._gen_parity)
+            if merged is None:
+                continue
+            nplain, nsign = merged
+            if self._lam_kills(nplain, tslot):
+                continue
+            key = (tw, tcls, nplain, tslot)
+            out[key] = out.get(key, 0) + coeff * c * nsign
 
     # -- normalization and public multiplication ------------------------------------
     def _normalize_terms(self, terms):
@@ -790,14 +796,19 @@ class Presentation:
 
     # -- derivation ---------------------------------------------------------------
     def _derivation_unit(self, cof, i):
-        """f^cof . df_i, the cofactor expanded into irreducibles: in KR,
-        its class (real or quaternionic by the parity of its H-type
-        exponents) times the generator dR or dH[f_i]."""
+        """f^cof . df_i, the cofactor expanded into irreducibles: in K,
+        pushed to its rank; in KR, its class (real or quaternionic by
+        the parity of its H-type exponents) times the generator dR or
+        dH[f_i]."""
         ff = self._fund_factor
         expansion = _expand_monomial_cached(self.rd,
                                             self.rd.fundamental_weights(), cof)
-        if self.kind != "KR":
+        if self.kind == "BZ":
             return {(w, 0, (ff[i],)): m for w, m in expansion.items()}
+        if self.kind == "K":
+            rank = sum(m * weyl_dimension(self.rd, w)
+                       for w, m in expansion.items())
+            return {(self.zero_weight, 0, (ff[i],)): rank}
         gen_of = [self._gen_by_factor.get(fi) for fi in ff]
         if gen_of[i] is None or any(a and g is None
                                     for a, g in zip(cof, gen_of)):
@@ -805,11 +816,9 @@ class Presentation:
                 "the KR derivation takes exponents on R/H fundamentals only")
         parity = sum(a for a, g in zip(cof, gen_of)
                      if a and self.gens[g].kind == "dH") % 2
-        out = {}
-        self._attach_class(out, self._rep_class(expansion, parity,
-                                                KRCoeff.basis("1")),
-                           (gen_of[i],), [], 1)
-        return out
+        return self._class_terms(self._rep_class(expansion, parity,
+                                                 KRCoeff.basis("1")),
+                                 (gen_of[i],))
 
     # -- tables ------------------------------------------------------------------
     def monomial_degrees(self):
@@ -885,13 +894,21 @@ def build_kr_presentation(rd: RootData, inv: Involution,
 class RClassSquareResult(Record):
     """The square ``element`` of a realified generator; ``case`` is
     "zero" | "eta2" | "mu" | "two", ``sign`` the +-1 of the mu/two cases
-    (None otherwise) and ``transpositions`` the delta-factor sorting
-    count in r(x . tau x)."""
+    (None otherwise), ``transpositions`` the delta-factor sorting count
+    in r(x . tau x), and ``probe`` the predicted (term, coefficient) of
+    the trivial-weight lam-monomial term of the square: eta^2 with 1, mu
+    with ``sign``, 1 with 2 . ``sign``; None in the zero case, where the
+    whole square vanishes, and for a virtual rho."""
 
-    __slots__ = ("element", "case", "sign", "transpositions")
+    __slots__ = ("element", "case", "sign", "transpositions", "probe")
 
-    def __init__(self, element, case, sign, transpositions):
-        self._init(element, case, sign, transpositions)
+    def __init__(self, element, case, sign, transpositions, probe):
+        self._init(element, case, sign, transpositions, probe)
+
+
+# the case of a realified square by the degree of the class mod 8
+_SQUARE_CASE = {-1: "eta2", -5: "eta2", -2: "mu", -6: "mu",
+               0: "two", -4: "two", -3: "zero", 1: "zero"}
 
 
 def rclass_square(p: Presentation, idx: RClassIndex) -> RClassSquareResult:
@@ -902,12 +919,13 @@ def rclass_square(p: Presentation, idx: RClassIndex) -> RClassSquareResult:
     x.tau(x) into adjacent gamma pairs costs the emitted transposition
     count, leaving +-prod(lam_k) . r(beta^J . rho sigmabar*rho) with
     J = 2i - 3m.  The Bott pattern of J settles the case by the degree
-    of the class mod 8: eta^2.(rho sigmabar*rho).prod lam in degrees
-    -1/-5, +-mu.(...) in degrees -2/-6 with sign (-1)^(i +
+    of the class mod 8 (_SQUARE_CASE): eta^2.(rho sigmabar*rho).prod lam
+    in degrees -1/-5, +-mu.(...) in degrees -2/-6 with sign (-1)^(i +
     transpositions), 0 in degrees -3/1, and +-2.(...) in degrees
     0/-4.  (The last case refines the blanket "otherwise zero" of the
     source relation table, whose complexification is 2 x.tau(x) and
-    provably nonzero there.)
+    provably nonzero there.)  The square is computed by the engine and
+    the prediction is returned beside it, not checked here.
     """
     if idx.factor_count == 0:
         raise PresentationError(
@@ -926,32 +944,16 @@ def rclass_square(p: Presentation, idx: RClassIndex) -> RClassSquareResult:
         rank[("v", k)] = len(rank)
     transpositions = _inversions([rank[x] for x in seq])
 
-    case_deg = idx.degree()
-    sign = (-1) ** (idx.i + transpositions)
-    if case_deg in (-1, -5):
-        case, sign = "eta2", None
-    elif case_deg in (-2, -6):
-        case = "mu"
-        probe_cls = "mu"
-    elif case_deg in (0, -4):
-        case = "two"
-        probe_cls = "1"
-    else:
-        case, sign = "zero", None
-        if not sq.is_zero():
-            raise PresentationError(
-                f"square of a degree-{case_deg} realified class should "
-                f"vanish, got {sq}")
-    if sign is not None and not isinstance(idx.rho, dict):
-        # rho (x) sigmabar*rho contains the trivial representation once,
-        # so the lam-monomial term carries the computed sign
+    case = _SQUARE_CASE[idx.degree()]
+    s = (-1) ** (idx.i + transpositions)
+    cls, coeff, sign = {"zero": (None, 0, None), "eta2": ("eta2", 1, None),
+                        "mu": ("mu", s, s), "two": ("1", 2 * s, s)}[case]
+    probe = None
+    if case != "zero" and not isinstance(idx.rho, dict):
+        # rho (x) sigmabar*rho contains the trivial representation once
         lam_plain = tuple(sorted(p._lam_gen[k] for k in s_idx + n_idx))
-        got = sq.terms.get((p.zero_weight, probe_cls, lam_plain, None))
-        if got is not None and (got > 0) != (sign > 0):
-            raise PresentationError(
-                f"element sign {got} disagrees with transposition "
-                f"sign {sign}")
-    return RClassSquareResult(sq, case, sign, transpositions)
+        probe = ((p.zero_weight, cls, lam_plain, None), coeff)
+    return RClassSquareResult(sq, case, sign, transpositions, probe)
 
 
 def delta_lift(p: Presentation, poly, twist: str | None = None) -> RingElement:
@@ -1086,12 +1088,9 @@ def exterior_ranks(p: Presentation):
 
 
 def complexify(p: Presentation):
-    """The complexification map into the Brylinski-Zhang presentation.
-
-    Generator images: c(dF[f]) = beta dG[f], c(lam_k) = -beta^3
-    dG[gamma_k] dG[sigmabar gamma_k]; realified classes map to
-    x + tau(x); coefficients map through c.
-    """
+    """The complexification map into the Brylinski-Zhang presentation
+    on the same fundamental catalog; each term maps through
+    Presentation._c_image."""
     if p.kind != "KR":
         raise PresentationError("complexify maps a KR presentation")
     target = Presentation(
@@ -1104,28 +1103,15 @@ class ComplexificationMap:
     def __init__(self, source: Presentation, target: Presentation):
         self.source = source
         self.target = target
-        self._factor_by_gen = {gi: fi for fi, gi
-                               in source._gen_by_factor.items()}
 
     def __call__(self, e: RingElement) -> RingElement:
-        p, q = self.source, self.target
+        p = self.source
         p._check_same(e)
-        out = q.zero()
-        for (cw, cls, plain, rslot), c in e.terms.items():
-            part = q._element({(w2, j, ()): cc for (w2, j, _), cc
-                               in p._c_image_coeff(cw, cls).items()})
-            for gi in plain:
-                g = p.gens[gi]
-                if g.kind in ("dR", "dH"):
-                    part = part * q.dg_element(self._factor_by_gen[gi], 1)
-                else:
-                    u = p._pair_factor(g.pair, "u")
-                    v = p._pair_factor(g.pair, "v")
-                    part = part * (q.dg_element(u, 3) * q.dg_element(v, 0)) * (-1)
-            if rslot is not None:
-                part = part * q._element(dict(p._c_image_slot(rslot)))
-            out = out + part * c
-        return out
+        out = {}
+        for t, c in e.terms.items():
+            for t2, c2 in p._c_image(t).items():
+                out[t2] = out.get(t2, 0) + c * c2
+        return self.target._element(out)
 
 
 # ---------------------------------------------------------------------------

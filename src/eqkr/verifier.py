@@ -368,7 +368,9 @@ def verify_weyl_denominator(n: int, seed: int = DEFAULT_SEED) -> CheckResult:
 
 
 def verify_rclass_squares(p: Presentation, seed: int = DEFAULT_SEED) -> CheckResult:
-    """Realified squares follow the degree-case table with computed signs."""
+    """Realified squares follow the degree-case table with computed signs:
+    the zero case vanishes, and otherwise the trivial-weight lam-monomial
+    term has exactly the predicted coefficient."""
     def run():
         if not p.split.t:
             return None
@@ -376,14 +378,17 @@ def verify_rclass_squares(p: Presentation, seed: int = DEFAULT_SEED) -> CheckRes
             if idx.factor_count == 0:
                 continue
             res = rclass_square(p, idx)
-            deg = idx.degree()
-            expected = {(-1): "eta2", (-5): "eta2", (-2): "mu", (-6): "mu",
-                        (-3): "zero", 1: "zero", 0: "two", (-4): "two"}[deg]
-            if res.case != expected:
-                return (f"square case of {idx} (degree {deg}) is {res.case},"
-                        f" expected {expected}")
-            if res.case == "zero" and not res.element.is_zero():
-                return f"square of {idx} should vanish, got {res.element!r}"
+            if res.case == "zero":
+                if not res.element.is_zero():
+                    return f"square of {idx} should vanish, got {res.element!r}"
+            elif res.probe is not None:
+                term, want = res.probe
+                got = res.element.terms.get(term, 0)
+                if got != want:
+                    return (f"square of {idx} ({res.case} case) has "
+                            f"{got}*{p.term_label(term)}, expected {want} "
+                            f"(sign {res.sign}, transpositions "
+                            f"{res.transpositions}): {res.element!r}")
         return None
     return _timed(f"rclass-squares[{p.rd.spec}/{p.inv.name}]", seed, run)
 

@@ -15,6 +15,7 @@ from eqkr.presentation import (
     augment_element,
     build_bz_presentation,
     canon_degree,
+    classified_irreps,
     complexify,
     delta_lift,
     dominant_weights_up_to_dim,
@@ -221,6 +222,13 @@ def test_complexify_is_multiplicative():
         elems = [p.gen_element(g.index) for g in p.gens]
         elems.append(p.scalar(KRCoeff.basis("mu")))
         elems.append(p.scalar(KRCoeff.basis("eta")))
+        # R- and H-type classes: on SU3/trivial, V(1,1) (x) V(1,1) holds
+        # the complex pair V(3,0) + V(0,3), whose mu piece is 2 beta^2
+        for classes in classified_irreps(p, 10)[:2]:
+            if classes:
+                w = max(cls.weight for cls in classes)
+                elems.extend(p.class_element(w, name)
+                             for name in ("1", "eta", "mu"))
         if p.split.t:
             elems.append(p.rclass_element(
                 RClassIndex(None, 0, (1,) + (0,) * (p.split.t - 1),
@@ -291,6 +299,21 @@ def test_delta_lift_un_laurent():
     lhs = bz.bz_weight((-1, -1)) * delta_lift(bz, {(0, 1): 1}) + \
         bz.bz_weight((1, 1)) * d_inv
     assert lhs.is_zero()
+
+
+@pytest.mark.parametrize("group,poly", [
+    ("SU2", {(2,): 1}), ("SU3", {(1, 1): 2, (0, 2): -1}),
+    ("U2", {(1, -1): 1, (0, -2): 3}),
+])
+def test_delta_lift_on_k_is_the_augmented_bz_lift(group, poly):
+    # K*(G) has Z coefficients: the cofactor lands as its rank
+    bz = build_bz_presentation(build_root_data(group))
+    k = augment_bz(bz)
+    got = delta_lift(k, poly)
+    assert got == augment_element(k, delta_lift(bz, poly))
+    assert all(w == k.zero_weight for w, _, _ in got.terms)
+    if group == "SU2":
+        assert got == 4 * k.dg_element(0)
 
 
 def test_delta_lift_kr_side():

@@ -18,7 +18,7 @@ RECORDS = [
     (Generator, ("lam", (1, 0), 2, 0), True, None),
     (RClassIndex, ((1, 0), 1, (1, 0), (0, 1)), True,
      "RClassIndex(rho=(1, 0), i=1, eps=(1, 0), nu=(0, 1))"),
-    (RClassSquareResult, (None, "mu", -1, 2), False, None),
+    (RClassSquareResult, (None, "mu", -1, 2, None), False, None),
     (IrrepClass, ((1, 0), (0, 1), "C", "rule"), True, None),
     (FundamentalSplit, (((1,),), (), (), ()), True, None),
     (LaurentForm, (2, {((1, 0), (0,)): 3}), True, None),

@@ -95,6 +95,20 @@ def test_leibniz_catches_a_dropped_tau_sign(monkeypatch):
     assert res.status == "fail" and "pullback rewrite" in res.witness
 
 
+def test_rclass_squares_catch_a_dropped_bott_sign(monkeypatch):
+    tau_term = Presentation._tau_bz_term
+
+    def unsigned(self, w, j, bits):
+        ws, mapped, sign = tau_term(self, w, j, bits)
+        return ws, mapped, sign * (-1) ** (j % 2)  # drops the beta sign
+
+    monkeypatch.setattr(Presentation, "_tau_bz_term", unsigned)
+    # the faulty square is reported, not raised
+    res = verify_rclass_squares(kr("SU5", "trivial"))
+    assert res.status == "fail"
+    assert "(two case) has -2*lam[1].lam[2], expected 2" in res.witness
+
+
 def test_leibniz_catches_a_dropped_klimyk_constituent():
     # a fresh interpreter, so no warm cache can hide the faulty kernel
     code = ("import sys, eqkr.groups as g; from eqkr.cli import main\n"
