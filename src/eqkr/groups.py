@@ -478,6 +478,13 @@ class ProductRootData(RootData):
         for f in factors:
             self.slices.append(slice(off, off + f.dim))
             off += f.dim
+        funds = []
+        for f, s in zip(self.factors, self.slices):
+            for w in f.fundamental_weights():
+                vec = [0] * self.dim
+                vec[s] = list(w)
+                funds.append(tuple(vec))
+        self._fundamental_weights = tuple(funds)
 
     def split(self, v):
         return tuple(tuple(v[s]) for s in self.slices)
@@ -486,13 +493,7 @@ class ProductRootData(RootData):
         return all(f.is_dominant(p) for f, p in zip(self.factors, self.split(v)))
 
     def fundamental_weights(self):
-        out = []
-        for f, s in zip(self.factors, self.slices):
-            for w in f.fundamental_weights():
-                vec = [0] * self.dim
-                vec[s] = list(w)
-                out.append(tuple(vec))
-        return tuple(out)
+        return self._fundamental_weights
 
     def _minus_w0(self, lam):
         return self.join([f._minus_w0(p) for f, p in zip(self.factors, self.split(lam))])

@@ -9,10 +9,13 @@ sigma(g) = J gbar J^{-1}, the oracle solves the linear system
 
     S . conj(rho(sigma(g))) = rho(g) . S        for all sampled g
 
-for the matrix S of the antilinear intertwiner v -> S(vbar).  The
-intertwiner space must be one-dimensional (Schur); then S.Sbar is a
-real multiple of the identity and its sign decides the type: positive
-for Real, negative for Quaternionic.
+for the matrix S of the antilinear intertwiner v -> S(vbar).  It is
+solved in two stages: the kernel N of the last (generic) sample's
+d^2 x d^2 equation, then the kernel of the other samples' equations
+restricted to N, a ((samples - 1) d^2, dim N) system.  The intertwiner
+space must be one-dimensional (Schur); then S.Sbar is a real multiple
+of the identity and its sign decides the type: positive for Real,
+negative for Quaternionic.
 
 Representations are modelled concretely for SU(n), Sp(n) and U(n):
 the defining representation, its exterior powers, the primitive (form-
@@ -133,13 +136,21 @@ def _subsets(n, k):
     return list(itertools.combinations(range(n), k))
 
 
+@lru_cache(maxsize=None)
+def _minor_index(n, k):
+    """The k-subsets of range(n) as a read-only (C(n,k), k) index array."""
+    subs = np.array(_subsets(n, k), dtype=np.intp)
+    subs.flags.writeable = False
+    return subs
+
+
 def exterior_power(u, k):
     """k-th compound matrix (action on wedge^k of the defining space).
 
     Entry (a, b) is the minor of u on rows subs[a] and columns subs[b];
     all minors are gathered into one stack and LAPACK factors each.
     """
-    subs = np.array(_subsets(u.shape[0], k), dtype=np.intp)
+    subs = _minor_index(u.shape[0], k)
     return np.linalg.det(u[subs[:, None, :, None], subs[None, :, None, :]])
 
 
@@ -161,10 +172,11 @@ def _contraction_matrix(n, k, form):
 
 
 def _null_space(mat, tol):
-    # A wide matrix needs the full V to expose its kernel.  A tall one is
-    # first reduced to its square R factor (mat = QR): R has the singular
-    # values and right singular vectors of mat, so the SVD runs on n x n
-    # and neither Q nor U is built (Chan's R-SVD).
+    # A wide matrix needs the full V to expose its kernel.  A tall one
+    # (the oracle's stage-2 stack) is first reduced to its square R
+    # factor (mat = QR): R has the singular values and right singular
+    # vectors of mat, so the SVD runs on n x n and neither Q nor U is
+    # built (Chan's R-SVD).
     if mat.shape[0] > mat.shape[1]:
         mat = np.linalg.qr(mat, mode="r")
     _, sv, vh = np.linalg.svd(mat, full_matrices=mat.shape[0] < mat.shape[1])
@@ -323,13 +335,20 @@ def matrix_oracle_type(rep: UnitaryRep, inv_kind: str,
 
     d = rep.size
     eye = np.eye(d)
-    system = np.empty((len(samples) * d * d, d * d), dtype=complex)
-    for block, g in zip(np.split(system, len(samples)), samples):
-        rg = rep.apply(g)
-        rsg = np.conj(rep.apply(sigma(g)))
-        # equation rho(g) S - S conj(rho(sigma g)) = 0, row-major vec
-        np.subtract(np.kron(rg, eye), np.kron(eye, rsg.T), out=block)
-    null = _null_space(system, 1e-10)
+    # equation rho(g) S - S conj(rho(sigma g)) = 0 for every sample.
+    # Stage 1: the kernel of the last (generic) sample's Sylvester block,
+    # row-major vec.  Stage 2: the other samples on that kernel, one
+    # (d^2, k) block per sample; the joint kernel is the stage-1 basis
+    # times the kernel of their stack.
+    pairs = [(rep.apply(g), np.conj(rep.apply(sigma(g)))) for g in samples]
+    rg, rsg = pairs[-1]
+    kernel = _null_space(np.kron(rg, eye) - np.kron(eye, rsg.T), 1e-10)
+    k = kernel.shape[1]
+    cands = kernel.T.reshape(k, d, d)
+    system = np.empty(((len(samples) - 1) * d * d, k), dtype=complex)
+    for block, (rg, rsg) in zip(np.split(system, len(samples) - 1), pairs[:-1]):
+        block[...] = (rg @ cands - cands @ rsg).reshape(k, d * d).T
+    null = kernel @ _null_space(system, 1e-10)
     if null.shape[1] != 1:
         raise OracleError(
             f"intertwiner space of {rep.label} has dimension "

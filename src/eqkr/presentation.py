@@ -1135,11 +1135,22 @@ def dominant_weights_up_to_dim(rd: RootData, bound: int):
 def _dominant_weights_up_to_dim(rd, bound):
     """`dominant_weights_up_to_dim`, cached per (root data, bound).
 
-    The search climbs from the zero weight by fundamental weights, and
-    w + e_i of a dominant w is dominant.
+    Dimension is multiplicative over a product's factors, and each factor
+    part of a weight has dimension at least 1, so a product's list joins
+    its factors' lists, keeping the joins whose dimensions multiply to at
+    most the bound.  On one factor the search climbs from the zero
+    weight by fundamental weights, and w + e_i of a dominant w is
+    dominant.
     """
     if bound < 1:  # even the trivial irreducible exceeds the bound
         return ()
+    if len(rd.factors) > 1:
+        parts = [((), 1)]
+        for f in rd.factors:
+            sized = [(w, _weyl_dimension(f, w)) for w in _dominant_weights_up_to_dim(f, bound)]
+            parts = [(ws + (w,), dim * dw) for ws, dim in parts for w, dw in sized
+                     if dim * dw <= bound]
+        return tuple(sorted(rd.join(ws) for ws, _ in parts))
     zero = rd.zero()
     seen = {zero}
     todo = [zero]

@@ -8,11 +8,15 @@ from eqkr.groups import build_root_data
 from eqkr.oracle import (
     OracleError,
     _null_space,
+    _sigma_on_defining,
     defining_rep,
+    expm_antihermitian,
     exterior_power,
     exterior_rep,
+    lie_basis,
     matrix_oracle_type,
     primitive_exterior_rep,
+    rep_for_weight,
     symmetric_rep,
     symplectic_j,
 )
@@ -82,6 +86,47 @@ def test_null_space_of_a_stacked_intertwiner_shaped_system(nullity):
     ref = vh[sv < 1e-10 * max(sv[0], 1.0)].conj().T
     np.testing.assert_allclose(null @ null.conj().T, ref @ ref.conj().T,
                                rtol=0, atol=1e-12 * sv[0])
+
+
+def _stacked_kernel_projector(rep, inv_kind, seed):
+    """Reference: the projector onto the joint kernel of all the samples'
+    Sylvester blocks, from the SVD of their full stack."""
+    basis = lie_basis(rep.family, rep.n)
+    samples = [expm_antihermitian(x) for x in basis]
+    rng = np.random.default_rng(seed)
+    for _ in range(2):
+        coeffs = rng.uniform(-1, 1, size=len(basis))
+        samples.append(expm_antihermitian(sum(c * x for c, x in zip(coeffs, basis))))
+    sigma = _sigma_on_defining(inv_kind, rep.family, rep.n)
+    eye = np.eye(rep.size)
+    system = np.vstack([np.kron(rep.apply(g), eye)
+                        - np.kron(eye, np.conj(rep.apply(sigma(g))).T) for g in samples])
+    _, sv, vh = np.linalg.svd(system, full_matrices=False)
+    null = vh[sv < 1e-10 * max(sv[0], 1.0)].conj().T
+    return null @ null.conj().T
+
+
+@pytest.mark.parametrize("seed", [1789, 1])
+@pytest.mark.parametrize("group,kind,weight", [
+    ("SU5", "sigmaR", (0, 1, 0, 0)),
+    ("Sp3", "trivial", (0, 1, 0)), ("Sp3", "trivial", (0, 0, 1)),
+    ("Sp3", "sigmaR", (0, 1, 0)), ("Sp3", "sigmaR", (0, 0, 1)),
+    ("SU4", "sigmaH", (0, 1, 0)),
+])
+def test_two_stage_kernel_is_the_stacked_kernel(group, kind, weight, seed):
+    # the intertwiner found on the last sample's kernel spans the kernel
+    # of the whole stacked system
+    rep = rep_for_weight(build_root_data(group), weight)
+    _, s = matrix_oracle_type(rep, kind, seed=seed)
+    v = s.reshape(-1, 1)
+    np.testing.assert_allclose(v @ v.conj().T, _stacked_kernel_projector(rep, kind, seed),
+                               rtol=0, atol=1e-10)
+
+
+def test_su3_defining_has_no_trivial_intertwiner():
+    # C^3 is not self-dual: no S solves rho(g) S = S conj(rho(g))
+    with pytest.raises(OracleError, match="dimension 0"):
+        matrix_oracle_type(defining_rep("SU", 3), "trivial")
 
 
 def test_su2_defining_trivial_is_quaternionic():

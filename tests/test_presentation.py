@@ -462,7 +462,8 @@ def test_negative_exponent_before_the_last_slot_is_refused(group, exp):
         _expand_monomial_cached(rd, funds, exp)
 
 
-@pytest.mark.parametrize("group", ["SU2", "SU3", "Sp2", "G2", "SU3xSU3"])
+@pytest.mark.parametrize("group", ["SU2", "SU3", "Sp2", "G2", "SU3xSU3", "SU2xSU2",
+                                   "SU2xG2", "SU2xSU2xSU2"])
 def test_dominant_weights_up_to_dim_honour_the_bound(group):
     rd = build_root_data(group)
     # dim V_w > w_i (the alpha_i-string through w), so every dominant
