@@ -20,9 +20,9 @@ negative for Quaternionic.
 Representations are modelled concretely for SU(n), Sp(n) and U(n):
 the defining representation, its exterior powers, the primitive (form-
 traceless) parts of exterior powers for Sp(n), and symmetric powers.
-Group elements are sampled as exponentials of a fixed basis of the Lie
-algebra; the accepted intertwiner must keep residuals below tolerance
-on 20 seeded random group elements.
+Group elements are exponentials of a fixed Lie algebra basis and of
+seeded random combinations of it, drawn and mapped as one stack; the
+accepted intertwiner must keep residuals below tolerance on 20 more.
 """
 
 from __future__ import annotations
@@ -126,10 +126,9 @@ def symplectic_j(m):
 
 
 def expm_antihermitian(x):
-    """exp of an antihermitian matrix via eigendecomposition (exact unitary)."""
-    h = -1j * x  # hermitian
-    vals, vecs = np.linalg.eigh(h)
-    return (vecs * np.exp(1j * vals)) @ vecs.conj().T
+    """exp of an antihermitian matrix or stack, by one batched eigh (exact unitary)."""
+    vals, vecs = np.linalg.eigh(-1j * x)  # hermitian
+    return (vecs * np.exp(1j * vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
 def _subsets(n, k):
@@ -148,10 +147,11 @@ def exterior_power(u, k):
     """k-th compound matrix (action on wedge^k of the defining space).
 
     Entry (a, b) is the minor of u on rows subs[a] and columns subs[b];
-    all minors are gathered into one stack and LAPACK factors each.
+    the minors of u, or of every matrix in a stack u, are gathered into
+    one array and LAPACK factors each.
     """
-    subs = _minor_index(u.shape[0], k)
-    return np.linalg.det(u[subs[:, None, :, None], subs[None, :, None, :]])
+    subs = _minor_index(u.shape[-1], k)
+    return np.linalg.det(u[..., subs[:, None, :, None], subs[None, :, None, :]])
 
 
 def _contraction_matrix(n, k, form):
@@ -253,9 +253,10 @@ def symmetric_rep(family, n, k):
     q = _symmetrizer(size, k)
 
     def apply_fn(u):
-        t = np.array([[1.0 + 0j]])
+        t = np.ones(u.shape[:-2] + (1, 1))  # k-fold Kronecker power, per matrix
         for _ in range(k):
-            t = np.kron(t, u)
+            m = t.shape[-1] * u.shape[-1]
+            t = (t[..., :, None, :, None] * u[..., None, :, None, :]).reshape(u.shape[:-2] + (m, m))
         return q.conj().T @ t @ q
 
     return UnitaryRep(family, n, q.shape[1], apply_fn, f"{family}{n} sym^{k}")
@@ -326,12 +327,11 @@ def matrix_oracle_type(rep: UnitaryRep, inv_kind: str,
     if sigma is None:
         raise OracleError(f"no matrix realization of {inv_kind} on "
                           f"{rep.family}({rep.n})")
-    basis = lie_basis(rep.family, rep.n)
-    samples = [expm_antihermitian(x) for x in basis]
+    basis = np.array(lie_basis(rep.family, rep.n))
     rng = np.random.default_rng(seed)
-    for _ in range(2):  # generic combinations guard against degenerate bases
-        coeffs = rng.uniform(-1, 1, size=len(basis))
-        samples.append(expm_antihermitian(sum(c * x for c, x in zip(coeffs, basis))))
+    # the basis and two generic combinations (against degenerate bases), as one stack
+    coeffs = rng.uniform(-1, 1, size=(2, len(basis)))
+    samples = expm_antihermitian(np.concatenate([basis, np.tensordot(coeffs, basis, 1)]))
 
     d = rep.size
     eye = np.eye(d)
@@ -340,14 +340,13 @@ def matrix_oracle_type(rep: UnitaryRep, inv_kind: str,
     # row-major vec.  Stage 2: the other samples on that kernel, one
     # (d^2, k) block per sample; the joint kernel is the stage-1 basis
     # times the kernel of their stack.
-    pairs = [(rep.apply(g), np.conj(rep.apply(sigma(g)))) for g in samples]
-    rg, rsg = pairs[-1]
-    kernel = _null_space(np.kron(rg, eye) - np.kron(eye, rsg.T), 1e-10)
+    rg, rsg = rep.apply(samples), np.conj(rep.apply(sigma(samples)))
+    kernel = _null_space(np.kron(rg[-1], eye) - np.kron(eye, rsg[-1].T), 1e-10)
     k = kernel.shape[1]
     cands = kernel.T.reshape(k, d, d)
     system = np.empty(((len(samples) - 1) * d * d, k), dtype=complex)
-    for block, (rg, rsg) in zip(np.split(system, len(samples) - 1), pairs[:-1]):
-        block[...] = (rg @ cands - cands @ rsg).reshape(k, d * d).T
+    for block, r, rs in zip(np.split(system, len(samples) - 1), rg, rsg):
+        block[...] = (r @ cands - cands @ rs).reshape(k, d * d).T
     null = kernel @ _null_space(system, 1e-10)
     if null.shape[1] != 1:
         raise OracleError(
@@ -362,10 +361,9 @@ def matrix_oracle_type(rep: UnitaryRep, inv_kind: str,
     if np.linalg.norm(ss - c * eye) > tol * max(abs(c), 1.0) * d:
         raise OracleError(f"oracle inconclusive for {rep.label}: S.Sbar not scalar")
 
-    for _ in range(20):
-        coeffs = rng.uniform(-1, 1, size=len(basis))
-        g = expm_antihermitian(sum(cf * x for cf, x in zip(coeffs, basis)))
-        resid = np.linalg.norm(rep.apply(g) @ s - s @ np.conj(rep.apply(sigma(g))))
+    g = expm_antihermitian(np.tensordot(rng.uniform(-1, 1, size=(20, len(basis))), basis, 1))
+    resids = np.linalg.norm(rep.apply(g) @ s - s @ np.conj(rep.apply(sigma(g))), axis=(1, 2))
+    for resid in resids:
         if resid > tol * max(np.linalg.norm(s), 1.0) * 10:
             raise OracleError(f"oracle residual {resid:.2e} above tolerance "
                               f"for {rep.label}")

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -127,7 +128,7 @@ def test_unknown_probe_exits_two(capsys):
 @pytest.mark.parametrize("group,involution,status", [
     ("SU4", "sigmaH", "pass"), ("Sp3", "trivial", "pass"),
     ("G2", "trivial", "skipped"), ("Sp1", "sigmaR", "pass"),
-    ("Sp2", "sigmaR", "pass"), ("Sp3", "sigmaR", "pass")])
+    ("Sp2", "sigmaR", "pass"), ("Sp3", "sigmaR", "pass"), ("U3", "sigmaR", "pass")])
 def test_verify_oracle_suite(tmp_path, group, involution, status):
     out = tmp_path / "o.json"
     assert run(["verify", "--group", group, "--involution", involution,
@@ -214,6 +215,31 @@ def test_override_table(tmp_path):
     # the override flips the defining representation to R type
     assert data["generators"][0]["kind"] == "dR"
     assert data["generators"][0]["degree"] == "1"
+
+
+@pytest.mark.parametrize("group,message", [("F5", "type F needs rank 4"),
+                                           ("G3", "type G needs rank 2")])
+def test_exceptional_rank_mismatch_exits_two(group, message, capsys):
+    assert run(["compute", "--group", group]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("probe,code,overall", [(None, 0, "pass"),
+                                                ("delta-square", 5, "FAIL")])
+def test_text_report_matches_the_json_report(probe, code, overall, capsys):
+    argv = ["verify", "--group", "SU2"]
+    if probe:
+        argv += ["--sensitivity-probe", probe]
+    assert run(argv) == code
+    data = json.loads(capsys.readouterr().out)
+    assert run(argv + ["--format", "text"]) == code
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"group SU2  involution trivial  suite fast  seed {data['seed']}"
+    rows = [re.fullmatch(r"  \[ *(\w+)\] (\S+)(  -- .+)?", line).groups()[:2]
+            for line in lines[1:-1]]
+    assert rows == [(r["status"], r["name"]) for r in data["results"]]
+    assert lines[-1] == f"overall: {overall}"
+    assert data["passed"] is (code == 0)
 
 
 def test_text_format(capsys):

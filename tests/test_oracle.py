@@ -20,6 +20,7 @@ from eqkr.oracle import (
     symmetric_rep,
     symplectic_j,
 )
+from eqkr.realstruct import Involution
 
 
 def _random_complex(rng, rows, cols):
@@ -55,6 +56,53 @@ def test_exterior_power_is_the_compound_matrix(n):
             # Cauchy-Binet: the compound is multiplicative
             _close(exterior_power(a @ b, k), lam_a @ exterior_power(b, k))
         _close(exterior_power(a, n), np.array([[np.linalg.det(a)]]))
+
+
+def _random_unitaries(rng, count, n):
+    return np.linalg.qr(rng.normal(size=(count, n, n))
+                        + 1j * rng.normal(size=(count, n, n)))[0]
+
+
+def _close_slicewise(fn, stack):
+    # a function of a stack of matrices is that function on each slice
+    _close(fn(stack), np.array([fn(u) for u in stack]))
+
+
+def test_expm_antihermitian_on_a_stack():
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(4, 5, 5)) + 1j * rng.normal(size=(4, 5, 5))
+    x = a - a.conj().swapaxes(1, 2)
+    _close_slicewise(expm_antihermitian, x)
+    u = expm_antihermitian(x)
+    _close(u @ u.conj().swapaxes(1, 2), np.broadcast_to(np.eye(5), u.shape))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_exterior_power_on_a_stack(n):
+    us = _random_unitaries(np.random.default_rng(n), 3, n)
+    for k in range(n + 1):
+        _close_slicewise(lambda u: exterior_power(u, k), us)
+
+
+@pytest.mark.parametrize("make,defining_size", [
+    (lambda: primitive_exterior_rep(3, 2), 6),
+    (lambda: primitive_exterior_rep(3, 3), 6),
+    (lambda: symmetric_rep("SU", 2, 3), 2),
+], ids=["Sp3-omega2", "Sp3-omega3", "SU2-sym3"])
+def test_rep_apply_on_a_stack(make, defining_size):
+    rep = make()
+    us = _random_unitaries(np.random.default_rng(defining_size), 4, defining_size)
+    assert rep.apply(us).shape == (4, rep.size, rep.size)
+    _close_slicewise(rep.apply, us)
+
+
+@pytest.mark.parametrize("inv_kind,family,n,size", [
+    ("trivial", "SU", 3, 3), ("sigmaR", "SU", 3, 3), ("sigmaR", "Sp", 2, 4),
+    ("sigmaH", "SU", 4, 4), ("sigmaH", "U", 2, 2),
+])
+def test_sigma_on_defining_on_a_stack(inv_kind, family, n, size):
+    sigma = _sigma_on_defining(inv_kind, family, n)
+    _close_slicewise(sigma, _random_unitaries(np.random.default_rng(size), 3, size))
 
 
 def test_null_space_of_wide_and_tall_matrices():
@@ -191,3 +239,16 @@ def test_sigma_h_alternation_cross_check():
         rep = defining_rep("SU", 4) if k == 1 else exterior_rep("SU", 4, k)
         t, _ = matrix_oracle_type(rep, "sigmaH")
         assert t == expect
+
+
+@pytest.mark.parametrize("group,kind", [("U2", "sigmaR"), ("U3", "sigmaR"), ("U4", "sigmaH")])
+def test_unitary_group_fundamentals_match_the_catalog(group, kind):
+    # U(n) takes the u(n) basis (su(n) and the centre) and the U branch
+    # of rep_for_weight; every fundamental is self-twisted-dual here
+    rd = build_root_data(group)
+    inv = Involution(rd, kind)
+    funds = rd.fundamental_weights()
+    assert all(inv.twisted_dual_weight(w) == w for w in funds)
+    for w in funds:
+        got, _ = matrix_oracle_type(rep_for_weight(rd, w), kind)
+        assert got == inv.catalog_type(w), w
