@@ -340,7 +340,8 @@ def matrix_oracle_type(rep: UnitaryRep, inv_kind: str,
     # row-major vec.  Stage 2: the other samples on that kernel, one
     # (d^2, k) block per sample; the joint kernel is the stage-1 basis
     # times the kernel of their stack.
-    rg, rsg = rep.apply(samples), np.conj(rep.apply(sigma(samples)))
+    rg = rep.apply(samples)  # under trivial, rho(sigma g) is rho(g): map once
+    rsg = np.conj(rg if inv_kind == "trivial" else rep.apply(sigma(samples)))
     kernel = _null_space(np.kron(rg[-1], eye) - np.kron(eye, rsg[-1].T), 1e-10)
     k = kernel.shape[1]
     cands = kernel.T.reshape(k, d, d)
@@ -362,7 +363,9 @@ def matrix_oracle_type(rep: UnitaryRep, inv_kind: str,
         raise OracleError(f"oracle inconclusive for {rep.label}: S.Sbar not scalar")
 
     g = expm_antihermitian(np.tensordot(rng.uniform(-1, 1, size=(20, len(basis))), basis, 1))
-    resids = np.linalg.norm(rep.apply(g) @ s - s @ np.conj(rep.apply(sigma(g))), axis=(1, 2))
+    rg = rep.apply(g)
+    rsg = rg if inv_kind == "trivial" else rep.apply(sigma(g))
+    resids = np.linalg.norm(rg @ s - s @ np.conj(rsg), axis=(1, 2))
     for resid in resids:
         if resid > tol * max(np.linalg.norm(s), 1.0) * 10:
             raise OracleError(f"oracle residual {resid:.2e} above tolerance "

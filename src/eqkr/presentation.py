@@ -145,13 +145,14 @@ class RClassIndex(FrozenRecord):
 
 
 class RingElement:
-    """A finite sum of (coefficient, normal-form term) pairs."""
+    """A finite sum of (coefficient, normal-form term) pairs, normalised
+    on construction (Presentation._normalize_terms)."""
 
     __slots__ = ("p", "terms")
 
     def __init__(self, p, terms):
         self.p = p
-        self.terms = {t: c for t, c in terms.items() if c != 0}
+        self.terms = p._normalize_terms(terms)
 
     def __bool__(self):
         return bool(self.terms)
@@ -163,9 +164,6 @@ class RingElement:
         if not isinstance(other, RingElement):
             return NotImplemented
         return self.p is other.p and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def __add__(self, other):
         self.p._check_same(other)
@@ -193,12 +191,6 @@ class RingElement:
 
     def degrees(self):
         return sorted({self.p.term_degree(t) for t in self.terms})
-
-    def degree(self):
-        degs = self.degrees()
-        if len(degs) > 1:
-            raise PresentationError(f"inhomogeneous element: degrees {degs}")
-        return degs[0] if degs else None
 
     def __repr__(self):
         if not self.terms:
@@ -253,13 +245,15 @@ class Presentation:
     ``_realify`` the one realification of a BZ term dict, and
     ``_mul_kr_unit`` multiplies two KR terms in two cases: no r-slot
     (type bookkeeping) or a slot (the projection formula).  Each
-    presentation memoises its own KR term arithmetic at unit
-    coefficient: ``_mul_table`` maps an ordered pair of terms to their
-    product and ``_realify_table`` maps (w, j, bits, allow_flip) to the
-    realification of that BZ term; ``_weight_tau`` maps a weight to its
-    twisted dual; ``_derivation_table`` maps (cofactor exponents, i) to
-    the terms of f^cofactor . df_i.  A mutant or an augmented copy is a
-    new presentation and starts with empty tables.
+    presentation memoises its own term arithmetic at unit coefficient:
+    ``_mul_table`` maps an ordered pair of terms of the presentation's
+    own kind (KR, or BZ/K) to their product, ``_realify_table`` maps
+    (w, j, bits, allow_flip) to the realification of that BZ term and
+    ``_c_table`` maps a KR term to its complexification; ``_weight_tau``
+    maps a weight to its twisted dual; ``_derivation_table`` maps
+    (cofactor exponents, i) to the terms of f^cofactor . df_i.  Table
+    entries are shared, so read only.  A mutant or an augmented copy is
+    a new presentation and starts with empty tables.
     """
 
     def __init__(self, rd: RootData, inv, split, kind: str, factors, gens):
@@ -274,6 +268,7 @@ class Presentation:
         self._tensor_cache = {}
         self._mul_table = {}
         self._realify_table = {}
+        self._c_table = {}
         self._weight_tau = {}
         self._derivation_table = {}
         self._lam_gen = {g.pair: g.index for g in self.gens if g.kind == "lam"}
@@ -309,7 +304,7 @@ class Presentation:
             raise PresentationError("operands belong to different presentations")
 
     def _element(self, terms):
-        return RingElement(self, self._normalize_terms(terms))
+        return RingElement(self, terms)
 
     def zero(self):
         return RingElement(self, {})
@@ -458,7 +453,7 @@ class Presentation:
         return fi
 
     # -- BZ arithmetic -------------------------------------------------------------
-    def _mul_bz_terms(self, t1, t2):
+    def _mul_bz_unit(self, t1, t2):
         """Product of two BZ terms at unit coefficient."""
         w1, j1, b1 = t1
         w2, j2, b2 = t2
@@ -478,7 +473,7 @@ class Presentation:
         for t1, c1 in a.items():
             for t2, c2 in b.items():
                 c12 = c1 * c2
-                for t, c in self._mul_bz_terms(t1, t2).items():
+                for t, c in self._mul_bz_unit(t1, t2).items():
                     out[t] = out.get(t, 0) + c12 * c
         return {t: c for t, c in out.items() if c}
 
@@ -639,9 +634,17 @@ class Presentation:
 
     def _c_image(self, term):
         """Complexification of one KR term, as a BZ term dict over this
-        presentation's catalog: V_cw . c(cls), beta^2 more on an H-type
-        weight, times beta dG[f] for dR/dH[f], -beta^3 dG[gamma_k]
-        dG[sigmabar gamma_k] for lam_k, and x + tau x for the slot r(x)."""
+        presentation's catalog, computed once per term.  The returned
+        dict is the table entry itself: read only."""
+        image = self._c_table.get(term)
+        if image is None:
+            image = self._c_table[term] = self._c_unit(term)
+        return image
+
+    def _c_unit(self, term):
+        """V_cw . c(cls), beta^2 more on an H-type weight, times beta
+        dG[f] for dR/dH[f], -beta^3 dG[gamma_k] dG[sigmabar gamma_k] for
+        lam_k, and x + tau x for the slot r(x)."""
         cw, cls, plain, rslot = term
         shift = 2 if (cw != self.zero_weight
                       and self.classify(cw).type == TYPE_H) else 0
@@ -713,18 +716,8 @@ class Presentation:
                     pairs[(rep, (2 * parity + i) % 4, ())] = ma * a
         return frags, pairs
 
-    def _mul_kr_terms(self, t1, t2):
-        """Product of two KR terms at unit coefficient, computed once per
-        ordered pair: the product is bilinear, and the mod-2 reduction of
-        torsion atoms happens later, in _normalize_terms.  The returned
-        dict is the table entry itself: read only."""
-        key = (t1, t2)
-        unit = self._mul_table.get(key)
-        if unit is None:
-            unit = self._mul_table[key] = self._mul_kr_unit(t1, t2)
-        return unit
-
     def _mul_kr_unit(self, t1, t2):
+        """Product of two KR terms at unit coefficient."""
         cw1, cls1, p1, s1 = t1
         cw2, cls2, p2, s2 = t2
         if s1 is None and s2 is None:
@@ -776,23 +769,31 @@ class Presentation:
 
     # -- normalization and public multiplication ------------------------------------
     def _normalize_terms(self, terms):
+        if self.kind != "KR":
+            return {t: c for t, c in terms.items() if c}
         out = {}
         for t, c in terms.items():
-            if self.kind == "KR" and t[1] in KR_TORSION:
+            if t[1] in KR_TORSION:
                 c %= 2
             if c:
                 out[t] = c
         return out
 
     def _mul_elements(self, a, b):
-        mul = self._mul_kr_terms if self.kind == "KR" else self._mul_bz_terms
+        """Bilinear, through _mul_table: each ordered pair of terms is
+        multiplied once, at unit coefficient (torsion is reduced later)."""
+        table = self._mul_table
+        unit_mul = self._mul_kr_unit if self.kind == "KR" else self._mul_bz_unit
         out = {}
         for t1, c1 in a.terms.items():
             for t2, c2 in b.terms.items():
+                unit = table.get((t1, t2))
+                if unit is None:
+                    unit = table[t1, t2] = unit_mul(t1, t2)
                 c12 = c1 * c2
-                for t, c in mul(t1, t2).items():
+                for t, c in unit.items():
                     out[t] = out.get(t, 0) + c12 * c
-        return self._element(out)
+        return RingElement(self, out)
 
     # -- derivation ---------------------------------------------------------------
     def _derivation_unit(self, cof, i):

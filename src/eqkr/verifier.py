@@ -90,15 +90,17 @@ def odd_monomials(p: Presentation, degree: int):
 
 def random_odd_element(p, pool, rng, max_terms=4):
     """Integer combination of odd monomials, scaled by even coefficients."""
-    x = p.zero()
+    out = {}
     for _ in range(rng.randint(1, max_terms)):
         m = pool[rng.randrange(len(pool))]
         if rng.random() < 0.35:
             m = m * p.scalar(KRCoeff.basis("mu"))
         if rng.random() < 0.25 and p.split is not None and p.split.real:
             m = m * p.class_element(p.split.real[0])
-        x = x + m * rng.randint(-5, 5)
-    return x
+        k = rng.randint(-5, 5)
+        for t, c in m.terms.items():
+            out[t] = out.get(t, 0) + c * k
+    return p._element(out)
 
 
 # ---------------------------------------------------------------------------
@@ -168,11 +170,13 @@ def verify_leibniz(p: Presentation, bound: int = 15,
                         key = tuple(x + y for x, y in zip(e1, e2))
                         prod_poly[key] = prod_poly.get(key, 0) + c1 * c2
                 lhs = delta_lift(q, prod_poly)
-                rhs = q.zero()
+                rhs = {}
                 for nu, m in p.tensor(a, b).items():
                     if nu not in lifts:
                         lifts[nu] = delta_lift(q, poly(nu))
-                    rhs = rhs + lifts[nu] * m
+                    for t, c in lifts[nu].terms.items():
+                        rhs[t] = rhs.get(t, 0) + c * m
+                rhs = q._element(rhs)
                 if lhs != rhs:
                     return (f"derivation disagrees on {a} x {b}: "
                             f"lhs {lhs!r}, rhs {rhs!r}")

@@ -9,6 +9,7 @@ from eqkr.groups import build_root_data, tensor_decompose, weyl_dimension
 from eqkr.presentation import (
     PresentationError,
     RClassIndex,
+    RingElement,
     _expand_monomial_cached,
     as_fundamental_polynomial,
     augment_bz,
@@ -24,7 +25,7 @@ from eqkr.presentation import (
     rclass_square,
 )
 from eqkr.realstruct import Involution
-from eqkr.verifier import odd_monomials
+from eqkr.verifier import odd_monomials, verify_cr, verify_leibniz, verify_squares
 
 # ---------------------------------------------------------------------------
 # Brylinski-Zhang side
@@ -562,6 +563,71 @@ def test_term_tables_are_linear_in_the_coefficient():
     assert any(t[1] in ("eta", "eta2") for t in rz.terms)
     for k in (-3, 2, 5):
         assert p.realify_bz(z * k) == rz * k
+
+
+def _stale_entries(warm, ref):
+    """Keys of warm's term tables whose entry differs from its
+    recomputation in the cold presentation ref."""
+    unit_mul = ref._mul_kr_unit if ref.kind == "KR" else ref._mul_bz_unit
+    stale = [k for k, v in warm._mul_table.items() if unit_mul(*k) != v]
+    stale += [k for k, v in warm._realify_table.items() if ref._realify_unit(*k) != v]
+    stale += [k for k, v in warm._c_table.items() if ref._c_unit(k) != v]
+    return stale
+
+
+def _assert_warm_answers_like_cold(warm, name, kind):
+    cold = kr(name, kind)
+    rng = random.Random(17)
+    pool = [e for _, e in _homogeneous_pool(warm)]
+    cold_pool = [e for _, e in _homogeneous_pool(cold)]
+    c_warm, c_cold = complexify(warm), complexify(cold)
+    for _ in range(60):
+        i, j = rng.randrange(len(pool)), rng.randrange(len(pool))
+        assert (pool[i] * pool[j]).terms == (cold_pool[i] * cold_pool[j]).terms
+        assert c_warm(pool[i]).terms == c_cold(cold_pool[i]).terms
+        assert ((c_warm(pool[i]) * c_warm(pool[j])).terms
+                == (c_cold(cold_pool[i]) * c_cold(cold_pool[j])).terms)
+    ws = list(warm.split.real) + list(warm.split.quat)
+    for a, b in itertools.combinations_with_replacement(ws, 2):
+        poly = {tuple(x + y for x, y in zip(e1, e2)): c1 * c2
+                for e1, c1 in as_fundamental_polynomial(warm.rd, a).items()
+                for e2, c2 in as_fundamental_polynomial(warm.rd, b).items()}
+        assert delta_lift(warm, poly).terms == delta_lift(cold, poly).terms
+    # no caller changed a shared table entry
+    assert _stale_entries(warm, kr(name, kind)) == []
+    assert _stale_entries(c_warm.target, complexify(kr(name, kind)).target) == []
+
+
+@pytest.mark.parametrize("name,kind", [("SU3", "trivial"), ("SU4", "sigmaH"),
+                                       ("SU2xSU2", ("trivial", "sigmaR")),
+                                       ("U3", "sigmaR")])
+def test_warm_presentation_answers_like_a_cold_one(name, kind):
+    warm = kr(name, kind)
+    for check in (verify_squares, verify_cr, verify_leibniz):
+        assert check(warm).passed
+    assert warm._mul_table and warm._realify_table and warm._c_table
+    _assert_warm_answers_like_cold(warm, name, kind)
+
+
+def test_a_poisoned_c_table_entry_is_caught():
+    warm = kr("SU3", "trivial")
+    assert verify_cr(warm).passed
+    term, image = next((t, v) for t, v in warm._c_table.items() if v)
+    warm._c_table[term] = {t: c + 1 for t, c in image.items()}
+    assert _stale_entries(warm, kr("SU3", "trivial")) == [term]
+    with pytest.raises(AssertionError):
+        _assert_warm_answers_like_cold(warm, "SU3", "trivial")
+
+
+def test_the_public_constructor_normalises():
+    p = kr("SU3", "trivial")
+    z = p.zero_weight
+    t, t_eta = (z, "1", (), None), (z, "eta", (), None)
+    assert RingElement(p, {t_eta: 2, t: 0}).is_zero()
+    assert RingElement(p, {t_eta: -3, t: -2}).terms == {t_eta: 1, t: -2}
+    bz = complexify(p).target
+    u = (z, 1, (0,))
+    assert RingElement(bz, {u: 2, (z, 0, ()): 0}).terms == {u: 2}
 
 
 def test_mixed_split_su4_trivial():
