@@ -50,15 +50,7 @@ class KCoeff(FrozenRecord):
     def __add__(self, other):
         return KCoeff(tuple(a + b for a, b in zip(self.c, other.c)))
 
-    def __neg__(self):
-        return KCoeff(tuple(-a for a in self.c))
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
-        if isinstance(other, int):
-            return KCoeff(tuple(a * other for a in self.c))
         out = [0, 0, 0, 0]
         for i, a in enumerate(self.c):
             if a:
@@ -66,8 +58,6 @@ class KCoeff(FrozenRecord):
                     if b:
                         out[(i + j) % 4] += a * b
         return KCoeff(tuple(out))
-
-    __rmul__ = __mul__
 
     def conj(self):
         """Complex conjugation: beta -> -beta."""
@@ -105,12 +95,6 @@ class KRCoeff(FrozenRecord):
     def __add__(self, other):
         return KRCoeff(self.one + other.one, self.eta + other.eta,
                        self.eta2 + other.eta2, self.mu + other.mu)
-
-    def __neg__(self):
-        return KRCoeff(-self.one, self.eta, self.eta2, -self.mu)
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):

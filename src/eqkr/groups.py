@@ -175,8 +175,6 @@ def parse_group(text: str) -> GroupSpec:
             raise UnsupportedGroupError(
                 f"{fam}({n}) unsupported: {fam} needs n >= {_MIN_RANK[fam]}")
         factors.append((fam, n))
-    if not factors:
-        raise UnsupportedGroupError("empty group specification")
     return GroupSpec(tuple(factors))
 
 
@@ -193,11 +191,17 @@ class RootData:
     ProductRootData concatenates its factors' weights.  ``split`` cuts a
     weight into factor parts, ``join`` glues parts back and ``combine``
     builds a product's weight map from one map per factor.  A factor
-    subclass provides the simple-reflection action, pairings with simple
-    coroots, the invariant inner product, the positive roots and
-    dominance; the character and tensor kernels below run factor by
-    factor on that interface and are cached per root-data object, which
-    is why build_root_data hands out one object per group.
+    subclass provides the primitives: ``n_simple()``; ``pairing_simple(v,
+    i)`` = <v, alpha_i^vee>; the simple reflection ``reflect_simple(v,
+    i)``; ``ip(v, w)``, the invariant inner product scaled to be integer
+    on weights; ``rho_vec()``, any vector with <rho, alpha_i^vee> = 1 for
+    all i; ``positive_roots()`` with ``coroot_pairing(v, c)``, and
+    ``positive_root_vecs()`` as (weight-lattice vector, height) pairs.
+    Every root data gives ``fundamental_weights()``, the ordered
+    highest weights of the fundamental representations.  The character
+    and tensor kernels below run factor by factor on that interface and
+    are cached per root-data object, which is why build_root_data hands
+    out one object per group.
     """
 
     spec: GroupSpec
@@ -208,36 +212,8 @@ class RootData:
         self.spec = spec
         self.factors = (self,)
 
-    # -- factor primitives ----------------------------------------------------
-    def n_simple(self):
-        raise NotImplementedError
-
-    def pairing_simple(self, v, i):
-        """<v, alpha_i^vee>."""
-        raise NotImplementedError
-
-    def reflect_simple(self, v, i):
-        raise NotImplementedError
-
-    def ip(self, v, w):
-        """Invariant inner product, scaled by a fixed positive integer so
-        that it is integer-valued on weights."""
-        raise NotImplementedError
-
-    def rho_vec(self):
-        """A rho substitute: any vector with <rho, alpha_i^vee> = 1 for all i."""
-        raise NotImplementedError
-
-    def positive_root_vecs(self):
-        """Positive roots as (weight-lattice vector, height) pairs."""
-        raise NotImplementedError
-
     def is_dominant(self, v):
         return all(self.pairing_simple(v, i) >= 0 for i in range(self.n_simple()))
-
-    def fundamental_weights(self):
-        """Ordered tuple of the fundamental-representation highest weights."""
-        raise NotImplementedError
 
     def positive_coroot_pairing(self, v):
         """<v, 2 rho^vee> = sum over positive roots of <v, alpha^vee>."""
@@ -457,12 +433,6 @@ class UnRootData(RootData):
     def coroot_pairing(self, v, c):
         i, j = c
         return v[i] - v[j]
-
-    def diagram_automorphisms(self):
-        if self.n <= 2:
-            return ((),) if self.n == 1 else ((0,),)
-        idx = tuple(range(self.n - 1))
-        return tuple(sorted([idx, tuple(reversed(idx))]))
 
 
 class ProductRootData(RootData):

@@ -214,9 +214,6 @@ class UnitaryRep:
         self.apply = apply_fn
         self.label = label
 
-    def __repr__(self):
-        return f"UnitaryRep({self.label}, dim {self.size})"
-
 
 def defining_rep(family, n):
     size = 2 * n if family == "Sp" else n
@@ -263,32 +260,19 @@ def symmetric_rep(family, n, k):
 
 
 def rep_for_weight(rd: RootData, lam) -> UnitaryRep | None:
-    """A concrete matrix model for lam, when the catalog has one."""
+    """A concrete matrix model for lam, when the catalog has one: the
+    fundamental representations of SU(n), Sp(n) and U(n)."""
     if len(rd.factors) > 1:
         return None
     fam, n = rd.spec.factors[0]
+    funds = rd.fundamental_weights()
     lam = tuple(lam)
-    if fam == "SU":
-        if sum(lam) == 0:
-            return None
-        if set(lam) <= {0, 1} and sum(lam) == 1:
-            k = lam.index(1) + 1
-            return defining_rep(fam, n) if k == 1 else exterior_rep(fam, n, k)
-        if n == 2:
-            return symmetric_rep(fam, n, lam[0])
+    if fam not in ("SU", "Sp", "U") or lam not in funds:
         return None
-    if fam == "Sp":
-        if set(lam) <= {0, 1} and sum(lam) == 1:
-            k = lam.index(1) + 1
-            return defining_rep(fam, n) if k == 1 else primitive_exterior_rep(n, k)
-        return None
-    if fam == "U":
-        funds = rd.fundamental_weights()
-        if lam in funds:
-            k = funds.index(lam) + 1
-            return defining_rep(fam, n) if k == 1 else exterior_rep(fam, n, k)
-        return None
-    return None
+    k = funds.index(lam) + 1
+    if k == 1:
+        return defining_rep(fam, n)
+    return primitive_exterior_rep(n, k) if fam == "Sp" else exterior_rep(fam, n, k)
 
 
 def _sigma_on_defining(inv_kind, family, n):

@@ -175,9 +175,6 @@ class RingElement:
     def __neg__(self):
         return self.p._element({t: -c for t, c in self.terms.items()})
 
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, int):
             return self.p._element({t: c * other for t, c in self.terms.items()})
@@ -190,6 +187,7 @@ class RingElement:
         return NotImplemented
 
     def degrees(self):
+        """The sorted degrees of the terms of a KR element."""
         return sorted({self.p.term_degree(t) for t in self.terms})
 
     def __repr__(self):
@@ -341,9 +339,7 @@ class Presentation:
 
     # -- degrees ---------------------------------------------------------------
     def term_degree(self, t):
-        if self.kind in ("BZ", "K"):
-            w, j, bits = t
-            return canon_degree(-2 * j - len(bits))
+        """Degree of a KR term."""
         cw, cls, plain, rslot = t
         d = KR_DEGREE[cls]
         if cw != self.zero_weight and self.classify(cw).type == TYPE_H:
@@ -506,8 +502,6 @@ class Presentation:
         happens later, in _normalize_terms, so the unit result is
         computed once per (w, j, bits, allow_flip) and scaled here.
         """
-        if coeff == 0:
-            return []
         key = (w, j, bits, allow_flip)
         unit = self._realify_table.get(key)
         if unit is None:
@@ -583,9 +577,9 @@ class Presentation:
         if rho is None and not eps and not nu:
             return [((cw, name, plain, None), sign * val)
                     for name, val in r_pattern(j).as_dict().items() if val]
+        # the lam factors took whole pairs out of the strictly increasing
+        # bits, so the slot uses none of their pairs: no lam kill here
         slot = (rho, j % 4, eps, nu)
-        if self._lam_kills(plain, slot):
-            return []
         # the leftover factors bl are the slot's, sorted: r(bl) = s . r(slot)
         _, slot_sign = self._slot_to_bz(slot)
         return [((cw, "1", plain, slot), sign * slot_sign)]

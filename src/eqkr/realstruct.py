@@ -109,9 +109,6 @@ class Involution:
                     f"override weight {lam} is not self-twisted-dual: it is "
                     "of complex type and cannot be R or H")
 
-    def __repr__(self):
-        return f"Involution({self.rd.spec}, {','.join(map(str, self.kinds))})"
-
     @property
     def name(self):
         return ",".join(k if isinstance(k, str) else "custom" for k in self.kinds)

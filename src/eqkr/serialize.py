@@ -34,8 +34,6 @@ def _stringify(obj):
         return obj
     if isinstance(obj, int):
         return str(obj)
-    if isinstance(obj, float):
-        return repr(obj)
     if isinstance(obj, (list, tuple)):
         return [_stringify(x) for x in obj]
     if isinstance(obj, dict):

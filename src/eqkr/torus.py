@@ -33,8 +33,7 @@ class LaurentForm(FrozenRecord):
 
     @staticmethod
     def monomial(n, exps, dbits=(), coeff=1):
-        if coeff == 0:
-            return LaurentForm(n, {})
+        """coeff . e^exps . de_dbits, for a nonzero coeff."""
         return LaurentForm(n, {(tuple(exps), tuple(sorted(dbits))): coeff})
 
     @staticmethod
@@ -56,11 +55,6 @@ class LaurentForm(FrozenRecord):
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            if other == 0:
-                return LaurentForm.zero(self.n)
-            return LaurentForm(self.n,
-                               {k: c * other for k, c in self.terms.items()})
         out = {}
         for (e1, d1), c1 in self.terms.items():
             for (e2, d2), c2 in other.terms.items():
@@ -74,8 +68,6 @@ class LaurentForm(FrozenRecord):
                 if out[key] == 0:
                     del out[key]
         return LaurentForm(self.n, out)
-
-    __rmul__ = __mul__
 
     def d(self):
         """Exterior differential: d(e^a) = sum_j a_j e^{a - delta_j} de_j."""
@@ -93,16 +85,6 @@ class LaurentForm(FrozenRecord):
 
     def is_zero(self):
         return not self.terms
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for (e, d), c in sorted(self.terms.items()):
-            mono = ".".join(f"e{j+1}^{x}" for j, x in enumerate(e) if x) or "1"
-            wedge = "".join(f".de{j+1}" for j in d)
-            bits.append(f"{c}*{mono}{wedge}")
-        return " + ".join(bits)
 
 
 def _wedge_sign(d1, d2):

@@ -326,10 +326,7 @@ def enumerate_rclasses(p: Presentation, count: int):
             for eps, nu in patterns:
                 if rho is None and not any(eps) and not any(nu):
                     continue
-                try:
-                    out.append(RClassIndex(rho, i, eps, nu))
-                except ValueError:
-                    continue
+                out.append(RClassIndex(rho, i, eps, nu))
                 if len(out) >= count:
                     return out
     return out
@@ -376,8 +373,6 @@ def verify_rclass_squares(p: Presentation, seed: int = DEFAULT_SEED) -> CheckRes
     the zero case vanishes, and otherwise the trivial-weight lam-monomial
     term has exactly the predicted coefficient."""
     def run():
-        if not p.split.t:
-            return None
         for idx in enumerate_rclasses(p, 24):
             if idx.factor_count == 0:
                 continue

@@ -11,7 +11,7 @@ from conftest import GOLDEN
 import eqkr
 from eqkr.cli import main
 from eqkr.groups import SimpleRootData, build_root_data
-from eqkr.presentation import build_kr_presentation
+from eqkr.presentation import build_bz_presentation, build_kr_presentation
 from eqkr.realstruct import involution_from_name
 from eqkr.serialize import presentation_payload
 from eqkr.verifier import make_mutant
@@ -37,6 +37,8 @@ def test_compute_su3_sigma_r(tmp_path, capsys):
 def test_compute_validation_exit_codes(capsys):
     assert run(["compute", "--group", "SU3", "--involution", "sigmaH"]) == 2
     assert run(["compute", "--group", "SU1"]) == 2
+    assert run(["compute", "--group", "SU3", "--involution", "foo"]) == 2
+    assert "unknown involution 'foo'" in capsys.readouterr().err
     code = run(["compute", "--group", "U2", "--involution", "trivial"])
     assert code == 3
     err = capsys.readouterr().err
@@ -59,6 +61,13 @@ def test_verify_weyl_suite(tmp_path):
                 "--out", str(out)]) == 0
     data = json.loads(out.read_text())
     assert data["results"][0]["name"].startswith("weyl-denominator")
+
+
+def test_verify_weyl_suite_skips_a_group_without_a_unitary_factor(capsys):
+    assert run(["verify", "--group", "SU2", "--suite", "weyl"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert [(r["name"], r["status"]) for r in data["results"]] == [
+        ("weyl-denominator", "skipped")]
 
 
 @pytest.mark.parametrize("suite", ["weyl", "none"])
@@ -128,7 +137,8 @@ def test_unknown_probe_exits_two(capsys):
 @pytest.mark.parametrize("group,involution,status", [
     ("SU4", "sigmaH", "pass"), ("Sp3", "trivial", "pass"),
     ("G2", "trivial", "skipped"), ("Sp1", "sigmaR", "pass"),
-    ("Sp2", "sigmaR", "pass"), ("Sp3", "sigmaR", "pass"), ("U3", "sigmaR", "pass")])
+    ("Sp2", "sigmaR", "pass"), ("Sp3", "sigmaR", "pass"), ("U3", "sigmaR", "pass"),
+    ("SU2xSU2", "trivial,trivial", "skipped"), ("SU3", "trivial", "skipped")])
 def test_verify_oracle_suite(tmp_path, group, involution, status):
     out = tmp_path / "o.json"
     assert run(["verify", "--group", group, "--involution", involution,
@@ -218,7 +228,8 @@ def test_override_table(tmp_path):
 
 
 @pytest.mark.parametrize("group,message", [("F5", "type F needs rank 4"),
-                                           ("G3", "type G needs rank 2")])
+                                           ("G3", "type G needs rank 2"),
+                                           ("G0", "rank 0 invalid for type G")])
 def test_exceptional_rank_mismatch_exits_two(group, message, capsys):
     assert run(["compute", "--group", group]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
@@ -343,3 +354,11 @@ def test_square_provenance_follows_the_computed_square():
     first, second = bad["relations"][:2]
     assert first["rhs"] != "0" and "override" in first["provenance"]
     assert second["provenance"].startswith("generator square zero")
+
+
+def test_payload_of_a_k_theory_presentation():
+    bz = build_bz_presentation(build_root_data("SU3"))
+    data = presentation_payload(bz, 10)
+    assert [g["name"] for g in data["generators"]] == ["δ_G[1,0]", "δ_G[0,1]"]
+    assert (data["involution"], data["coefficients"]) == ("trivial", "R(G)")
+    assert all(r["rhs"] == "0" for r in data["relations"])

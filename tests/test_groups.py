@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import random
@@ -12,11 +13,13 @@ import eqkr
 
 from eqkr.groups import (
     DominanceError,
+    GroupSpec,
     InvariantError,
     SimpleRootData,
     UnsupportedGroupError,
     _dominant_multiplicities,
     build_root_data,
+    cartan_matrix,
     character,
     parse_group,
     tensor_decompose,
@@ -413,6 +416,20 @@ def test_group_spec_validation():
     assert str(parse_group("SU2xSp3")) == "SU2xSp3"
 
 
+@pytest.mark.parametrize("factor,message", [
+    (("Spin", 4), "type D needs rank >= 3"), (("Spin", 3), "type B needs rank >= 2"),
+    (("SU", 1), "rank 0 invalid for type A"), (("X", 1), "unsupported family X")])
+def test_a_hand_built_group_spec_is_checked_by_the_root_data(factor, message):
+    # a GroupSpec built directly skips parse_group's rank table
+    with pytest.raises(UnsupportedGroupError, match=message):
+        build_root_data(GroupSpec((factor,)))
+
+
+def test_cartan_matrix_refuses_an_unknown_series():
+    with pytest.raises(UnsupportedGroupError, match="unknown series 'X'"):
+        cartan_matrix("X", 2)
+
+
 def test_dominance_errors():
     rd = build_root_data("SU3")
     with pytest.raises(DominanceError):
@@ -438,6 +455,15 @@ def test_invariant_error_survives_optimized_mode():
     res = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, timeout=60)
     assert res.returncode == 0, res.stderr
+
+
+def test_the_package_has_no_assert_statement():
+    # python -O strips assert, so every check in eqkr raises a typed error
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(Path(eqkr.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def _broken_form(monkeypatch, form):

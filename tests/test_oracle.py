@@ -171,6 +171,13 @@ def test_two_stage_kernel_is_the_stacked_kernel(group, kind, weight, seed):
                                rtol=0, atol=1e-10)
 
 
+def test_models_outside_the_catalog_are_refused():
+    with pytest.raises(OracleError, match="no matrix realization of sigmaH on SU\\(3\\)"):
+        matrix_oracle_type(defining_rep("SU", 3), "sigmaH")
+    with pytest.raises(OracleError, match="no Lie algebra model for family G"):
+        lie_basis("G", 2)
+
+
 def test_su3_defining_has_no_trivial_intertwiner():
     # C^3 is not self-dual: no S solves rho(g) S = S conj(rho(g))
     with pytest.raises(OracleError, match="dimension 0"):

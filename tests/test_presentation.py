@@ -656,3 +656,84 @@ def test_stress_verifier_on_wider_groups():
         assert verify_module_iso(p, 18).passed
         if p.split.t:
             assert verify_rclass_squares(p).passed
+
+
+# ---------------------------------------------------------------------------
+# element protocol, labels and refused inputs
+# ---------------------------------------------------------------------------
+
+def test_ring_element_truth_and_foreign_operands():
+    p = kr("SU3", "trivial")
+    assert p.one() and not p.zero()
+    assert p.one() != 1
+    with pytest.raises(TypeError):
+        1.5 * p.one()
+
+
+def test_term_labels():
+    bz = build_bz_presentation(build_root_data("SU3"))
+    assert repr(bz.dg_element(0, 1, (0, 1))) == "1*V[0,1].b^1.dG[1,0]"
+    p = kr("SU4", "trivial")
+    assert repr(p.class_element((0, 1, 0), "eta")) == "1*V[0,1,0].eta"
+    lam = next(g for g in p.gens if g.kind == "lam")
+    x = p.gen_element(lam.index) * p.rclass_element(RClassIndex((0, 0, 1), 2, (0,), (0,)))
+    assert repr(x) == "1*lam[1].r[0,0,1;2;-;-]"
+    assert repr(p.rclass_element(RClassIndex(None, 1, (1,), (0,)))) == "1*r[1;1;0;-]"
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda p, bz: bz.scalar(KRCoeff.unit()), "KR scalars only live in KR"),
+    (lambda p, bz: p.class_element((1, 0)), "complex type"),
+    (lambda p, bz: p.dg_element(0), "dg_element lives in BZ"),
+    (lambda p, bz: p.bz_weight((1, 0)), "bz_weight lives in BZ"),
+    (lambda p, bz: bz.rclass_element(RClassIndex(None, 0, (1,), (0,))),
+     "realified classes live in KR"),
+    (lambda p, bz: p.rclass_element(RClassIndex(None, 0, (), ())), "length t=1"),
+    (lambda p, bz: p.rclass_element(RClassIndex((1, 1), 0, (1,), (0,))),
+     "must be trivial or complex type"),
+    (lambda p, bz: bz.realify_bz(bz.one()), "lands in a KR presentation"),
+    (lambda p, bz: p.realify_bz(bz.one()), "different catalog"),
+    (lambda p, bz: complexify(bz), "maps a KR presentation"),
+    (lambda p, bz: delta_lift(p, {(1, 0): 1}, twist="abar"), "K-theory derivation"),
+    (lambda p, bz: delta_lift(bz, {(1, 0): 1}, twist="bogus"), "unknown twist 'bogus'"),
+], ids=["scalar", "class", "dg", "bz-weight", "rclass-kind", "rclass-length",
+        "rclass-rho", "realify-kind", "realify-catalog", "complexify", "twist-kr",
+        "twist-name"])
+def test_inputs_of_the_wrong_kind_are_refused(call, message):
+    p, bz = kr("SU3", "trivial"), build_bz_presentation(build_root_data("SU3"))
+    with pytest.raises(PresentationError, match=message):
+        call(p, bz)
+
+
+@pytest.mark.parametrize("args,message", [
+    ((None, -1, (), ()), "Bott exponent"), ((None, 0, (1,), ()), "equal length"),
+    ((None, 0, (2,), (0,)), "must be bits")])
+def test_rclass_index_validation(args, message):
+    with pytest.raises(ValueError, match=message):
+        RClassIndex(*args)
+
+
+@pytest.mark.parametrize("name", ["SU3", "SU4", "SU3xSU3"])
+def test_lam_kills_a_slot_on_its_own_pair(name):
+    # lam_1 . r(rho) times r(dG[gamma_1]): the product's slot uses pair 1,
+    # which lam_1 kills; c cannot see this, since c of that term is 0
+    p = kr(name, "trivial")
+    t = p.split.t
+    lam = next(g for g in p.gens if g.kind == "lam" and g.pair == 0)
+    rho = p.split.pairs[0][0]
+    x = p.gen_element(lam.index) * p.rclass_element(RClassIndex(rho, 0, (0,) * t, (0,) * t))
+    y = p.rclass_element(RClassIndex(None, 0, (1,) + (0,) * (t - 1), (0,) * t))
+    assert not x.is_zero() and not y.is_zero()
+    assert (x * y).is_zero() and (y * x).is_zero()
+
+
+@pytest.mark.parametrize("name", ["SU3", "Sp2", "U2"])
+def test_augmentation_is_a_ring_map(name):
+    bz = build_bz_presentation(build_root_data(name))
+    k = augment_bz(bz)
+    f = bz.rd.fundamental_weights()
+    a = bz.dg_element(0, 1, f[1]) + 2 * bz.bz_weight(f[0])
+    b = bz.dg_element(1, 0, f[0]) + bz.dg_element(0, 3) * bz.bz_weight(f[1], 2)
+    ab = augment_element(k, a * b)
+    assert not ab.is_zero()
+    assert ab == augment_element(k, a) * augment_element(k, b)

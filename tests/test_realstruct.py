@@ -7,6 +7,7 @@ from eqkr.groups import build_root_data, tensor_decompose, weyl_dimension
 from eqkr.realstruct import (
     Involution,
     InvolutionSpecError,
+    IrrepClass,
     UnclassifiableError,
     classify_type,
     fs_rule_type,
@@ -124,6 +125,14 @@ def test_custom_involution_needs_a_simple_factor():
         Involution(u3, ((1, 0),))
     with pytest.raises(InvolutionSpecError, match="simple factor"):
         Involution(build_root_data("SU2xU3"), ("trivial", (1, 0)))
+
+
+@pytest.mark.parametrize("perm,message", [
+    ((0, 1), "wrong length"), ((1, 2, 0), "square to identity"),
+    ((1, 0, 2), "does not preserve the Cartan matrix")])
+def test_custom_diagram_permutation_refusals(perm, message):
+    with pytest.raises(InvolutionSpecError, match=message):
+        Involution(build_root_data("SU4"), (perm,))
 
 
 def test_sigma_r_types_every_family_real():
@@ -256,3 +265,7 @@ def test_irrep_class_invariants():
     cls = classify_type(su3, inv, (2, 0))
     assert cls.type == "C"
     assert weyl_dimension(su3, cls.weight) == weyl_dimension(su3, cls.twisted_dual)
+    with pytest.raises(ValueError, match="must be self-twisted-dual"):
+        IrrepClass((1, 0), (0, 1), "R", "rule")
+    with pytest.raises(ValueError, match="must move under the twisted dual"):
+        IrrepClass((1, 1), (1, 1), "C", "rule")

@@ -49,6 +49,8 @@ def test_record_semantics(cls, fields, frozen, pinned):
             assert hash(x) == expected
         with pytest.raises(AttributeError):
             setattr(x, cls.__slots__[0], None)
+        with pytest.raises(AttributeError):
+            delattr(x, cls.__slots__[0])
         assert getattr(x, cls.__slots__[0]) == fields[0]
     else:
         with pytest.raises(TypeError):

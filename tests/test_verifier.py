@@ -10,7 +10,7 @@ from conftest import GOLDEN, kr
 import eqkr
 from eqkr import oracle, realstruct
 from eqkr.groups import build_root_data
-from eqkr.presentation import Presentation, build_kr_presentation
+from eqkr.presentation import Presentation, build_bz_presentation, build_kr_presentation
 from eqkr.realstruct import Involution
 from eqkr.verifier import (
     CheckResult,
@@ -127,6 +127,17 @@ def test_leibniz_catches_a_dropped_klimyk_constituent():
     failed = [r["name"].split("[")[0] for r in json.loads(res.stdout)["results"]
               if r["status"] == "fail"]
     assert "leibniz" in failed
+
+
+def test_unknown_mutant_kind_is_refused():
+    with pytest.raises(ValueError, match="unknown mutant kind 'nope'"):
+        make_mutant(kr("SU2", "trivial"), "nope")
+
+
+def test_cr_on_a_k_theory_presentation_checks_the_coefficients_only():
+    rd = build_root_data("SU3")
+    res = verify_cr(build_bz_presentation(rd, Involution(rd, "trivial")))
+    assert res.passed and res.name == "cr[SU3/trivial]"
 
 
 def test_check_result_requires_witness_on_failure():
