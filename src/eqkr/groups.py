@@ -21,6 +21,12 @@ Every root data is the product of its factors; a simple or unitary group
 is the product of itself.  Characters, dimensions and tensor products are
 computed factor by factor, by kernels cached per root-data object, and
 build_root_data returns one object per group so those caches are shared.
+
+R(G) is the polynomial ring on the fundamental representations, with the
+U(n) determinants inverted.  _as_fund_poly_cached writes V_lam in the
+fundamentals from cached monomial expansions (one tensor product past a
+shorter monomial each); dominant_weights_up_to_dim lists the weights of
+bounded dimension.  _KERNEL_CACHES holds every cache keyed on root data.
 """
 
 from __future__ import annotations
@@ -499,7 +505,8 @@ def build_root_data(spec: GroupSpec | str) -> RootData:
 
 
 # ---------------------------------------------------------------------------
-# Characters: dimension, Freudenthal multiplicities, tensor decomposition
+# Characters (dimension, Freudenthal multiplicities, tensor decomposition)
+# and R(G) on the fundamentals
 # ---------------------------------------------------------------------------
 
 def weyl_dimension(rd: RootData, lam: Weight) -> int:
@@ -632,24 +639,125 @@ def _klimyk(rd, lam, mu):
     rho = rd.rho_vec()
     out = {}
     for nu, m in _orbit_character(rd, mu).items():
-        v = tuple(a + b + r for a, b, r in zip(lam, nu, rho))
-        sign = 1
-        while True:
-            for i in range(rd.n_simple()):
-                p = rd.pairing_simple(v, i)
-                if p == 0:
-                    sign = 0
-                    break
-                if p < 0:
-                    v = rd.reflect_simple(v, i)
-                    sign = -sign
-                    break
-            else:
-                break
-            if sign == 0:
-                break
-        if sign == 0:
-            continue
-        w = tuple(a - r for a, r in zip(v, rho))
-        out[w] = out.get(w, 0) + sign * m
+        sign, v = _dominate_signed(rd, tuple(a + b + r for a, b, r in zip(lam, nu, rho)))
+        if sign:
+            w = tuple(a - r for a, r in zip(v, rho))
+            out[w] = out.get(w, 0) + sign * m
     return {k: v for k, v in out.items() if v != 0}
+
+
+def _dominate_signed(rd, v):
+    """(sign, w): w is the dominant representative of the Weyl orbit of v
+    and sign is (-1)^(number of simple reflections taken to reach it);
+    (0, v) at the first zero pairing met, where v lies on a wall and its
+    Weyl alternant vanishes."""
+    sign = 1
+    while True:
+        for i in range(rd.n_simple()):
+            p = rd.pairing_simple(v, i)
+            if p == 0:
+                return 0, v
+            if p < 0:
+                v = rd.reflect_simple(v, i)
+                sign = -sign
+                break
+        else:
+            return sign, v
+
+
+@lru_cache(maxsize=None)
+def _expand_monomial_cached(rd, exp):
+    """Highest weight -> multiplicity of prod f_i^exp[i] over the
+    fundamentals f_i = rd.fundamental_weights()[i]; shared, so read only.
+
+    The cached expansion of the shorter monomial, with the last nonzero
+    exponent moved one step towards zero, tensored with that fundamental:
+    one tensor product per new monomial, in slot order.  A negative
+    exponent tensors with the dual, the inverse of a one-dimensional
+    fundamental (a U(n) determinant) only.
+    """
+    last = max((i for i, a in enumerate(exp) if a), default=None)
+    if last is None:
+        return {rd.zero(): 1}
+    f = rd.fundamental_weights()[last]
+    step = 1 if exp[last] > 0 else -1
+    if step < 0:
+        if _weyl_dimension(rd, f) != 1:
+            raise InvariantError(f"negative exponent on non-invertible fundamental {f}")
+        f = rd.dual_weight(f)
+    shorter = tuple(a - step * (i == last) for i, a in enumerate(exp))
+    out = {}
+    for w, m in _expand_monomial_cached(rd, shorter).items():
+        for w2, m2 in _decompose(rd, w, f).items():
+            out[w2] = out.get(w2, 0) + m * m2
+    return out
+
+
+def _natural_exponents(rd: RootData, lam):
+    """Exponents a with highest weight of prod f_i^{a_i} equal to lam: factor
+    by factor, the coordinates of lam in the fundamental weights."""
+    out = []
+    for f, part in zip(rd.factors, rd.split(lam)):
+        if isinstance(f, UnRootData):
+            # lam = sum_k (lam_k - lam_k+1) (1^k, 0^n-k) + lam_n (1^n)
+            out.extend(part[k] - part[k + 1] for k in range(f.n - 1))
+            out.append(part[-1])
+        else:  # Dynkin labels
+            out.extend(part)
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _as_fund_poly_cached(rd, lam):
+    """V_lam as sorted (exponent tuple, coefficient) pairs over the fundamentals:
+    its natural monomial minus the lower constituents, each recursively."""
+    if lam == rd.zero():
+        return (((0,) * len(rd.fundamental_weights()), 1),)
+    exp = _natural_exponents(rd, lam)
+    poly = {exp: 1}
+    for w, m in _expand_monomial_cached(rd, exp).items():
+        if w == lam:
+            if m != 1:
+                raise InvariantError(f"natural monomial of {lam} has top multiplicity {m}")
+            continue
+        for e2, c2 in _as_fund_poly_cached(rd, w):
+            poly[e2] = poly.get(e2, 0) - m * c2
+    return tuple(sorted((e, c) for e, c in poly.items() if c))
+
+
+@lru_cache(maxsize=None)
+def dominant_weights_up_to_dim(rd: RootData, bound: int):
+    """All dominant weights of dimension <= bound, as a sorted tuple.
+
+    Refused for U(n) factors, which have infinitely many (determinant
+    twists).  Dimension is multiplicative over factors and at least 1 on
+    each, so a product joins its factors' lists, keeping the joins within
+    the bound.  One factor climbs from the zero weight by fundamental
+    weights: w + e_i of a dominant w is dominant.
+    """
+    if any(isinstance(f, UnRootData) for f in rd.factors):
+        raise UnsupportedGroupError("dimension truncation is not finite for U(n) factors")
+    if bound < 1:  # even the trivial irreducible exceeds the bound
+        return ()
+    if len(rd.factors) > 1:
+        parts = [((), 1)]
+        for f in rd.factors:
+            sized = [(w, _weyl_dimension(f, w)) for w in dominant_weights_up_to_dim(f, bound)]
+            parts = [(ws + (w,), dim * dw) for ws, dim in parts for w, dw in sized
+                     if dim * dw <= bound]
+        return tuple(sorted(rd.join(ws) for ws, _ in parts))
+    seen = {rd.zero()}
+    todo = list(seen)
+    while todo:
+        w = todo.pop()
+        for i in range(rd.dim):
+            w2 = tuple(x + (1 if k == i else 0) for k, x in enumerate(w))
+            if w2 not in seen and _weyl_dimension(rd, w2) <= bound:
+                seen.add(w2)
+                todo.append(w2)
+    return tuple(sorted(seen))
+
+
+# every process-wide cache keyed on root data; patching a root-data method clears them
+_KERNEL_CACHES = (_dominant_multiplicities, _orbit_character, _klimyk, _expand_monomial_cached,
+                  _as_fund_poly_cached, dominant_weights_up_to_dim)

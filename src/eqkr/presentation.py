@@ -38,7 +38,6 @@ Two presentation kinds share one element wrapper:
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 from math import comb
 
 from ._record import FrozenRecord, Record
@@ -46,12 +45,11 @@ from .coeffs import KR_BASIS, KR_DEGREE, KR_TORSION, KRCoeff, c_coeff, r_pattern
 from .groups import (
     InvariantError,
     RootData,
-    UnRootData,
-    UnsupportedGroupError,
+    dominant_weights_up_to_dim,
     tensor_decompose,
     weyl_dimension,
-    _decompose,
-    _weyl_dimension,
+    _as_fund_poly_cached,
+    _expand_monomial_cached,
 )
 from .realstruct import (
     TYPE_C,
@@ -166,6 +164,8 @@ class RingElement:
         return self.p is other.p and self.terms == other.terms
 
     def __add__(self, other):
+        if not isinstance(other, RingElement):
+            return NotImplemented
         self.p._check_same(other)
         out = dict(self.terms)
         for t, c in other.terms.items():
@@ -178,13 +178,12 @@ class RingElement:
     def __mul__(self, other):
         if isinstance(other, int):
             return self.p._element({t: c * other for t, c in self.terms.items()})
+        if not isinstance(other, RingElement):
+            return NotImplemented
         self.p._check_same(other)
         return self.p._mul_elements(self, other)
 
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self.__mul__(other)
-        return NotImplemented
+    __rmul__ = __mul__  # reached only from a left operand that is no RingElement
 
     def degrees(self):
         """The sorted degrees of the terms of a KR element."""
@@ -281,7 +280,7 @@ class Presentation:
                               for fi, (role, _, pair) in enumerate(self.factors)
                               if role in ("u", "v")}
         # tau on factors: dG[f] -> -dG[f*]; None where f* is no factor
-        # (U(n) without an involution), an error only once it is used
+        # (U(n) under the trivial involution), an error only once it is used
         factor_of = {w: fi for fi, (_, w, _) in enumerate(self.factors)}
         self._factor_tau = tuple(factor_of.get(self._tau_weight(w))
                                  for _, w, _ in self.factors)
@@ -796,8 +795,7 @@ class Presentation:
         the parity of its H-type exponents) times the generator dR or
         dH[f_i]."""
         ff = self._fund_factor
-        expansion = _expand_monomial_cached(self.rd,
-                                            self.rd.fundamental_weights(), cof)
+        expansion = _expand_monomial_cached(self.rd, cof)
         if self.kind == "BZ":
             return {(w, 0, (ff[i],)): m for w, m in expansion.items()}
         if self.kind == "K":
@@ -837,7 +835,10 @@ def build_bz_presentation(rd: RootData,
 
     One odd generator dG[f] per fundamental representation; squares
     are zero and coefficients multiply by exact tensor decomposition.
+    ``inv`` defaults to the trivial involution.
     """
+    if inv is None:
+        inv = Involution(rd, "trivial")
     factors = tuple(("phi", w, -1) for w in rd.fundamental_weights())
     gens = tuple(Generator("dG", w, i) for i, (_, w, _) in enumerate(factors))
     return Presentation(rd, inv, None, "BZ", factors, gens)
@@ -1001,52 +1002,6 @@ def delta_lift(p: Presentation, poly, twist: str | None = None) -> RingElement:
     return p._element(out)
 
 
-@lru_cache(maxsize=None)
-def _expand_monomial_cached(rd, funds, exp):
-    """Highest weight -> multiplicity of prod funds[i]^exp[i]; shared, so
-    read only.
-
-    The monomial is the cached expansion of the shorter monomial with
-    the last nonzero exponent moved one step towards zero, tensored with
-    that one fundamental: each new monomial costs one tensor product, and
-    the products run in slot order, fundamental by fundamental.  A
-    negative exponent tensors with the dual instead; only a
-    one-dimensional fundamental (a U(n) determinant) has its dual as
-    inverse.
-    """
-    last = max((i for i, a in enumerate(exp) if a), default=None)
-    if last is None:
-        return {rd.zero(): 1}
-    f = funds[last]
-    step = 1 if exp[last] > 0 else -1
-    if step < 0:
-        if _weyl_dimension(rd, f) != 1:
-            raise PresentationError(
-                f"negative exponent on non-invertible fundamental {f}")
-        f = rd.dual_weight(f)
-    shorter = tuple(a - step * (i == last) for i, a in enumerate(exp))
-    out = {}
-    for w, m in _expand_monomial_cached(rd, funds, shorter).items():
-        for w2, m2 in _decompose(rd, w, f).items():
-            out[w2] = out.get(w2, 0) + m * m2
-    return out
-
-
-def _natural_exponents(rd: RootData, lam):
-    """Exponents a with highest weight of prod f_i^{a_i} equal to lam, in
-    fundamental_weights order: factor by factor, the coordinates of lam in
-    the fundamental weights."""
-    out = []
-    for f, part in zip(rd.factors, rd.split(lam)):
-        if isinstance(f, UnRootData):
-            # lam = sum_k (lam_k - lam_k+1) (1^k, 0^n-k) + lam_n (1^n)
-            out.extend(part[k] - part[k + 1] for k in range(f.n - 1))
-            out.append(part[-1])
-        else:  # Dynkin labels
-            out.extend(part)
-    return tuple(out)
-
-
 def as_fundamental_polynomial(rd: RootData, lam) -> dict:
     """Express the class of V_lam as a polynomial in the fundamentals.
 
@@ -1055,25 +1010,11 @@ def as_fundamental_polynomial(rd: RootData, lam) -> dict:
     recursion peels the natural monomial and subtracts the lower
     constituents; R(G) is a free polynomial ring on the fundamentals
     (with the determinants inverted), so the expression is unique.
+
+    A copy-out wrapper of ``groups._as_fund_poly_cached``; it stays here
+    because the benchmark names its span presentation.as_fundamental_polynomial.
     """
-    return dict(_as_fund_poly_cached(rd, rd.fundamental_weights(), tuple(lam)))
-
-
-@lru_cache(maxsize=None)
-def _as_fund_poly_cached(rd, funds, lam):
-    if lam == rd.zero():
-        return ((tuple([0] * len(funds)), 1),)
-    exp = _natural_exponents(rd, lam)
-    poly = {exp: 1}
-    for w, m in _expand_monomial_cached(rd, funds, exp).items():
-        if w == lam:
-            if m != 1:
-                raise PresentationError(
-                    f"natural monomial of {lam} has top multiplicity {m}")
-            continue
-        for e2, c2 in _as_fund_poly_cached(rd, funds, w):
-            poly[e2] = poly.get(e2, 0) - m * c2
-    return tuple(sorted((e, c) for e, c in poly.items() if c))
+    return dict(_as_fund_poly_cached(rd, tuple(lam)))
 
 
 def exterior_ranks(p: Presentation):
@@ -1112,54 +1053,6 @@ class ComplexificationMap:
 # ---------------------------------------------------------------------------
 # module tables
 # ---------------------------------------------------------------------------
-
-def dominant_weights_up_to_dim(rd: RootData, bound: int):
-    """All dominant weights of dimension <= bound, as a sorted tuple.
-
-    Only for groups whose irreducibles of bounded dimension are finite
-    in number (simply-connected factors; U(n) has infinitely many
-    determinant twists).
-    """
-    if any(isinstance(f, UnRootData) for f in rd.factors):
-        raise UnsupportedGroupError(
-            "dimension truncation is not finite for U(n) factors")
-    return _dominant_weights_up_to_dim(rd, bound)
-
-
-@lru_cache(maxsize=None)
-def _dominant_weights_up_to_dim(rd, bound):
-    """`dominant_weights_up_to_dim`, cached per (root data, bound).
-
-    Dimension is multiplicative over a product's factors, and each factor
-    part of a weight has dimension at least 1, so a product's list joins
-    its factors' lists, keeping the joins whose dimensions multiply to at
-    most the bound.  On one factor the search climbs from the zero
-    weight by fundamental weights, and w + e_i of a dominant w is
-    dominant.
-    """
-    if bound < 1:  # even the trivial irreducible exceeds the bound
-        return ()
-    if len(rd.factors) > 1:
-        parts = [((), 1)]
-        for f in rd.factors:
-            sized = [(w, _weyl_dimension(f, w)) for w in _dominant_weights_up_to_dim(f, bound)]
-            parts = [(ws + (w,), dim * dw) for ws, dim in parts for w, dw in sized
-                     if dim * dw <= bound]
-        return tuple(sorted(rd.join(ws) for ws, _ in parts))
-    zero = rd.zero()
-    seen = {zero}
-    todo = [zero]
-    out = []
-    while todo:
-        w = todo.pop()
-        out.append(w)
-        for i in range(rd.dim):
-            w2 = tuple(x + (1 if k == i else 0) for k, x in enumerate(w))
-            if w2 not in seen and _weyl_dimension(rd, w2) <= bound:
-                seen.add(w2)
-                todo.append(w2)
-    return tuple(sorted(out))
-
 
 def classified_irreps(p: Presentation, bound: int):
     """(R-classes, H-classes, pair-classes) of all irreps of dim <= bound."""

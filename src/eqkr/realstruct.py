@@ -167,11 +167,9 @@ class Involution:
 # spec operations
 # ---------------------------------------------------------------------------
 
-def twisted_dual(rd: RootData, inv: Involution | None, lam) -> tuple:
-    """Highest weight of the conjugate representation twisted by sigma;
-    the plain dual when no involution is given."""
-    if inv is None:
-        return rd.dual_weight(lam)
+def twisted_dual(rd: RootData, inv: Involution, lam) -> tuple:
+    """Highest weight of the conjugate representation twisted by sigma
+    (the plain dual under the trivial involution)."""
     return inv.twisted_dual_weight(lam)
 
 

@@ -116,7 +116,7 @@ def presentation_payload(p: Presentation, truncation: int = 50,
     return {
         "poincare_scope": scope,
         "group": str(p.rd.spec),
-        "involution": p.inv.name if p.inv is not None else "trivial",
+        "involution": p.inv.name,
         "coefficients": p.coefficient_tag,
         "omega_form": p.omega_form,
         "generators": gens,

@@ -15,7 +15,7 @@ import time
 
 from ._record import Record
 from .coeffs import KR_BASIS, KCoeff, KRCoeff, c_coeff, r_coeff
-from .groups import GroupSpec, UnsupportedGroupError
+from .groups import GroupSpec, UnsupportedGroupError, dominant_weights_up_to_dim
 from .presentation import (
     Presentation,
     RClassIndex,
@@ -25,7 +25,6 @@ from .presentation import (
     classified_irreps,
     complexify,
     delta_lift,
-    dominant_weights_up_to_dim,
     noneq_table,
     plain_monomial_elements,
     poincare_table,

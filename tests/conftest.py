@@ -6,18 +6,8 @@ The fixture ``cold_kernel_caches`` is found by name.
 
 import pytest
 
-from eqkr.groups import (
-    _dominant_multiplicities,
-    _klimyk,
-    _orbit_character,
-    build_root_data,
-)
-from eqkr.presentation import (
-    _as_fund_poly_cached,
-    _dominant_weights_up_to_dim,
-    _expand_monomial_cached,
-    build_kr_presentation,
-)
+from eqkr.groups import _KERNEL_CACHES, build_root_data
+from eqkr.presentation import build_kr_presentation
 from eqkr.realstruct import Involution
 
 # the five group/involution pairs whose compute bytes perfbench/reference pins
@@ -30,11 +20,6 @@ def kr(name, kind):
     per factor)."""
     rd = build_root_data(name)
     return build_kr_presentation(rd, Involution(rd, kind))
-
-
-_KERNEL_CACHES = (_dominant_multiplicities, _orbit_character, _klimyk,
-                  _dominant_weights_up_to_dim, _expand_monomial_cached,
-                  _as_fund_poly_cached)
 
 
 @pytest.fixture

@@ -20,6 +20,7 @@ from eqkr.oracle import (
 )
 from eqkr.presentation import (
     RClassIndex,
+    as_fundamental_polynomial,
     augment_bz,
     build_bz_presentation,
     delta_lift,
@@ -125,7 +126,6 @@ def test_criterion_5_derivation_laws():
     p = kr("SU3", "trivial")
     bz3 = build_bz_presentation(p.rd, inv=p.inv)
     for rep, other in p.split.pairs:
-        from eqkr.presentation import as_fundamental_polynomial
         poly = as_fundamental_polynomial(p.rd, rep)
         assert delta_lift(bz3, poly, twist="abar") == \
             -delta_lift(bz3, poly, twist="sigmabar")

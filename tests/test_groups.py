@@ -1,4 +1,5 @@
 import ast
+import itertools
 import math
 import os
 import random
@@ -11,20 +12,26 @@ import pytest
 
 import eqkr
 
+from eqkr import groups, presentation
 from eqkr.groups import (
+    _KERNEL_CACHES,
     DominanceError,
     GroupSpec,
     InvariantError,
     SimpleRootData,
     UnsupportedGroupError,
     _dominant_multiplicities,
+    _dominate_signed,
+    _expand_monomial_cached,
     build_root_data,
     cartan_matrix,
     character,
+    dominant_weights_up_to_dim,
     parse_group,
     tensor_decompose,
     weyl_dimension,
 )
+from eqkr.presentation import as_fundamental_polynomial
 
 
 # ---------------------------------------------------------------------------
@@ -487,3 +494,112 @@ def test_non_integral_freudenthal_quotient_raises_typed_error(monkeypatch):
     multiplicities = _broken_form(monkeypatch, lambda v, w: sum(x * y for x, y in zip(v, w)))
     with pytest.raises(InvariantError, match="8/5"):
         multiplicities((2, 0))
+
+
+# ---------------------------------------------------------------------------
+# the Weyl alternant walk of the Klimyk step
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("group", ["SU2", "SU3", "SU4", "SU5", "Spin7", "Sp3", "Spin8",
+                                   "G2", "F4", "E6", "U3"])
+def test_dominate_signed_against_the_positive_root_pairings(group):
+    # v lies on a wall iff some positive root pairs to zero with it;
+    # otherwise the Weyl element taking v to the dominant chamber has
+    # length = the number of positive roots pairing negatively with v
+    rd = build_root_data(group)
+    rng = random.Random(group)
+    for _ in range(60):
+        v = tuple(rng.randint(-4, 4) for _ in range(rd.dim))
+        pairings = [rd.coroot_pairing(v, c) for c in rd.positive_roots()]
+        sign, w = _dominate_signed(rd, v)
+        if 0 in pairings:
+            assert sign == 0, v
+        else:
+            assert sign == (-1) ** sum(x < 0 for x in pairings), v
+            assert w == rd.dominate(v), v
+
+
+# ---------------------------------------------------------------------------
+# R(G): fundamental polynomials, monomial expansions, bounded weight lists
+# ---------------------------------------------------------------------------
+
+def test_as_fundamental_polynomial_roundtrip():
+    su3 = build_root_data("SU3")
+    for lam in [(0, 0), (1, 0), (1, 1), (2, 1), (0, 3)]:
+        poly = as_fundamental_polynomial(su3, lam)
+        total = {}
+        for exp, c in poly.items():
+            for w, m in _expand_monomial_cached(su3, exp).items():
+                total[w] = total.get(w, 0) + c * m
+                if total[w] == 0:
+                    del total[w]
+        assert total == {lam: 1}
+
+
+def _naive_monomial(rd, funds, exp):
+    """prod funds[i]^exp[i], one fundamental at a time; a negative
+    exponent multiplies by the inverse character -funds[i]."""
+    weights = {rd.zero(): 1}
+    for f, a in zip(funds, exp):
+        if a < 0:
+            f, a = tuple(-x for x in f), -a
+        for _ in range(a):
+            nxt = {}
+            for w, m in weights.items():
+                for w2, m2 in tensor_decompose(rd, w, f).items():
+                    nxt[w2] = nxt.get(w2, 0) + m * m2
+            weights = nxt
+    return weights
+
+
+@pytest.mark.parametrize("group,exps", [
+    ("SU3", [(0, 0), (2, 0), (1, 2), (0, 3), (2, 2)]),
+    ("Sp2", [(1, 1), (2, 0), (0, 2), (2, 1)]),
+    ("G2", [(1, 1), (2, 0), (0, 2)]),
+    ("SU2xSU3", [(1, 1, 1), (2, 0, 1), (0, 1, 2), (3, 2, 0)]),
+    ("U3", [(1, 1, -1), (2, 0, -2), (0, 1, 1), (1, 2, 0), (0, 0, -3)]),
+    ("SU2xU2", [(1, 1, -1), (2, 2, -1), (0, 0, -2)]),
+])
+def test_monomial_expansion_matches_naive_product(group, exps):
+    # the expansion builds on cached shorter monomials; the reference
+    # multiplies afresh
+    rd = build_root_data(group)
+    funds = rd.fundamental_weights()
+    for exp in exps:
+        got = _expand_monomial_cached(rd, exp)
+        assert got == _naive_monomial(rd, funds, exp), exp
+
+
+@pytest.mark.parametrize("group,exp", [("SU3", (-1, 2)), ("SU2xSU3", (1, -1, 1)),
+                                       ("U3", (-1, 1, 1)), ("U3", (2, -1, 0))])
+def test_negative_exponent_before_the_last_slot_is_refused(group, exp):
+    rd = build_root_data(group)
+    with pytest.raises(InvariantError, match="negative exponent") as excinfo:
+        _expand_monomial_cached(rd, exp)
+    assert excinfo.type is InvariantError
+
+
+@pytest.mark.parametrize("group", ["SU2", "SU3", "Sp2", "G2", "SU3xSU3", "SU2xSU2",
+                                   "SU2xG2", "SU2xSU2xSU2"])
+def test_dominant_weights_up_to_dim_honour_the_bound(group):
+    rd = build_root_data(group)
+    # dim V_w > w_i (the alpha_i-string through w), so every dominant
+    # weight of dimension <= 10 has entries <= 9
+    dims = {w: weyl_dimension(rd, w)
+            for w in itertools.product(range(10), repeat=rd.dim)}
+    for bound in (-5, 0, 1, 2, 3, 8, 10):
+        got = dominant_weights_up_to_dim(rd, bound)
+        assert got == tuple(sorted(w for w, d in dims.items() if d <= bound))
+        assert got is dominant_weights_up_to_dim(rd, bound)
+
+
+def test_every_kernel_cache_is_registered():
+    # cold_kernel_caches clears groups._KERNEL_CACHES, so a process-wide
+    # cache keyed on root data outside it would leak across patched tests;
+    # _root_data is the per-spec registry of the root-data objects themselves
+    def caches(mod):
+        return {obj for obj in vars(mod).values()
+                if hasattr(obj, "cache_clear") and obj.__module__ == mod.__name__}
+    assert caches(groups) == set(_KERNEL_CACHES) | {groups._root_data}
+    assert len(_KERNEL_CACHES) == len(set(_KERNEL_CACHES))
+    assert caches(presentation) == set()

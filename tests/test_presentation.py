@@ -5,12 +5,11 @@ import pytest
 from conftest import GOLDEN, kr
 
 from eqkr.coeffs import KRCoeff
-from eqkr.groups import build_root_data, tensor_decompose, weyl_dimension
+from eqkr.groups import build_root_data
 from eqkr.presentation import (
     PresentationError,
     RClassIndex,
     RingElement,
-    _expand_monomial_cached,
     as_fundamental_polynomial,
     augment_bz,
     augment_element,
@@ -19,7 +18,6 @@ from eqkr.presentation import (
     classified_irreps,
     complexify,
     delta_lift,
-    dominant_weights_up_to_dim,
     exterior_ranks,
     poincare_table,
     rclass_square,
@@ -396,20 +394,6 @@ def test_kr_delta_lift_un_laurent():
     assert lhs.is_zero()
 
 
-def test_as_fundamental_polynomial_roundtrip():
-    su3 = build_root_data("SU3")
-    funds = su3.fundamental_weights()
-    for lam in [(0, 0), (1, 0), (1, 1), (2, 1), (0, 3)]:
-        poly = as_fundamental_polynomial(su3, lam)
-        total = {}
-        for exp, c in poly.items():
-            for w, m in _expand_monomial_cached(su3, funds, exp).items():
-                total[w] = total.get(w, 0) + c * m
-                if total[w] == 0:
-                    del total[w]
-        assert total == {lam: 1}
-
-
 @pytest.mark.parametrize("lam,poly", [
     ((0, 1, 1), {(0, 0, 1): 1}),
     ((0, 0, -1), {(0, 1, -1): 1}),
@@ -418,63 +402,6 @@ def test_as_fundamental_polynomial_roundtrip():
 def test_fundamental_polynomial_on_a_product_with_a_unitary_factor(lam, poly):
     # fundamentals of SU2xU2: (1,0,0), (0,1,0) and the U2 determinant (0,1,1)
     assert as_fundamental_polynomial(build_root_data("SU2xU2"), lam) == poly
-
-
-def _naive_monomial(rd, funds, exp):
-    """prod funds[i]^exp[i], one fundamental at a time; a negative
-    exponent multiplies by the inverse character -funds[i]."""
-    weights = {rd.zero(): 1}
-    for f, a in zip(funds, exp):
-        if a < 0:
-            f, a = tuple(-x for x in f), -a
-        for _ in range(a):
-            nxt = {}
-            for w, m in weights.items():
-                for w2, m2 in tensor_decompose(rd, w, f).items():
-                    nxt[w2] = nxt.get(w2, 0) + m * m2
-            weights = nxt
-    return weights
-
-
-@pytest.mark.parametrize("group,exps", [
-    ("SU3", [(0, 0), (2, 0), (1, 2), (0, 3), (2, 2)]),
-    ("Sp2", [(1, 1), (2, 0), (0, 2), (2, 1)]),
-    ("G2", [(1, 1), (2, 0), (0, 2)]),
-    ("SU2xSU3", [(1, 1, 1), (2, 0, 1), (0, 1, 2), (3, 2, 0)]),
-    ("U3", [(1, 1, -1), (2, 0, -2), (0, 1, 1), (1, 2, 0), (0, 0, -3)]),
-    ("SU2xU2", [(1, 1, -1), (2, 2, -1), (0, 0, -2)]),
-])
-def test_monomial_expansion_matches_naive_product(group, exps):
-    # the expansion builds on cached shorter monomials; the reference
-    # multiplies afresh
-    rd = build_root_data(group)
-    funds = rd.fundamental_weights()
-    for exp in exps:
-        got = _expand_monomial_cached(rd, funds, exp)
-        assert got == _naive_monomial(rd, funds, exp), exp
-
-
-@pytest.mark.parametrize("group,exp", [("SU3", (-1, 2)), ("SU2xSU3", (1, -1, 1)),
-                                       ("U3", (-1, 1, 1)), ("U3", (2, -1, 0))])
-def test_negative_exponent_before_the_last_slot_is_refused(group, exp):
-    rd = build_root_data(group)
-    funds = rd.fundamental_weights()
-    with pytest.raises(PresentationError, match="negative exponent"):
-        _expand_monomial_cached(rd, funds, exp)
-
-
-@pytest.mark.parametrize("group", ["SU2", "SU3", "Sp2", "G2", "SU3xSU3", "SU2xSU2",
-                                   "SU2xG2", "SU2xSU2xSU2"])
-def test_dominant_weights_up_to_dim_honour_the_bound(group):
-    rd = build_root_data(group)
-    # dim V_w > w_i (the alpha_i-string through w), so every dominant
-    # weight of dimension <= 10 has entries <= 9
-    dims = {w: weyl_dimension(rd, w)
-            for w in itertools.product(range(10), repeat=rd.dim)}
-    for bound in (-5, 0, 1, 2, 3, 8, 10):
-        got = dominant_weights_up_to_dim(rd, bound)
-        assert got == tuple(sorted(w for w, d in dims.items() if d <= bound))
-        assert got is dominant_weights_up_to_dim(rd, bound)
 
 
 def test_poincare_table_bz():
@@ -666,8 +593,16 @@ def test_ring_element_truth_and_foreign_operands():
     p = kr("SU3", "trivial")
     assert p.one() and not p.zero()
     assert p.one() != 1
-    with pytest.raises(TypeError):
-        1.5 * p.one()
+    e = p.one()
+    for foreign in (lambda: 1.5 * e, lambda: e * 1.5, lambda: e + 1, lambda: 1 + e):
+        with pytest.raises(TypeError):
+            foreign()
+    # an int scales; an element of another presentation is refused
+    assert (e * 3).terms == {t: 3 * c for t, c in e.terms.items()}
+    other = kr("SU3", "sigmaR").one()
+    for mixed in (lambda: e * other, lambda: e + other):
+        with pytest.raises(PresentationError, match="different presentations"):
+            mixed()
 
 
 def test_term_labels():

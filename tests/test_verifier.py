@@ -136,8 +136,12 @@ def test_unknown_mutant_kind_is_refused():
 
 def test_cr_on_a_k_theory_presentation_checks_the_coefficients_only():
     rd = build_root_data("SU3")
-    res = verify_cr(build_bz_presentation(rd, Involution(rd, "trivial")))
-    assert res.passed and res.name == "cr[SU3/trivial]"
+    # the bare build defaults to the trivial involution
+    for bz in (build_bz_presentation(rd, Involution(rd, "trivial")), build_bz_presentation(rd)):
+        res = verify_cr(bz)
+        assert res.passed and res.name == "cr[SU3/trivial]"
+    res = verify_leibniz(bz, 15)
+    assert res.passed and res.name == "leibniz[SU3/trivial;dim<=15]"
 
 
 def test_check_result_requires_witness_on_failure():
