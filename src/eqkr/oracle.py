@@ -11,25 +11,31 @@ sigma(g) = J gbar J^{-1}, the oracle solves the linear system
 
 for the matrix S of the antilinear intertwiner v -> S(vbar).  It is
 solved in two stages: the kernel N of the last (generic) sample's
-d^2 x d^2 equation, then the kernel of the other samples' equations
-restricted to N, a ((samples - 1) d^2, dim N) system.  The intertwiner
-space must be one-dimensional (Schur); then S.Sbar is a real multiple
-of the identity and its sign decides the type: positive for Real,
-negative for Quaternionic.
+equation, then the kernel of the other samples' equations restricted
+to N, a ((samples - 1) d^2, dim N) system.  The intertwiner space must
+be one-dimensional (Schur); then S.Sbar is a real multiple of the
+identity and its sign decides the type: positive for Real, negative
+for Quaternionic.
 
-Representations are modelled concretely for SU(n), Sp(n) and U(n):
-the defining representation, its exterior powers, the primitive (form-
-traceless) parts of exterior powers for Sp(n), and symmetric powers.
-Group elements are exponentials of a fixed Lie algebra basis and of
-seeded random combinations of it, drawn and mapped as one stack; the
-accepted intertwiner must keep residuals below tolerance on 20 more.
+Representations are modelled on the Lie algebra for SU(n), Sp(n) and
+U(n): each model is its differential d rho, one exact linear map from
+defining-size matrices to d x d ones (the identity, the derivation on
+an exterior power, its primitive part for Sp(n), the projected
+Kronecker sum on a symmetric power).  Group elements are exponentials
+of a fixed Lie algebra basis and of seeded random combinations of it,
+and rho(exp x) = exp(d rho(x)) comes from one batched eigh of
+-i d rho(x).  The first stage needs no factorisation: the equation of
+two unitaries is a normal operator, whose singular vectors and values
+are read off their two eigenbases.  The accepted intertwiner must keep
+residuals below tolerance on 20 more samples.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from functools import lru_cache
-from math import comb, factorial
+from math import factorial
 
 import numpy as np
 
@@ -47,74 +53,37 @@ class OracleError(RuntimeError):
 # Lie algebra bases and matrix models
 # ---------------------------------------------------------------------------
 
+def _pair_basis(n, pairs, s):
+    """E_jk + s E_kj and i(E_jk + E_kj) for each (j, k) in pairs, in that order."""
+    out = []
+    for j, k in pairs:
+        for v, w in ((1, s), (1j, 1j)):
+            m = np.zeros((n, n), dtype=complex)
+            m[j, k], m[k, j] = v, w
+            out.append(m)
+    return out
+
+
 def su_basis(n):
     """Antihermitian traceless basis of su(n)."""
-    out = []
-    for j in range(n):
-        for k in range(j + 1, n):
-            m = np.zeros((n, n), dtype=complex)
-            m[j, k] = 1
-            m[k, j] = -1
-            out.append(m)
-            m = np.zeros((n, n), dtype=complex)
-            m[j, k] = 1j
-            m[k, j] = 1j
-            out.append(m)
-    for j in range(n - 1):
-        m = np.zeros((n, n), dtype=complex)
-        m[j, j] = 1j
-        m[j + 1, j + 1] = -1j
-        out.append(m)
-    return out
+    e = 1j * np.eye(n)
+    return (_pair_basis(n, itertools.combinations(range(n), 2), -1)
+            + [np.diag(e[j] - e[j + 1]) for j in range(n - 1)])
 
 
 def u_basis(n):
-    out = su_basis(n)
-    m = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        m[j, j] = 1j
-    out.append(m)
-    return out
+    return su_basis(n) + [1j * np.eye(n)]
 
 
 def sp_basis(n):
     """Antihermitian basis of sp(n) inside u(2n), blocks [[A,B],[-Bbar,Abar]]."""
-    out = []
-
-    def embed(a, b):
-        m = np.zeros((2 * n, 2 * n), dtype=complex)
-        m[:n, :n] = a
-        m[n:, n:] = np.conj(a)
-        m[:n, n:] = b
-        m[n:, :n] = -np.conj(b)
-        return m
-
-    zero = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        a = zero.copy()
-        a[j, j] = 1j
-        out.append(embed(a, zero))
-    for j in range(n):
-        for k in range(j + 1, n):
-            a = zero.copy()
-            a[j, k] = 1
-            a[k, j] = -1
-            out.append(embed(a, zero))
-            a = zero.copy()
-            a[j, k] = 1j
-            a[k, j] = 1j
-            out.append(embed(a, zero))
-    for j in range(n):
-        for k in range(j, n):
-            b = zero.copy()
-            b[j, k] = 1
-            b[k, j] = 1
-            out.append(embed(zero, b))
-            b = zero.copy()
-            b[j, k] = 1j
-            b[k, j] = 1j
-            out.append(embed(zero, b))
-    return out
+    e, zero = 1j * np.eye(n), np.zeros((n, n), dtype=complex)
+    blocks = ([(np.diag(e[j]), zero) for j in range(n)]
+              + [(a, zero) for a in _pair_basis(n, itertools.combinations(range(n), 2), -1)]
+              + [(zero, b) for b in _pair_basis(
+                  n, itertools.combinations_with_replacement(range(n), 2), 1)])
+    a, b = (np.array(x) for x in zip(*blocks))
+    return list(np.block([[a, b], [-np.conj(b), np.conj(a)]]))
 
 
 def symplectic_j(m):
@@ -125,33 +94,18 @@ def symplectic_j(m):
     return j
 
 
+def _exp_from_eigh(h, w):
+    """w e^{ih} w^H, for one eigendecomposition or a stack of them."""
+    return (w * np.exp(1j * h)[..., None, :]) @ w.conj().swapaxes(-1, -2)
+
+
 def expm_antihermitian(x):
     """exp of an antihermitian matrix or stack, by one batched eigh (exact unitary)."""
-    vals, vecs = np.linalg.eigh(-1j * x)  # hermitian
-    return (vecs * np.exp(1j * vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    return _exp_from_eigh(*np.linalg.eigh(-1j * x))  # hermitian
 
 
 def _subsets(n, k):
     return list(itertools.combinations(range(n), k))
-
-
-@lru_cache(maxsize=None)
-def _minor_index(n, k):
-    """The k-subsets of range(n) as a read-only (C(n,k), k) index array."""
-    subs = np.array(_subsets(n, k), dtype=np.intp)
-    subs.flags.writeable = False
-    return subs
-
-
-def exterior_power(u, k):
-    """k-th compound matrix (action on wedge^k of the defining space).
-
-    Entry (a, b) is the minor of u on rows subs[a] and columns subs[b];
-    the minors of u, or of every matrix in a stack u, are gathered into
-    one array and LAPACK factors each.
-    """
-    subs = _minor_index(u.shape[-1], k)
-    return np.linalg.det(u[..., subs[:, None, :, None], subs[None, :, None, :]])
 
 
 def _contraction_matrix(n, k, form):
@@ -204,59 +158,78 @@ def _symmetrizer(n, k):
     return vecs[:, vals > 0.5]
 
 
-class UnitaryRep:
-    """A unitary representation given as a functor of the defining one."""
+def _matrix_units(m):
+    """The m^2 matrix units E_rc of size m, as one stack in row-major (r, c) order."""
+    return np.eye(m * m).reshape(m * m, m, m)
 
-    def __init__(self, family, n, size, apply_fn, label):
+
+def _wedge_derivation(m, k):
+    """d rho(E_rc) on wedge^k C^m for every matrix unit: the derivation
+    sending e_B (B a sorted k-subset) to the sum over c in B of e_B with
+    e_c replaced by E_rc e_c = e_r."""
+    subs = _subsets(m, k)
+    idx = {s: i for i, s in enumerate(subs)}
+    out = np.zeros((m, m, len(subs), len(subs)))
+    for b, s in enumerate(subs):
+        for c in s:
+            rest = [x for x in s if x != c]
+            for r in range(m):
+                if r in rest:
+                    continue
+                # sorting e_r into c's place passes the members strictly between r and c
+                sign = (-1) ** sum(min(r, c) < x < max(r, c) for x in rest)
+                out[r, c, idx[tuple(sorted(rest + [r]))], b] = sign
+    return out.reshape(m * m, len(subs), len(subs))
+
+
+class UnitaryRep:
+    """A unitary representation given by its differential d rho, one exact
+    linear map with rho(exp x) = exp(d rho(x)) on the defining algebra."""
+
+    def __init__(self, family, n, units, label):
+        units.flags.writeable = False
         self.family = family
-        self.n = n  # defining matrix size
-        self.size = size
-        self.apply = apply_fn
+        self.n = n  # rank parameter of the defining representation
+        self.units = units  # d rho(E_rc) for the matrix units, as _matrix_units orders them
+        self.size = units.shape[-1]
         self.label = label
 
+    def differential(self, x):
+        """d rho of a defining-size matrix, or of each in a stack."""
+        return np.tensordot(x.reshape(x.shape[:-2] + (-1,)), self.units, 1)
 
+
+@lru_cache(maxsize=None)
 def defining_rep(family, n):
-    size = 2 * n if family == "Sp" else n
-    return UnitaryRep(family, n, size, lambda u: u, f"{family}{n} defining")
+    return UnitaryRep(family, n, _matrix_units(2 * n if family == "Sp" else n),
+                      f"{family}{n} defining")
 
 
+@lru_cache(maxsize=None)
 def exterior_rep(family, n, k):
-    size = 2 * n if family == "Sp" else n
-    return UnitaryRep(family, n, comb(size, k),
-                      lambda u: exterior_power(u, k),
+    return UnitaryRep(family, n, _wedge_derivation(defining_rep(family, n).size, k),
                       f"{family}{n} wedge^{k}")
 
 
 @lru_cache(maxsize=None)
-def _primitive_basis(n, k):
-    form = symplectic_j(n)
-    c = _contraction_matrix(2 * n, k, form)
-    q = _null_space(c, 1e-12)
-    return q
-
-
 def primitive_exterior_rep(n, k):
-    """Fundamental V_{omega_k} of Sp(n): kernel of contraction in wedge^k."""
-    q = _primitive_basis(n, k)
-
-    def apply_fn(u):
-        return q.conj().T @ exterior_power(u, k) @ q
-
-    return UnitaryRep("Sp", n, q.shape[1], apply_fn, f"Sp{n} primitive wedge^{k}")
+    """Fundamental V_{omega_k} of Sp(n): kernel of contraction in wedge^k,
+    invariant under the derivation of every element of sp(n)."""
+    q = _null_space(_contraction_matrix(2 * n, k, symplectic_j(n)), 1e-12)
+    return UnitaryRep("Sp", n, q.conj().T @ _wedge_derivation(2 * n, k) @ q,
+                      f"Sp{n} primitive wedge^{k}")
 
 
+@lru_cache(maxsize=None)
 def symmetric_rep(family, n, k):
-    size = 2 * n if family == "Sp" else n
-    q = _symmetrizer(size, k)
-
-    def apply_fn(u):
-        t = np.ones(u.shape[:-2] + (1, 1))  # k-fold Kronecker power, per matrix
-        for _ in range(k):
-            m = t.shape[-1] * u.shape[-1]
-            t = (t[..., :, None, :, None] * u[..., None, :, None, :]).reshape(u.shape[:-2] + (m, m))
-        return q.conj().T @ t @ q
-
-    return UnitaryRep(family, n, q.shape[1], apply_fn, f"{family}{n} sym^{k}")
+    """Sym^k of the defining representation: the Kronecker sum of d rho = x
+    over the k-fold tensor power, restricted to the symmetric tensors."""
+    units = defining_rep(family, n).units
+    m = units.shape[-1]
+    ksum = sum(np.kron(np.kron(np.eye(m ** j), units), np.eye(m ** (k - 1 - j)))
+               for j in range(k))
+    q = _symmetrizer(m, k)
+    return UnitaryRep(family, n, q.T @ ksum @ q, f"{family}{n} sym^{k}")
 
 
 def rep_for_weight(rd: RootData, lam) -> UnitaryRep | None:
@@ -276,7 +249,7 @@ def rep_for_weight(rd: RootData, lam) -> UnitaryRep | None:
 
 
 def _sigma_on_defining(inv_kind, family, n):
-    """sigma as a map on defining-representation matrices, or None."""
+    """sigma on defining-size matrices (group or algebra elements), or None."""
     if inv_kind == "trivial":
         return lambda u: u
     if inv_kind == "sigmaR":
@@ -298,6 +271,33 @@ def lie_basis(family, n):
     raise OracleError(f"no Lie algebra model for family {family}")
 
 
+def _combinations(rng, count, basis):
+    """count combinations of the basis stack, coefficients uniform in [-1, 1)."""
+    coeffs = np.array([rng.uniform(-1, 1) for _ in range(count * len(basis))])
+    return np.tensordot(coeffs.reshape(count, len(basis)), basis, 1)
+
+
+def _spectra(rep, sigma, xs):
+    """(h, w, h', w') with rho(exp x) = w e^{ih} w^H and rho(sigma(exp x)) =
+    w' e^{ih'} w'^H for each x in xs, from one batched eigh of -i d rho;
+    sigma None stands for the identity."""
+    stack = xs if sigma is None else np.concatenate([xs, sigma(xs)])
+    h, w = np.linalg.eigh(-1j * rep.differential(stack))
+    m = len(xs)
+    return h[:m], w[:m], h[-m:], w[-m:]
+
+
+def _sylvester_kernel(h, w, hs, ws):
+    """Orthonormal basis, as a (k, d, d) stack, of the kernel of
+    S -> u S - S conj(u') for u = w e^{ih} w^H and u' = w' e^{ih'} w'^H.
+    The operator is normal: it maps w_a w'_b^T to (e^{ih_a} - e^{-ih'_b})
+    w_a w'_b^T, and the pairs whose singular value is below
+    1e-10 max(sigma_max, 1) span the kernel."""
+    sv = np.abs(np.exp(1j * h)[:, None] - np.exp(-1j * hs)[None, :])
+    a, b = np.nonzero(sv < 1e-10 * max(sv.max(), 1.0))
+    return w.T[a][:, :, None] * ws.T[b][:, None, :]
+
+
 def matrix_oracle_type(rep: UnitaryRep, inv_kind: str,
                        tol: float = DEFAULT_TOL, seed: int = DEFAULT_SEED):
     """Decide R vs H for a self-twisted-dual representation.
@@ -311,28 +311,27 @@ def matrix_oracle_type(rep: UnitaryRep, inv_kind: str,
     if sigma is None:
         raise OracleError(f"no matrix realization of {inv_kind} on "
                           f"{rep.family}({rep.n})")
+    if inv_kind == "trivial":
+        sigma = None  # rho(sigma g) is rho(g): one eigh and one exp per sample
     basis = np.array(lie_basis(rep.family, rep.n))
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)  # a negative seed acts as its absolute value
     # the basis and two generic combinations (against degenerate bases), as one stack
-    coeffs = rng.uniform(-1, 1, size=(2, len(basis)))
-    samples = expm_antihermitian(np.concatenate([basis, np.tensordot(coeffs, basis, 1)]))
+    h, w, hs, ws = _spectra(rep, sigma, np.concatenate([basis, _combinations(rng, 2, basis)]))
 
     d = rep.size
-    eye = np.eye(d)
     # equation rho(g) S - S conj(rho(sigma g)) = 0 for every sample.
-    # Stage 1: the kernel of the last (generic) sample's Sylvester block,
-    # row-major vec.  Stage 2: the other samples on that kernel, one
-    # (d^2, k) block per sample; the joint kernel is the stage-1 basis
-    # times the kernel of their stack.
-    rg = rep.apply(samples)  # under trivial, rho(sigma g) is rho(g): map once
-    rsg = np.conj(rg if inv_kind == "trivial" else rep.apply(sigma(samples)))
-    kernel = _null_space(np.kron(rg[-1], eye) - np.kron(eye, rsg[-1].T), 1e-10)
-    k = kernel.shape[1]
-    cands = kernel.T.reshape(k, d, d)
-    system = np.empty(((len(samples) - 1) * d * d, k), dtype=complex)
-    for block, r, rs in zip(np.split(system, len(samples) - 1), rg, rsg):
+    # Stage 1: the kernel of the last (generic) sample's equation, read
+    # off its two eigenbases.  Stage 2: the other samples on that kernel,
+    # one (d^2, k) block per sample; the joint kernel is the stage-1
+    # basis times the kernel of their stack.
+    cands = _sylvester_kernel(h[-1], w[-1], hs[-1], ws[-1])
+    k = len(cands)
+    rg = _exp_from_eigh(h[:-1], w[:-1])
+    rsg = np.conj(rg if sigma is None else _exp_from_eigh(hs[:-1], ws[:-1]))
+    system = np.empty((len(rg) * d * d, k), dtype=complex)
+    for block, r, rs in zip(np.split(system, len(rg)), rg, rsg):
         block[...] = (r @ cands - cands @ rs).reshape(k, d * d).T
-    null = kernel @ _null_space(system, 1e-10)
+    null = cands.reshape(k, d * d).T @ _null_space(system, 1e-10)
     if null.shape[1] != 1:
         raise OracleError(
             f"intertwiner space of {rep.label} has dimension "
@@ -343,12 +342,12 @@ def matrix_oracle_type(rep: UnitaryRep, inv_kind: str,
     c = np.trace(ss).real / d
     if abs(np.trace(ss).imag) > tol * d or abs(c) < tol:
         raise OracleError(f"oracle inconclusive for {rep.label}: S.Sbar trace {np.trace(ss)}")
-    if np.linalg.norm(ss - c * eye) > tol * max(abs(c), 1.0) * d:
+    if np.linalg.norm(ss - c * np.eye(d)) > tol * max(abs(c), 1.0) * d:
         raise OracleError(f"oracle inconclusive for {rep.label}: S.Sbar not scalar")
 
-    g = expm_antihermitian(np.tensordot(rng.uniform(-1, 1, size=(20, len(basis))), basis, 1))
-    rg = rep.apply(g)
-    rsg = rg if inv_kind == "trivial" else rep.apply(sigma(g))
+    h, w, hs, ws = _spectra(rep, sigma, _combinations(rng, 20, basis))
+    rg = _exp_from_eigh(h, w)
+    rsg = rg if sigma is None else _exp_from_eigh(hs, ws)
     resids = np.linalg.norm(rg @ s - s @ np.conj(rsg), axis=(1, 2))
     for resid in resids:
         if resid > tol * max(np.linalg.norm(s), 1.0) * 10:

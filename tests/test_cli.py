@@ -148,6 +148,15 @@ def test_verify_oracle_suite(tmp_path, group, involution, status):
         (f"oracle[{group}/{involution}]", status)]
 
 
+def test_verify_oracle_suite_takes_a_negative_seed(tmp_path):
+    # the oracle draws from random.Random, which seeds with |seed|
+    out = tmp_path / "o.json"
+    assert run(["verify", "--group", "SU2", "--suite", "oracle",
+                "--seed", "-1", "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["seed"] == "-1" and data["passed"] is True
+
+
 @pytest.mark.parametrize("module", ["numpy", "dataclasses", "inspect",
                                     "fractions", "decimal"])
 def test_cli_starts_without(module):

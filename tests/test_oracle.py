@@ -1,17 +1,25 @@
 import itertools
+import os
+import random
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import eqkr
 from eqkr.groups import build_root_data
 from eqkr.oracle import (
     OracleError,
+    _contraction_matrix,
     _null_space,
     _sigma_on_defining,
+    _sylvester_kernel,
+    _symmetrizer,
     defining_rep,
     expm_antihermitian,
-    exterior_power,
     exterior_rep,
     lie_basis,
     matrix_oracle_type,
@@ -29,12 +37,45 @@ def _random_complex(rng, rows, cols):
 
 def _compound_by_minors(u, k):
     """Reference compound matrix: one determinant per pair of k-subsets."""
-    subs = list(itertools.combinations(range(u.shape[0]), k))
-    out = np.zeros((len(subs), len(subs)), dtype=complex)
-    for a, rows in enumerate(subs):
-        for b, cols in enumerate(subs):
-            out[a, b] = np.linalg.det(u[np.ix_(rows, cols)])
+    subs = np.array(list(itertools.combinations(range(u.shape[0]), k)))
+    return np.linalg.det(u[subs[:, None, :, None], subs[None, :, None, :]])
+
+
+def _kron_power(u, k):
+    out = np.ones((1, 1))
+    for _ in range(k):
+        out = np.kron(out, u)
     return out
+
+
+def _model(family, n, kind, k):
+    """A model and its group-level reference rho, built from minors or
+    Kronecker powers of the defining matrix; the Sp primitive part and
+    Sym^k are restricted to the same bases as the model."""
+    if kind == "wedge":
+        return exterior_rep(family, n, k), lambda u: _compound_by_minors(u, k)
+    if kind == "primitive":
+        q = _null_space(_contraction_matrix(2 * n, k, symplectic_j(n)), 1e-12)
+        return (primitive_exterior_rep(n, k),
+                lambda u: q.conj().T @ _compound_by_minors(u, k) @ q)
+    q = _symmetrizer(defining_rep(family, n).size, k)
+    return symmetric_rep(family, n, k), lambda u: q.T @ _kron_power(u, k) @ q
+
+
+def _model_for_weight(group, weight):
+    rd = build_root_data(group)
+    family, n = rd.spec.factors[0]
+    k = rd.fundamental_weights().index(weight) + 1
+    rep, rho = _model(family, n, "primitive" if family == "Sp" else "wedge", k)
+    assert rep is rep_for_weight(rd, weight)
+    return rep, rho
+
+
+def _algebra_stack(rng, family, n, count):
+    """count random combinations of lie_basis(family, n), as one stack."""
+    size = defining_rep(family, n).size
+    basis = np.array(lie_basis(family, n)).reshape(-1, size, size)
+    return np.tensordot(rng.uniform(-1, 1, size=(count, len(basis))), basis, 1)
 
 
 def _close(got, want):
@@ -44,18 +85,43 @@ def _close(got, want):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_exterior_power_is_the_compound_matrix(n):
+    # exp of the derivation on wedge^k is the compound matrix of exp, on a
+    # stack; the defining model is the identity map
     rng = np.random.default_rng(n)
-    for _ in range(3):
-        a, b = _random_complex(rng, n, n), _random_complex(rng, n, n)
-        for k in range(n + 1):
-            size = comb(n, k)
-            lam_a = exterior_power(a, k)
-            assert lam_a.shape == (size, size)
-            _close(lam_a, _compound_by_minors(a, k))
-            _close(exterior_power(np.eye(n, dtype=complex), k), np.eye(size))
-            # Cauchy-Binet: the compound is multiplicative
-            _close(exterior_power(a @ b, k), lam_a @ exterior_power(b, k))
-        _close(exterior_power(a, n), np.array([[np.linalg.det(a)]]))
+    for family in ("SU", "U"):
+        xs = _algebra_stack(rng, family, n, 3)
+        _close(defining_rep(family, n).differential(xs), xs)
+        us = expm_antihermitian(xs)
+        for k in range(1, n + 1):
+            rep = exterior_rep(family, n, k)
+            assert rep.size == comb(n, k)
+            _close(expm_antihermitian(rep.differential(xs)),
+                   np.array([_compound_by_minors(u, k) for u in us]))
+
+
+MODELS = [("SU", 4, "wedge", 2), ("U", 3, "wedge", 2), ("SU", 6, "wedge", 3),
+          ("Sp", 2, "wedge", 2), ("Sp", 2, "primitive", 2), ("Sp", 3, "primitive", 2),
+          ("Sp", 3, "primitive", 3), ("SU", 2, "sym", 2), ("SU", 2, "sym", 3),
+          ("SU", 2, "sym", 4)]
+MODEL_IDS = [f"{f}{n}-{kind}{k}" for f, n, kind, k in MODELS]
+
+
+@pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+def test_differential_exponentiates_to_the_group_model(model):
+    rep, rho = _model(*model)
+    xs = _algebra_stack(np.random.default_rng(3), model[0], model[1], 4)
+    got = expm_antihermitian(rep.differential(xs))
+    assert got.shape == (4, rep.size, rep.size)
+    _close(got, np.array([rho(u) for u in expm_antihermitian(xs)]))
+
+
+@pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+def test_differential_is_a_lie_algebra_map(model):
+    # d rho([x, y]) = [d rho(x), d rho(y)] on the algebra of the model's group
+    rep, _ = _model(*model)
+    xs, ys = np.split(_algebra_stack(np.random.default_rng(7), model[0], model[1], 6), 2)
+    dx, dy = rep.differential(xs), rep.differential(ys)
+    _close(rep.differential(xs @ ys - ys @ xs), dx @ dy - dy @ dx)
 
 
 def _random_unitaries(rng, count, n):
@@ -75,25 +141,6 @@ def test_expm_antihermitian_on_a_stack():
     _close_slicewise(expm_antihermitian, x)
     u = expm_antihermitian(x)
     _close(u @ u.conj().swapaxes(1, 2), np.broadcast_to(np.eye(5), u.shape))
-
-
-@pytest.mark.parametrize("n", range(1, 7))
-def test_exterior_power_on_a_stack(n):
-    us = _random_unitaries(np.random.default_rng(n), 3, n)
-    for k in range(n + 1):
-        _close_slicewise(lambda u: exterior_power(u, k), us)
-
-
-@pytest.mark.parametrize("make,defining_size", [
-    (lambda: primitive_exterior_rep(3, 2), 6),
-    (lambda: primitive_exterior_rep(3, 3), 6),
-    (lambda: symmetric_rep("SU", 2, 3), 2),
-], ids=["Sp3-omega2", "Sp3-omega3", "SU2-sym3"])
-def test_rep_apply_on_a_stack(make, defining_size):
-    rep = make()
-    us = _random_unitaries(np.random.default_rng(defining_size), 4, defining_size)
-    assert rep.apply(us).shape == (4, rep.size, rep.size)
-    _close_slicewise(rep.apply, us)
 
 
 @pytest.mark.parametrize("inv_kind,family,n,size", [
@@ -136,39 +183,87 @@ def test_null_space_of_a_stacked_intertwiner_shaped_system(nullity):
                                rtol=0, atol=1e-12 * sv[0])
 
 
-def _stacked_kernel_projector(rep, inv_kind, seed):
-    """Reference: the projector onto the joint kernel of all the samples'
-    Sylvester blocks, from the SVD of their full stack."""
-    basis = lie_basis(rep.family, rep.n)
-    samples = [expm_antihermitian(x) for x in basis]
-    rng = np.random.default_rng(seed)
-    for _ in range(2):
-        coeffs = rng.uniform(-1, 1, size=len(basis))
-        samples.append(expm_antihermitian(sum(c * x for c, x in zip(coeffs, basis))))
-    sigma = _sigma_on_defining(inv_kind, rep.family, rep.n)
-    eye = np.eye(rep.size)
-    system = np.vstack([np.kron(rep.apply(g), eye)
-                        - np.kron(eye, np.conj(rep.apply(sigma(g))).T) for g in samples])
+def _oracle_samples(family, n, seed):
+    """The oracle's stage-1 and stage-2 samples on the algebra: the Lie
+    basis and two combinations drawn from random.Random(seed)."""
+    basis = lie_basis(family, n)
+    rng = random.Random(seed)
+    combos = [[rng.uniform(-1, 1) for _ in basis] for _ in range(2)]
+    return basis + [sum(c * x for c, x in zip(coeffs, basis)) for coeffs in combos]
+
+
+def _sylvester_block(r, rs):
+    """S -> r S - S conj(rs) as a d^2 x d^2 matrix on row-major vec(S)."""
+    eye = np.eye(len(r))
+    return np.kron(r, eye) - np.kron(eye, np.conj(rs).T)
+
+
+def _svd_kernel_projector(system):
     _, sv, vh = np.linalg.svd(system, full_matrices=False)
     null = vh[sv < 1e-10 * max(sv[0], 1.0)].conj().T
     return null @ null.conj().T
 
 
-@pytest.mark.parametrize("seed", [1789, 1])
-@pytest.mark.parametrize("group,kind,weight", [
+def _stacked_kernel_projector(rep, rho, inv_kind, seed):
+    """Reference: the projector onto the joint kernel of all the samples'
+    Sylvester blocks, from the SVD of their full stack, with rho the
+    group-level model."""
+    sigma = _sigma_on_defining(inv_kind, rep.family, rep.n)
+    samples = [expm_antihermitian(x) for x in _oracle_samples(rep.family, rep.n, seed)]
+    return _svd_kernel_projector(
+        np.vstack([_sylvester_block(rho(g), rho(sigma(g))) for g in samples]))
+
+
+KERNEL_CASES = [
     ("SU5", "sigmaR", (0, 1, 0, 0)),
     ("Sp3", "trivial", (0, 1, 0)), ("Sp3", "trivial", (0, 0, 1)),
     ("Sp3", "sigmaR", (0, 1, 0)), ("Sp3", "sigmaR", (0, 0, 1)),
-    ("SU4", "sigmaH", (0, 1, 0)),
-])
+    ("SU4", "sigmaH", (0, 1, 0)), ("U4", "sigmaH", (1, 1, 0, 0)),
+]
+
+
+@pytest.mark.parametrize("seed", [1789, 1])
+@pytest.mark.parametrize("group,kind,weight", KERNEL_CASES)
+def test_eigenbasis_kernel_is_the_sylvester_kernel(group, kind, weight, seed):
+    # stage 1 reads the kernel of the last sample's equation off the two
+    # eigenbases; it equals the SVD kernel of that sample's Sylvester
+    # block, also where eigenvalues repeat (the zero weight of Sp3 omega2)
+    rep, rho = _model_for_weight(group, weight)
+    x = _oracle_samples(rep.family, rep.n, seed)[-1]
+    sigma = _sigma_on_defining(kind, rep.family, rep.n)
+    h, w = np.linalg.eigh(-1j * rep.differential(x))
+    hs, ws = np.linalg.eigh(-1j * rep.differential(sigma(x)))
+    cands = _sylvester_kernel(h, w, hs, ws)
+    v = cands.reshape(len(cands), -1).T
+    _close(v.conj().T @ v, np.eye(len(cands)))
+    g = expm_antihermitian(x)
+    np.testing.assert_allclose(
+        v @ v.conj().T, _svd_kernel_projector(_sylvester_block(rho(g), rho(sigma(g)))),
+        rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("seed", [1789, 1])
+@pytest.mark.parametrize("group,kind,weight", KERNEL_CASES)
 def test_two_stage_kernel_is_the_stacked_kernel(group, kind, weight, seed):
     # the intertwiner found on the last sample's kernel spans the kernel
     # of the whole stacked system
-    rep = rep_for_weight(build_root_data(group), weight)
+    rep, rho = _model_for_weight(group, weight)
     _, s = matrix_oracle_type(rep, kind, seed=seed)
     v = s.reshape(-1, 1)
-    np.testing.assert_allclose(v @ v.conj().T, _stacked_kernel_projector(rep, kind, seed),
+    np.testing.assert_allclose(v @ v.conj().T, _stacked_kernel_projector(rep, rho, kind, seed),
                                rtol=0, atol=1e-10)
+
+
+def test_a_decision_loads_no_numpy_random():
+    # the samples come from the standard library's random.Random, so a
+    # process that decides pays no numpy.random import
+    code = ("import sys; from eqkr.oracle import defining_rep, matrix_oracle_type; "
+            "matrix_oracle_type(defining_rep('SU', 2), 'trivial'); "
+            "sys.exit('numpy.random' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(eqkr.__file__).parents[1]))
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, timeout=60)
+    assert res.returncode == 0, res.stderr
 
 
 def test_models_outside_the_catalog_are_refused():
