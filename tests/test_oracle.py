@@ -99,6 +99,19 @@ def test_exterior_power_is_the_compound_matrix(n):
                    np.array([_compound_by_minors(u, k) for u in us]))
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_exterior_power_on_a_stack(n):
+    # the wedge^k model on a stack of algebra elements, and its exponential,
+    # are the model on each slice; wedge^0 is the trivial representation
+    xs = _algebra_stack(np.random.default_rng(n), "U", n, 3)
+    for k in range(n + 1):
+        rep = exterior_rep("U", n, k)
+        _close_slicewise(rep.differential, xs)
+        _close_slicewise(lambda x: expm_antihermitian(rep.differential(x)), xs)
+    _close(expm_antihermitian(exterior_rep("U", n, 0).differential(xs)),
+           np.ones((3, 1, 1)))
+
+
 MODELS = [("SU", 4, "wedge", 2), ("U", 3, "wedge", 2), ("SU", 6, "wedge", 3),
           ("Sp", 2, "wedge", 2), ("Sp", 2, "primitive", 2), ("Sp", 3, "primitive", 2),
           ("Sp", 3, "primitive", 3), ("SU", 2, "sym", 2), ("SU", 2, "sym", 3),
