@@ -22,7 +22,6 @@ from .realstruct import (
     IrrepClass,
     FundamentalSplit,
     UnclassifiableError,
-    twisted_dual,
     classify_type,
     fs_rule_type,
     split_fundamentals,

@@ -1,48 +1,41 @@
-"""Numerical antilinear-intertwiner oracle that checks R-vs-H decisions.
+"""Exact antilinear-intertwiner oracle that checks R-vs-H decisions.
 
 The oracle decides no type in the engine: the classifier in
 eqkr.realstruct uses overrides and the catalog rule only, and this
 module checks that rule independently (``eqkr verify --suite oracle``).
 
-For a self-twisted-dual unitary representation rho and an involution
-sigma(g) = J gbar J^{-1}, the oracle solves the linear system
+For a self-twisted-dual representation rho and an involution sigma, the
+antilinear intertwiner v -> S(vbar) solves rho(g) S = S conj(rho(sigma g)).
+Differentiated, with theta(X) = conj(sigma_* X) extended C-linearly (-X^T
+for the trivial sigma, X for sigmaR, J X J^-1 for sigmaH), this reads
 
-    S . conj(rho(sigma(g))) = rho(g) . S        for all sampled g
+    d rho(X) S = S d rho(theta X)        for X in the complexified algebra.
 
-for the matrix S of the antilinear intertwiner v -> S(vbar).  It is
-solved in two stages: the kernel N of the last (generic) sample's
-equation, then the kernel of the other samples' equations restricted
-to N, a ((samples - 1) d^2, dim N) system.  The intertwiner space must
-be one-dimensional (Schur); then S.Sbar is a real multiple of the
-identity and its sign decides the type: positive for Real, negative
-for Quaternionic.
+Every model is exact: d rho of each matrix unit is a sparse rational
+matrix on a weight basis, so the equation is solved over Q.  The Cartan
+elements allow an entry S[a][b] only where the weight of a equals the
+weight of b composed with theta.  The Chevalley generators e_i, f_i give
+the other equations: they generate the algebra, and theta is an
+automorphism, so the X that satisfy the equation form a subalgebra that
+is all of it.  Fraction elimination gives the kernel, which must be
+one-dimensional (Schur).  S is rational, so S.Sbar = S^2, which must be
+c times the identity: c > 0 is Real, c < 0 Quaternionic.  Nothing is
+sampled and nothing is rounded.
 
-Representations are modelled on the Lie algebra for SU(n), Sp(n) and
-U(n): each model is its differential d rho, one exact linear map from
-defining-size matrices to d x d ones (the identity, the derivation on
-an exterior power, its primitive part for Sp(n), the projected
-Kronecker sum on a symmetric power).  Group elements are exponentials
-of a fixed Lie algebra basis and of seeded random combinations of it,
-and rho(exp x) = exp(d rho(x)) comes from one batched eigh of
--i d rho(x).  The first stage needs no factorisation: the equation of
-two unitaries is a normal operator, whose singular vectors and values
-are read off their two eigenbases.  The accepted intertwiner must keep
-residuals below tolerance on 20 more samples.
+Models exist for SU(n), Sp(n) and U(n): the defining representation (the
+identity map), the derivation on the k-subsets of an exterior power, its
+Sp(n) primitive part (the kernel of the contraction with the symplectic
+form, on the rational basis that the reduced echelon form gives), and the
+derivation on the monomials of a symmetric power.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
+from fractions import Fraction
 from functools import lru_cache
-from math import factorial
-
-import numpy as np
 
 from .groups import RootData
-
-DEFAULT_TOL = 1e-9
-DEFAULT_SEED = 1789
 
 
 class OracleError(RuntimeError):
@@ -50,189 +43,160 @@ class OracleError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Lie algebra bases and matrix models
+# exact linear algebra on sparse rows {column: coefficient}
 # ---------------------------------------------------------------------------
 
-def _pair_basis(n, pairs, s):
-    """E_jk + s E_kj and i(E_jk + E_kj) for each (j, k) in pairs, in that order."""
-    out = []
-    for j, k in pairs:
-        for v, w in ((1, s), (1j, 1j)):
-            m = np.zeros((n, n), dtype=complex)
-            m[j, k], m[k, j] = v, w
-            out.append(m)
-    return out
+def _echelon(rows):
+    """Reduced echelon form of sparse rows, as {pivot column: row}: each
+    row is 1 at its pivot and has no entry at any other pivot column."""
+    pivots = {}
+    for row in rows:
+        row = dict(row)
+        for col in [c for c in row if c in pivots]:
+            a = row[col]
+            for c, v in pivots[col].items():
+                row[c] = row.get(c, 0) - a * v
+        row = {c: v for c, v in row.items() if v}
+        if not row:
+            continue
+        col = min(row)
+        lead = Fraction(row[col])
+        row = {c: v / lead for c, v in row.items()}
+        for p, other in pivots.items():
+            a = other.get(col)
+            if a:
+                for c, v in row.items():
+                    other[c] = other.get(c, 0) - a * v
+                pivots[p] = {c: v for c, v in other.items() if v}
+        pivots[col] = row
+    return pivots
 
 
-def su_basis(n):
-    """Antihermitian traceless basis of su(n)."""
-    e = 1j * np.eye(n)
-    return (_pair_basis(n, itertools.combinations(range(n), 2), -1)
-            + [np.diag(e[j] - e[j + 1]) for j in range(n - 1)])
+def _kernel(pivots, columns):
+    """The kernel of echelon rows, one vector {column: value} per free
+    column f: 1 at f, and minus each pivot row's entry at f."""
+    return [{f: 1, **{p: -row[f] for p, row in pivots.items() if f in row}}
+            for f in columns if f not in pivots]
 
 
-def u_basis(n):
-    return su_basis(n) + [1j * np.eye(n)]
+# ---------------------------------------------------------------------------
+# matrix models
+# ---------------------------------------------------------------------------
 
+class RepModel:
+    """A representation given by its differential d rho on a rational weight
+    basis: units[(r, c)] lists the nonzero entries (i, j, v) of d rho(E_rc)
+    for the matrix unit E_rc of the defining representation.  Built once
+    per model and shared; never modified."""
 
-def sp_basis(n):
-    """Antihermitian basis of sp(n) inside u(2n), blocks [[A,B],[-Bbar,Abar]]."""
-    e, zero = 1j * np.eye(n), np.zeros((n, n), dtype=complex)
-    blocks = ([(np.diag(e[j]), zero) for j in range(n)]
-              + [(a, zero) for a in _pair_basis(n, itertools.combinations(range(n), 2), -1)]
-              + [(zero, b) for b in _pair_basis(
-                  n, itertools.combinations_with_replacement(range(n), 2), 1)])
-    a, b = (np.array(x) for x in zip(*blocks))
-    return list(np.block([[a, b], [-np.conj(b), np.conj(a)]]))
-
-
-def symplectic_j(m):
-    """The standard J with J^2 = -1 on C^{2m}, block form [[0,I],[-I,0]]."""
-    j = np.zeros((2 * m, 2 * m), dtype=complex)
-    j[:m, m:] = np.eye(m)
-    j[m:, :m] = -np.eye(m)
-    return j
-
-
-def _exp_from_eigh(h, w):
-    """w e^{ih} w^H, for one eigendecomposition or a stack of them."""
-    return (w * np.exp(1j * h)[..., None, :]) @ w.conj().swapaxes(-1, -2)
-
-
-def expm_antihermitian(x):
-    """exp of an antihermitian matrix or stack, by one batched eigh (exact unitary)."""
-    return _exp_from_eigh(*np.linalg.eigh(-1j * x))  # hermitian
-
-
-def _subsets(n, k):
-    return list(itertools.combinations(range(n), k))
-
-
-def _contraction_matrix(n, k, form):
-    """Contraction wedge^k -> wedge^{k-2} with the bilinear form."""
-    rows = _subsets(n, k - 2)
-    cols = _subsets(n, k)
-    idx = {s: i for i, s in enumerate(rows)}
-    out = np.zeros((len(rows), len(cols)), dtype=complex)
-    for b, s in enumerate(cols):
-        for p in range(k):
-            for q in range(p + 1, k):
-                w = form[s[p], s[q]]
-                if w == 0:
-                    continue
-                rest = tuple(x for i, x in enumerate(s) if i not in (p, q))
-                out[idx[rest], b] += (-1) ** (p + q + 1) * w
-    return out
-
-
-def _null_space(mat, tol):
-    # A wide matrix needs the full V to expose its kernel.  A tall one
-    # (the oracle's stage-2 stack) is first reduced to its square R
-    # factor (mat = QR): R has the singular values and right singular
-    # vectors of mat, so the SVD runs on n x n and neither Q nor U is
-    # built (Chan's R-SVD).
-    if mat.shape[0] > mat.shape[1]:
-        mat = np.linalg.qr(mat, mode="r")
-    _, sv, vh = np.linalg.svd(mat, full_matrices=mat.shape[0] < mat.shape[1])
-    if mat.shape[0] < mat.shape[1]:
-        sv = np.concatenate([sv, np.zeros(mat.shape[1] - mat.shape[0])])
-    scale = max(sv[0], 1.0) if len(sv) else 1.0
-    null = vh[sv < tol * scale]
-    return null.conj().T  # columns span the kernel
-
-
-def _symmetrizer(n, k):
-    """Orthonormal basis of Sym^k inside the k-fold tensor power of C^n."""
-    dim = n ** k
-    proj = np.zeros((dim, dim))
-    for perm in itertools.permutations(range(k)):
-        p = np.zeros((dim, dim))
-        for idx in itertools.product(range(n), repeat=k):
-            src = sum(x * n ** (k - 1 - i) for i, x in enumerate(idx))
-            permuted = tuple(idx[perm[i]] for i in range(k))
-            dst = sum(x * n ** (k - 1 - i) for i, x in enumerate(permuted))
-            p[dst, src] = 1
-        proj += p
-    proj /= factorial(k)
-    vals, vecs = np.linalg.eigh(proj)
-    return vecs[:, vals > 0.5]
-
-
-def _matrix_units(m):
-    """The m^2 matrix units E_rc of size m, as one stack in row-major (r, c) order."""
-    return np.eye(m * m).reshape(m * m, m, m)
-
-
-def _wedge_derivation(m, k):
-    """d rho(E_rc) on wedge^k C^m for every matrix unit: the derivation
-    sending e_B (B a sorted k-subset) to the sum over c in B of e_B with
-    e_c replaced by E_rc e_c = e_r."""
-    subs = _subsets(m, k)
-    idx = {s: i for i, s in enumerate(subs)}
-    out = np.zeros((m, m, len(subs), len(subs)))
-    for b, s in enumerate(subs):
-        for c in s:
-            rest = [x for x in s if x != c]
-            for r in range(m):
-                if r in rest:
-                    continue
-                # sorting e_r into c's place passes the members strictly between r and c
-                sign = (-1) ** sum(min(r, c) < x < max(r, c) for x in rest)
-                out[r, c, idx[tuple(sorted(rest + [r]))], b] = sign
-    return out.reshape(m * m, len(subs), len(subs))
-
-
-class UnitaryRep:
-    """A unitary representation given by its differential d rho, one exact
-    linear map with rho(exp x) = exp(d rho(x)) on the defining algebra."""
-
-    def __init__(self, family, n, units, label):
-        units.flags.writeable = False
+    def __init__(self, family, n, units, size, label):
         self.family = family
         self.n = n  # rank parameter of the defining representation
-        self.units = units  # d rho(E_rc) for the matrix units, as _matrix_units orders them
-        self.size = units.shape[-1]
+        self.units = units
+        self.size = size
         self.label = label
 
     def differential(self, x):
-        """d rho of a defining-size matrix, or of each in a stack."""
-        return np.tensordot(x.reshape(x.shape[:-2] + (-1,)), self.units, 1)
+        """d rho of a sparse defining-size matrix {(r, c): coefficient}, as a
+        sparse matrix {(i, j): value}."""
+        out = {}
+        for rc, a in x.items():
+            for i, j, v in self.units.get(rc, ()):
+                out[i, j] = out.get((i, j), 0) + a * v
+        return {ij: v for ij, v in out.items() if v}
+
+
+def _tensor_derivation(m, k, exterior):
+    """(units, size) of wedge^k C^m on its k-subsets, or of Sym^k C^m on its
+    k-multisets, both as sorted tuples.  E_rc replaces a factor e_c by e_r:
+    on wedge^k with the sign of sorting e_r into place, on Sym^k with the
+    multiplicity of c as coefficient."""
+    basis = list((itertools.combinations if exterior
+                  else itertools.combinations_with_replacement)(range(m), k))
+    idx = {s: i for i, s in enumerate(basis)}
+    units = {}
+    for b, s in enumerate(basis):
+        for c in dict.fromkeys(s):
+            rest = list(s)
+            rest.remove(c)
+            for r in range(m):
+                if not exterior:
+                    v = s.count(c)
+                elif r in rest:
+                    continue
+                else:
+                    # sorting e_r into c's place passes the members strictly between r and c
+                    v = (-1) ** sum(min(r, c) < x < max(r, c) for x in rest)
+                units.setdefault((r, c), []).append((idx[tuple(sorted(rest + [r]))], b, v))
+    return {rc: tuple(e) for rc, e in units.items()}, len(basis)
 
 
 @lru_cache(maxsize=None)
 def defining_rep(family, n):
-    return UnitaryRep(family, n, _matrix_units(2 * n if family == "Sp" else n),
-                      f"{family}{n} defining")
+    m = 2 * n if family == "Sp" else n
+    units = {(r, c): ((r, c, 1),) for r in range(m) for c in range(m)}
+    return RepModel(family, n, units, m, f"{family}{n} defining")
 
 
 @lru_cache(maxsize=None)
 def exterior_rep(family, n, k):
-    return UnitaryRep(family, n, _wedge_derivation(defining_rep(family, n).size, k),
-                      f"{family}{n} wedge^{k}")
-
-
-@lru_cache(maxsize=None)
-def primitive_exterior_rep(n, k):
-    """Fundamental V_{omega_k} of Sp(n): kernel of contraction in wedge^k,
-    invariant under the derivation of every element of sp(n)."""
-    q = _null_space(_contraction_matrix(2 * n, k, symplectic_j(n)), 1e-12)
-    return UnitaryRep("Sp", n, q.conj().T @ _wedge_derivation(2 * n, k) @ q,
-                      f"Sp{n} primitive wedge^{k}")
+    units, size = _tensor_derivation(defining_rep(family, n).size, k, True)
+    return RepModel(family, n, units, size, f"{family}{n} wedge^{k}")
 
 
 @lru_cache(maxsize=None)
 def symmetric_rep(family, n, k):
-    """Sym^k of the defining representation: the Kronecker sum of d rho = x
-    over the k-fold tensor power, restricted to the symmetric tensors."""
-    units = defining_rep(family, n).units
-    m = units.shape[-1]
-    ksum = sum(np.kron(np.kron(np.eye(m ** j), units), np.eye(m ** (k - 1 - j)))
-               for j in range(k))
-    q = _symmetrizer(m, k)
-    return UnitaryRep(family, n, q.T @ ksum @ q, f"{family}{n} sym^{k}")
+    units, size = _tensor_derivation(defining_rep(family, n).size, k, False)
+    return RepModel(family, n, units, size, f"{family}{n} sym^{k}")
 
 
-def rep_for_weight(rd: RootData, lam) -> UnitaryRep | None:
+def _contraction_rows(n, k):
+    """The contraction wedge^k C^2n -> wedge^(k-2) with the form J = [[0, I],
+    [-I, 0]]: one sparse row per (k-2)-subset, over the k-subsets."""
+    idx = {s: i for i, s in enumerate(itertools.combinations(range(2 * n), k - 2))}
+    rows = [{} for _ in idx]
+    for b, s in enumerate(itertools.combinations(range(2 * n), k)):
+        for p, q in itertools.combinations(range(k), 2):
+            if s[q] == s[p] + n:  # J is 1 at (i, i + n); s is sorted, so never -1
+                rows[idx[s[:p] + s[p + 1:q] + s[q + 1:]]][b] = (-1) ** (p + q + 1)
+    return rows
+
+
+@lru_cache(maxsize=None)
+def _primitive_basis(n, k):
+    """(free columns, kernel vectors) of the contraction on wedge^k C^2n,
+    from its reduced echelon form: one kernel vector per free column, and
+    a kernel vector's coordinates are its entries at the free columns."""
+    wedge = exterior_rep("Sp", n, k)
+    pivots = _echelon(_contraction_rows(n, k))
+    return ([f for f in range(wedge.size) if f not in pivots],
+            _kernel(pivots, range(wedge.size)))
+
+
+@lru_cache(maxsize=None)
+def primitive_exterior_rep(n, k):
+    """Fundamental V_{omega_k} of Sp(n): the kernel of the contraction in
+    wedge^k, invariant under d rho of sp(2n, C).  d rho(E_rc) sends each
+    kernel vector to the free-column entries of its wedge^k image, which
+    are its coordinates when E_rc is replaced by an element of sp(2n, C)."""
+    free, kernel = _primitive_basis(n, k)
+    coord = {f: i for i, f in enumerate(free)}
+    units = {}
+    for rc, entries in exterior_rep("Sp", n, k).units.items():
+        by_col = {}
+        for i, j, v in entries:
+            if i in coord:
+                by_col.setdefault(j, []).append((coord[i], v))
+        image = {}
+        for b, vec in enumerate(kernel):
+            for j, x in vec.items():
+                for a, v in by_col.get(j, ()):
+                    image[a, b] = image.get((a, b), 0) + x * v
+        units[rc] = tuple((a, b, v) for (a, b), v in image.items() if v)
+    return RepModel("Sp", n, units, len(free), f"Sp{n} primitive wedge^{k}")
+
+
+def rep_for_weight(rd: RootData, lam) -> RepModel | None:
     """A concrete matrix model for lam, when the catalog has one: the
     fundamental representations of SU(n), Sp(n) and U(n)."""
     if len(rd.factors) > 1:
@@ -248,109 +212,118 @@ def rep_for_weight(rd: RootData, lam) -> UnitaryRep | None:
     return primitive_exterior_rep(n, k) if fam == "Sp" else exterior_rep(fam, n, k)
 
 
-def _sigma_on_defining(inv_kind, family, n):
-    """sigma on defining-size matrices (group or algebra elements), or None."""
+# ---------------------------------------------------------------------------
+# the intertwiner equation
+# ---------------------------------------------------------------------------
+
+def _theta(inv_kind, family, n):
+    """theta(X) = conj(sigma_* X), extended C-linearly, on sparse
+    defining-size matrices, or None when sigma has no matrix realization."""
     if inv_kind == "trivial":
-        return lambda u: u
+        return lambda x: {(c, r): -a for (r, c), a in x.items()}
     if inv_kind == "sigmaR":
-        # entrywise conjugation; it preserves Sp(n) in the sp_basis form
-        return np.conj
+        # sigma is entrywise conjugation, which preserves Sp(n) too
+        return lambda x: x
     if inv_kind == "sigmaH" and family in ("SU", "U") and n % 2 == 0:
-        j = symplectic_j(n // 2)
-        return lambda u: j @ np.conj(u) @ j.conj().T
+        h = n // 2
+
+        def j(c):  # J e_c for J = [[0, I], [-I, 0]], as (index, sign)
+            return (c - h, 1) if c >= h else (c + h, -1)
+
+        def theta(x):  # J E_rc J^-1 = (J e_r)(J e_c)^T, since J^-1 = J^T
+            out = {}
+            for (r, c), a in x.items():
+                (jr, sr), (jc, sc) = j(r), j(c)
+                out[jr, jc] = sr * sc * a
+            return out
+        return theta
     return None
 
 
-def lie_basis(family, n):
-    if family == "SU":
-        return su_basis(n)
-    if family == "Sp":
-        return sp_basis(n)
-    if family == "U":
-        return u_basis(n)
-    raise OracleError(f"no Lie algebra model for family {family}")
+def _chevalley(family, n):
+    """(Cartan basis, Chevalley generators e_i and f_i) of the complexified
+    Lie algebra, as sparse defining-size matrices."""
+    if family in ("SU", "U"):
+        es = [{(i, i + 1): 1} for i in range(n - 1)]
+        cartan = ([{(i, i): 1} for i in range(n)] if family == "U"
+                  else [{(i, i): 1, (i + 1, i + 1): -1} for i in range(n - 1)])
+    elif family == "Sp":
+        # sp(2n, C) is [[A, B], [C, -A^T]] with B and C symmetric
+        es = ([{(i, i + 1): 1, (n + i + 1, n + i): -1} for i in range(n - 1)]
+              + [{(n - 1, 2 * n - 1): 1}])
+        cartan = [{(i, i): 1, (n + i, n + i): -1} for i in range(n)]
+    else:
+        raise OracleError(f"no Lie algebra model for family {family}")
+    return cartan, es + [{(c, r): a for (r, c), a in e.items()} for e in es]
 
 
-def _combinations(rng, count, basis):
-    """count combinations of the basis stack, coefficients uniform in [-1, 1)."""
-    coeffs = np.array([rng.uniform(-1, 1) for _ in range(count * len(basis))])
-    return np.tensordot(coeffs.reshape(count, len(basis)), basis, 1)
+def _weight_pairs(rep, theta, cartan):
+    """The entries (a, b) of S that the Cartan equations allow: those where
+    the weight of basis vector a equals the weight of b composed with
+    theta.  Every basis vector is an eigenvector of each d rho(h), so the
+    weights are read off the diagonals."""
+    def weights(hs):
+        ds = [rep.differential(h) for h in hs]
+        return [tuple(dh.get((i, i), 0) for dh in ds) for i in range(rep.size)]
+
+    by_weight = {}
+    for b, w in enumerate(weights([theta(h) for h in cartan])):
+        by_weight.setdefault(w, []).append(b)
+    return [(a, b) for a, w in enumerate(weights(cartan)) for b in by_weight.get(w, ())]
 
 
-def _spectra(rep, sigma, xs):
-    """(h, w, h', w') with rho(exp x) = w e^{ih} w^H and rho(sigma(exp x)) =
-    w' e^{ih'} w'^H for each x in xs, from one batched eigh of -i d rho;
-    sigma None stands for the identity."""
-    stack = xs if sigma is None else np.concatenate([xs, sigma(xs)])
-    h, w = np.linalg.eigh(-1j * rep.differential(stack))
-    m = len(xs)
-    return h[:m], w[:m], h[-m:], w[-m:]
-
-
-def _sylvester_kernel(h, w, hs, ws):
-    """Orthonormal basis, as a (k, d, d) stack, of the kernel of
-    S -> u S - S conj(u') for u = w e^{ih} w^H and u' = w' e^{ih'} w'^H.
-    The operator is normal: it maps w_a w'_b^T to (e^{ih_a} - e^{-ih'_b})
-    w_a w'_b^T, and the pairs whose singular value is below
-    1e-10 max(sigma_max, 1) span the kernel."""
-    sv = np.abs(np.exp(1j * h)[:, None] - np.exp(-1j * hs)[None, :])
-    a, b = np.nonzero(sv < 1e-10 * max(sv.max(), 1.0))
-    return w.T[a][:, :, None] * ws.T[b][:, None, :]
-
-
-def matrix_oracle_type(rep: UnitaryRep, inv_kind: str,
-                       tol: float = DEFAULT_TOL, seed: int = DEFAULT_SEED):
+def matrix_oracle_type(rep: RepModel, inv_kind: str, seed: int | None = None):
     """Decide R vs H for a self-twisted-dual representation.
 
-    Returns (type, S) where S is the intertwiner matrix.  Raises
-    OracleError when the intertwiner space is not one-dimensional
-    ("not irreducible or not self-conjugate") or when S.Sbar is not a
-    real multiple of the identity within tolerance ("inconclusive").
+    Returns (type, S), with S the intertwiner as d rows of Fractions,
+    scaled so that its first nonzero entry is 1.  Raises OracleError when
+    the intertwiner space is not one-dimensional ("not irreducible or not
+    self-conjugate") or S.Sbar is not a nonzero multiple of the identity.
+    The decision is exact and draws nothing: seed is accepted from callers
+    that pass one, and ignored.
     """
-    sigma = _sigma_on_defining(inv_kind, rep.family, rep.n)
-    if sigma is None:
+    theta = _theta(inv_kind, rep.family, rep.n)
+    if theta is None:
         raise OracleError(f"no matrix realization of {inv_kind} on "
                           f"{rep.family}({rep.n})")
-    if inv_kind == "trivial":
-        sigma = None  # rho(sigma g) is rho(g): one eigh and one exp per sample
-    basis = np.array(lie_basis(rep.family, rep.n))
-    rng = random.Random(seed)  # a negative seed acts as its absolute value
-    # the basis and two generic combinations (against degenerate bases), as one stack
-    h, w, hs, ws = _spectra(rep, sigma, np.concatenate([basis, _combinations(rng, 2, basis)]))
+    cartan, generators = _chevalley(rep.family, rep.n)
+    unknowns = _weight_pairs(rep, theta, cartan)
+    index = {ab: u for u, ab in enumerate(unknowns)}
+    cols, rows = {}, {}  # the unknown columns of each row of S, and rows of each column
+    for a, b in unknowns:
+        cols.setdefault(a, []).append(b)
+        rows.setdefault(b, []).append(a)
 
-    d = rep.size
-    # equation rho(g) S - S conj(rho(sigma g)) = 0 for every sample.
-    # Stage 1: the kernel of the last (generic) sample's equation, read
-    # off its two eigenbases.  Stage 2: the other samples on that kernel,
-    # one (d^2, k) block per sample; the joint kernel is the stage-1
-    # basis times the kernel of their stack.
-    cands = _sylvester_kernel(h[-1], w[-1], hs[-1], ws[-1])
-    k = len(cands)
-    rg = _exp_from_eigh(h[:-1], w[:-1])
-    rsg = np.conj(rg if sigma is None else _exp_from_eigh(hs[:-1], ws[:-1]))
-    system = np.empty((len(rg) * d * d, k), dtype=complex)
-    for block, r, rs in zip(np.split(system, len(rg)), rg, rsg):
-        block[...] = (r @ cands - cands @ rs).reshape(k, d * d).T
-    null = cands.reshape(k, d * d).T @ _null_space(system, 1e-10)
-    if null.shape[1] != 1:
+    system = {}  # entry (p, q) of d rho(x) S - S d rho(theta x) for each generator x
+    for g, x in enumerate(generators):
+        terms = [(p, q, index[a, q], v) for (p, a), v in rep.differential(x).items()
+                 for q in cols.get(a, ())]
+        terms += [(p, q, index[p, b], -v) for (b, q), v in rep.differential(theta(x)).items()
+                  for p in rows.get(b, ())]
+        for p, q, u, v in terms:
+            eq = system.setdefault((g, p, q), {})
+            eq[u] = eq.get(u, 0) + v
+    kernel = _kernel(_echelon(system.values()), range(len(unknowns)))
+    if len(kernel) != 1:
         raise OracleError(
             f"intertwiner space of {rep.label} has dimension "
-            f"{null.shape[1]}: not irreducible or not self-conjugate")
-    s = null[:, 0].reshape(d, d)
+            f"{len(kernel)}: not irreducible or not self-conjugate")
+    s = {unknowns[u]: v for u, v in kernel[0].items() if v}
+    lead = Fraction(s[min(s)])
+    s = {ab: v / lead for ab, v in s.items()}
 
-    ss = s @ np.conj(s)
-    c = np.trace(ss).real / d
-    if abs(np.trace(ss).imag) > tol * d or abs(c) < tol:
-        raise OracleError(f"oracle inconclusive for {rep.label}: S.Sbar trace {np.trace(ss)}")
-    if np.linalg.norm(ss - c * np.eye(d)) > tol * max(abs(c), 1.0) * d:
-        raise OracleError(f"oracle inconclusive for {rep.label}: S.Sbar not scalar")
-
-    h, w, hs, ws = _spectra(rep, sigma, _combinations(rng, 20, basis))
-    rg = _exp_from_eigh(h, w)
-    rsg = rg if sigma is None else _exp_from_eigh(hs, ws)
-    resids = np.linalg.norm(rg @ s - s @ np.conj(rsg), axis=(1, 2))
-    for resid in resids:
-        if resid > tol * max(np.linalg.norm(s), 1.0) * 10:
-            raise OracleError(f"oracle residual {resid:.2e} above tolerance "
-                              f"for {rep.label}")
-    return ("R" if c > 0 else "H"), s
+    by_row = {}
+    for (b, c), v in s.items():
+        by_row.setdefault(b, []).append((c, v))
+    square = {}  # S is rational, so S.Sbar = S^2
+    for (a, b), v in s.items():
+        for c, w in by_row.get(b, ()):
+            square[a, c] = square.get((a, c), 0) + v * w
+    c = square.get((0, 0), 0)
+    if c == 0 or {ac: v for ac, v in square.items() if v} != {
+            (i, i): c for i in range(rep.size)}:
+        raise OracleError(f"S.Sbar of {rep.label} is not a nonzero multiple "
+                          "of the identity")
+    zero = Fraction(0)
+    return ("R" if c > 0 else "H"), [[s.get((i, j), zero) for j in range(rep.size)]
+                                     for i in range(rep.size)]

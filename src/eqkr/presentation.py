@@ -59,7 +59,6 @@ from .realstruct import (
     Involution,
     classify_type,
     split_fundamentals,
-    twisted_dual,
 )
 
 
@@ -476,7 +475,7 @@ class Presentation:
         """Twisted dual of a weight, computed once per weight."""
         ws = self._weight_tau.get(w)
         if ws is None:
-            ws = self._weight_tau[w] = twisted_dual(self.rd, self.inv, w)
+            ws = self._weight_tau[w] = self.inv.twisted_dual_weight(w)
         return ws
 
     def _tau_bz_term(self, w, j, bits):

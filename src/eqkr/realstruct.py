@@ -10,7 +10,7 @@ to +1 (Real type) or -1 (Quaternionic type).
 The classifier resolves a self-twisted-dual weight by a user override
 table or else the catalog rule, and raises UnclassifiableError when
 neither applies; the decision path is recorded in the IrrepClass
-provenance field.  The numerical intertwiner oracle in eqkr.oracle
+provenance field.  The exact intertwiner oracle in eqkr.oracle
 decides nothing here: it checks the catalog rule independently
 (``eqkr verify --suite oracle`` and the tests).
 
@@ -166,12 +166,6 @@ class Involution:
 # ---------------------------------------------------------------------------
 # spec operations
 # ---------------------------------------------------------------------------
-
-def twisted_dual(rd: RootData, inv: Involution, lam) -> tuple:
-    """Highest weight of the conjugate representation twisted by sigma
-    (the plain dual under the trivial involution)."""
-    return inv.twisted_dual_weight(lam)
-
 
 def fs_rule_type(rd: RootData, lam) -> str:
     """Type of a self-dual irreducible under the trivial involution.

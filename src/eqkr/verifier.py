@@ -395,12 +395,13 @@ def verify_oracle(p: Presentation, seed: int = DEFAULT_SEED) -> CheckResult:
     """The matrix oracle agrees with the catalog rule.
 
     Every self-twisted-dual fundamental weight that has both a matrix
-    model and a catalog type is decided by the antilinear-intertwiner
-    oracle, sampled with this seed, and compared with
-    ``Involution.catalog_type``.  Skipped when no such weight exists
-    (products, exceptional and orthogonal groups).
+    model and a catalog type is decided by the exact antilinear-
+    intertwiner oracle and compared with ``Involution.catalog_type``.
+    The oracle draws nothing, so the seed is only echoed in the result.
+    Skipped when no such weight exists (products, exceptional and
+    orthogonal groups).
     """
-    # only this check needs numpy; the other suites start without it
+    # imported here so that the other suites start without fractions
     from .oracle import OracleError, matrix_oracle_type, rep_for_weight
     name = f"oracle[{p.rd.spec}/{p.inv.name}]"
     cases = []
@@ -418,7 +419,7 @@ def verify_oracle(p: Presentation, seed: int = DEFAULT_SEED) -> CheckResult:
     def run():
         for w, rep, catalog in cases:
             try:
-                got, _ = matrix_oracle_type(rep, p.inv.kinds[0], seed=seed)
+                got, _ = matrix_oracle_type(rep, p.inv.kinds[0])
             except OracleError as exc:
                 return f"weight {w}: {exc}"
             if got != catalog:

@@ -89,7 +89,7 @@ def test_criterion_3_classifier_consistency():
             if rd.dual_weight(w) != w:
                 continue
             rep = defining_rep("SU", n) if k == 1 else exterior_rep("SU", n, k)
-            got, _ = matrix_oracle_type(rep, "trivial", tol=1e-9)
+            got, _ = matrix_oracle_type(rep, "trivial")
             assert got == fs_rule_type(rd, w)
             checked += 1
     for n in range(1, 4):
@@ -97,7 +97,7 @@ def test_criterion_3_classifier_consistency():
         for k, w in enumerate(rd.fundamental_weights(), start=1):
             rep = (defining_rep("Sp", n) if k == 1
                    else primitive_exterior_rep(n, k))
-            got, _ = matrix_oracle_type(rep, "trivial", tol=1e-9)
+            got, _ = matrix_oracle_type(rep, "trivial")
             assert got == fs_rule_type(rd, w)
             checked += 1
     report(3, "classifier consistency", f"{checked} self-dual fundamentals")

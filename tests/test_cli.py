@@ -149,7 +149,7 @@ def test_verify_oracle_suite(tmp_path, group, involution, status):
 
 
 def test_verify_oracle_suite_takes_a_negative_seed(tmp_path):
-    # the oracle draws from random.Random, which seeds with |seed|
+    # the oracle draws nothing; the report echoes the seed as given
     out = tmp_path / "o.json"
     assert run(["verify", "--group", "SU2", "--suite", "oracle",
                 "--seed", "-1", "--out", str(out)]) == 0
@@ -160,11 +160,11 @@ def test_verify_oracle_suite_takes_a_negative_seed(tmp_path):
 @pytest.mark.parametrize("module", ["numpy", "dataclasses", "inspect",
                                     "fractions", "decimal"])
 def test_cli_starts_without(module):
-    # only the oracle needs numpy, and it is imported when an oracle check
-    # runs; the records are plain slotted classes, so dataclasses (and the
-    # inspect it pulls in) are never needed; the Cartan data are computed
-    # over the integers, and fractions (with decimal) is imported only to
-    # word an invariant error.  A module that the bare interpreter has
+    # no module imports numpy; the records are plain slotted classes, so
+    # dataclasses (and the inspect it pulls in) are never needed; the
+    # Cartan data are computed over the integers, and fractions (with
+    # decimal) is imported only by the oracle, when an oracle check runs,
+    # and to word an invariant error.  A module that the bare interpreter has
     # already loaded is not counted against eqkr.
     code = ("import sys; bare = set(sys.modules); import eqkr.cli; "
             f"sys.exit({module!r} in set(sys.modules) - bare)")
@@ -172,6 +172,18 @@ def test_cli_starts_without(module):
     res = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, timeout=60)
     assert res.returncode == 0, res.stderr
+
+
+def test_oracle_suite_loads_no_numpy():
+    # the oracle is exact: a process that decides loads no numpy at all
+    code = ("import sys; from eqkr.cli import main; "
+            "code = main(['verify', '--group', 'SU4', '--involution', 'sigmaH', "
+            "'--suite', 'oracle']); sys.exit(100 * ('numpy' in sys.modules) + code)")
+    env = dict(os.environ, PYTHONPATH=str(Path(eqkr.__file__).parents[1]))
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["passed"] is True
 
 
 def test_python_dash_m_runs_the_cli(capsys):

@@ -473,6 +473,17 @@ def test_the_package_has_no_assert_statement():
     assert found == []
 
 
+def test_the_package_imports_no_numpy():
+    # eqkr has no runtime dependency: numpy is reference code for the tests
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(Path(eqkr.__file__).parent.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Import) and any(
+                 a.name.split(".")[0] == "numpy" for a in node.names)
+             or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy"]
+    assert found == []
+
+
 def _broken_form(monkeypatch, form):
     monkeypatch.setattr(SimpleRootData, "ip", lambda self, v, w: form(v, w))
     rd = build_root_data("SU3")

@@ -12,7 +12,6 @@ from eqkr.realstruct import (
     classify_type,
     fs_rule_type,
     split_fundamentals,
-    twisted_dual,
 )
 
 
@@ -20,11 +19,11 @@ def test_twisted_dual_examples():
     su3 = build_root_data("SU3")
     triv = Involution(su3, "trivial")
     sR = Involution(su3, "sigmaR")
-    assert twisted_dual(su3, triv, (1, 0)) == (0, 1)
-    assert twisted_dual(su3, sR, (1, 0)) == (1, 0)
+    assert triv.twisted_dual_weight((1, 0)) == (0, 1)
+    assert sR.twisted_dual_weight((1, 0)) == (1, 0)
     su4 = build_root_data("SU4")
     sH = Involution(su4, "sigmaH")
-    assert twisted_dual(su4, sH, (0, 1, 0)) == (0, 1, 0)
+    assert sH.twisted_dual_weight((0, 1, 0)) == (0, 1, 0)
 
 
 def test_twisted_dual_is_involutive():
