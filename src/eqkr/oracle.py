@@ -12,15 +12,15 @@ for the trivial sigma, X for sigmaR, J X J^-1 for sigmaH), this reads
     d rho(X) S = S d rho(theta X)        for X in the complexified algebra.
 
 Every model is exact: d rho of each matrix unit is a sparse rational
-matrix on a weight basis, so the equation is solved over Q.  The Cartan
-elements allow an entry S[a][b] only where the weight of a equals the
-weight of b composed with theta.  The Chevalley generators e_i, f_i give
-the other equations: they generate the algebra, and theta is an
-automorphism, so the X that satisfy the equation form a subalgebra that
-is all of it.  Fraction elimination gives the kernel, which must be
-one-dimensional (Schur).  S is rational, so S.Sbar = S^2, which must be
-c times the identity: c > 0 is Real, c < 0 Quaternionic.  Nothing is
-sampled and nothing is rounded.
+matrix on a weight basis, so the equation is solved over Q, in two
+stages.  The Cartan elements allow an entry S[a][b] only where the weight
+of a equals the weight of b composed with theta.  The Chevalley
+generators e_i, f_i then give the other equations: they generate the
+algebra, and theta is an automorphism, so the X that satisfy the
+equation form a subalgebra that is all of it.  Fraction elimination
+gives the kernel, which must be one-dimensional (Schur).  S is rational,
+so S.Sbar = S^2, which must be c times the identity: c > 0 is Real,
+c < 0 Quaternionic.  Nothing is sampled and nothing is rounded.
 
 Models exist for SU(n), Sp(n) and U(n): the defining representation (the
 identity map), the derivation on the k-subsets of an exterior power, its

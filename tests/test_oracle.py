@@ -225,15 +225,16 @@ def _model(family, n, kind, k):
 
 def _close(got, want):
     np.testing.assert_allclose(got, want, rtol=0,
-                               atol=1e-10 * max(1.0, np.abs(want).max()))
+                               atol=1e-12 * max(1.0, np.abs(want).max()))
 
 
 def _sparse(x):
-    return {(r, c): int(v) for (r, c), v in np.ndenumerate(x) if v}
+    """{(r, c): entry} of a dense matrix, entries as Python numbers."""
+    return {(r, c): v.item() for (r, c), v in np.ndenumerate(x) if v}
 
 
-def _densify(sparse, size):
-    out = np.zeros((size, size), dtype=int)
+def _densify(sparse, size, dtype=int):
+    out = np.zeros((size, size), dtype=dtype)
     for (r, c), v in sparse.items():
         out[r, c] = v
     return out
@@ -264,7 +265,8 @@ def _check_kernel(mat, nullity):
 
 
 def test_null_space_of_wide_and_tall_matrices():
-    # the exact kernel from the reduced echelon form, against the rank
+    # the null space from the reduced echelon form (_echelon, _kernel),
+    # exact, against the numpy rank
     rng = np.random.default_rng(7)
     wide = rng.integers(-5, 6, size=(2, 4))  # rank 2: kernel of dimension 2
     tall = rng.integers(-5, 6, size=(6, 2)) @ rng.integers(-5, 6, size=(2, 3))  # rank 2
@@ -384,10 +386,24 @@ def test_complex_bases_span_the_algebras():
     ("sigmaH", "SU", 4, 4), ("sigmaH", "U", 2, 2),
 ])
 def test_sigma_on_defining_on_a_stack(inv_kind, family, n, size):
-    # theta on a stack of integer matrices is the dense formula on each
-    # slice, and it is a Lie algebra automorphism
+    # sigma on the defining representation maps a stack of compact group
+    # elements into the group, and the oracle's theta is conj(sigma_*) on
+    # the compact algebra; on a stack of integer matrices theta is the
+    # dense formula on each slice, and it is a Lie algebra automorphism
     theta = _theta(inv_kind, family, n)
-    xs = np.random.default_rng(size).integers(-4, 5, size=(6, size, size))
+    rng = np.random.default_rng(size)
+    xs = _algebra_stack(rng, family, n, 3)
+    for x in xs:
+        assert (_densify(theta(_sparse(x)), size, complex)
+                == np.conj(_sigma_dense(inv_kind, x))).all()
+    us = _sigma_dense(inv_kind, _expm(xs))
+    _close(us @ np.conj(np.swapaxes(us, 1, 2)), np.broadcast_to(np.eye(size), us.shape))
+    if family == "SU":
+        _close(np.linalg.det(us), np.ones(len(us)))
+    if family == "Sp":
+        j = _symplectic_j(n)
+        _close(np.swapaxes(us, 1, 2) @ j @ us, np.broadcast_to(j, us.shape))
+    xs = rng.integers(-4, 5, size=(6, size, size))
     for x in xs:
         assert (_densify(theta(_sparse(x)), size) == _theta_dense(inv_kind, x)).all()
     xs, ys = np.split(xs, 2)
@@ -467,10 +483,11 @@ def test_eigenbasis_kernel_is_the_sylvester_kernel(group, kind, weight, seed):
 @pytest.mark.parametrize("seed", [1789, 1])
 @pytest.mark.parametrize("group,kind,weight", KERNEL_CASES)
 def test_two_stage_kernel_is_the_stacked_kernel(group, kind, weight, seed):
-    # the intertwiner found on the weight pairs from the Chevalley
-    # generators spans the kernel of the system stacked over the whole
-    # algebra basis, which an SVD finds in floating point; the decision
-    # draws nothing, so any seed gives the same S
+    # the two-stage intertwiner (the Cartan elements restrict S to weight
+    # pairs, then the Chevalley generators give the remaining equations)
+    # spans the kernel of the system stacked over the whole algebra basis,
+    # which an SVD finds in floating point; the decision draws nothing, so
+    # any seed gives the same S
     rep = _model_for_weight(group, weight)
     _, s = matrix_oracle_type(rep, kind, seed=seed)
     assert s == matrix_oracle_type(rep, kind)[1]
