@@ -26,7 +26,7 @@ from .realstruct import (
     fs_rule_type,
     split_fundamentals,
 )
-from .coeffs import KCoeff, KRCoeff, kr_normalize, c_coeff, r_coeff
+from .coeffs import KCoeff, KRCoeff, c_coeff, r_coeff
 from .presentation import (
     Presentation,
     RingElement,

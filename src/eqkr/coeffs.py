@@ -38,14 +38,10 @@ class KCoeff(FrozenRecord):
         object.__setattr__(self, "c", c)  # hot, as KRCoeff below
 
     @staticmethod
-    def beta(i: int = 1, coeff: int = 1) -> "KCoeff":
+    def beta(i: int = 1) -> "KCoeff":
         v = [0, 0, 0, 0]
-        v[i % 4] = coeff
+        v[i % 4] = 1
         return KCoeff(tuple(v))
-
-    @staticmethod
-    def unit() -> "KCoeff":
-        return KCoeff((1, 0, 0, 0))
 
     def __add__(self, other):
         return KCoeff(tuple(a + b for a, b in zip(self.c, other.c)))
@@ -82,12 +78,8 @@ class KRCoeff(FrozenRecord):
         setfield(self, "mu", mu)
 
     @staticmethod
-    def basis(name: str, coeff: int = 1) -> "KRCoeff":
-        return KRCoeff(**{{"1": "one", "eta": "eta", "eta2": "eta2", "mu": "mu"}[name]: coeff})
-
-    @staticmethod
-    def unit() -> "KRCoeff":
-        return KRCoeff(one=1)
+    def basis(name: str) -> "KRCoeff":
+        return KRCoeff(**{{"1": "one", "eta": "eta", "eta2": "eta2", "mu": "mu"}[name]: 1})
 
     def as_dict(self):
         return {"1": self.one, "eta": self.eta, "eta2": self.eta2, "mu": self.mu}
@@ -112,24 +104,6 @@ class KRCoeff(FrozenRecord):
 
     def is_zero(self):
         return self.one == 0 and self.eta == 0 and self.eta2 == 0 and self.mu == 0
-
-
-def kr_normalize(monomials) -> KRCoeff:
-    """Reduce a raw sum of monomials to normal form.
-
-    ``monomials`` is an iterable of (coeff, eta_power, mu_power,
-    periodicity_power) tuples.  Idempotent: feeding the basis expansion
-    of a normal form back in reproduces it.
-    """
-    eta, mu = KRCoeff(eta=1), KRCoeff(mu=1)
-    total = KRCoeff()
-    for coeff, etap, mup, brp in monomials:
-        del brp  # periodicity class is 1 after the collapse
-        term = KRCoeff(one=coeff)
-        for factor in (eta,) * etap + (mu,) * mup:
-            term = term * factor
-        total = total + term
-    return total
 
 
 def c_coeff(x: KRCoeff) -> KCoeff:

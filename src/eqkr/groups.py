@@ -2,15 +2,19 @@
 
 Supported families: SU(n), Sp(n), Spin(n), G2, F4, E6, E7, E8, U(n), and
 finite products of these.  All arithmetic is exact: weights are integer
-tuples, inner products are taken in an integer multiple of the invariant
-form, multiplicities and dimensions are Python ints.
+tuples, inner products are taken in the canonical invariant form (the
+sum of <v, alpha^vee><w, alpha^vee> over the positive coroots, Bourbaki
+Lie VI.1.12), multiplicities and dimensions are Python ints.
 
 Conventions
 -----------
 For the simply-connected families a weight is a tuple of Dynkin labels
 (coordinates in the fundamental-weight basis).  The Cartan matrix is
 stored as A[i][j] = <alpha_j, alpha_i^vee>, so the j-th column of A is
-the j-th simple root written in the fundamental-weight basis.
+the j-th simple root written in the fundamental-weight basis.  The
+coroots are the roots of the transpose of A, in simple-coroot
+coordinates, so <v, alpha^vee> is the dot product of the Dynkin labels
+of v with the coordinates of alpha^vee.
 
 U(n) is modelled directly on the lattice Z^n with Weyl group S_n:
 weights are integer n-tuples, dominant means weakly decreasing, and the
@@ -109,41 +113,27 @@ def cartan_matrix(series: str, rank: int) -> tuple:
     return tuple(tuple(row) for row in a)
 
 
-def _symmetrizers(a) -> tuple:
-    """Minimal positive integers d with d_i * a[i][j] == d_j * a[j][i]."""
-    # Dynkin diagrams are connected: walk one from node 0.  Reaching j
-    # from i scales every value found so far by -a[j][i], so that
-    # d_j = d_i a[i][j] / a[j][i] stays an integer.
-    d = [0] * len(a)
-    d[0] = 1
-    todo = [0]
+def _positive_roots(a) -> tuple:
+    """Positive roots of the Cartan matrix a in simple-root coordinates,
+    sorted: the closure of the simple roots under the simple reflections
+    s_i(c) = c - <c, alpha_i^vee> alpha_i, each of which permutes the
+    positive roots other than alpha_i.  Run on the transpose of a it
+    gives the positive coroots in simple-coroot coordinates (Bourbaki,
+    Lie VI.1.1)."""
+    rank = len(a)
+    simple = [tuple(int(j == i) for j in range(rank)) for i in range(rank)]
+    seen = set(simple)
+    todo = list(simple)
     while todo:
-        i = todo.pop()
-        for j in range(len(a)):
-            if a[i][j] and not d[j]:
-                dj = -d[i] * a[i][j]
-                d = [-x * a[j][i] for x in d]
-                d[j] = dj
-                todo.append(j)
-    g = math.gcd(*d)
-    return tuple(x // g for x in d)
-
-
-def _det_adjugate(a):
-    """det a and adj a = det a * a^-1, both integer, by fraction-free
-    Gauss-Jordan elimination (Bareiss).  Every leading principal minor of
-    a Cartan matrix is positive, so no pivot is zero or needs a swap."""
-    n = len(a)
-    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
-    prev = 1
-    for k in range(n):
-        pivot = m[k]
-        for r in range(n):
-            if r != k:
-                m[r] = [(pivot[k] * x - m[r][k] * y) // prev
-                        for x, y in zip(m[r], pivot)]
-        prev = pivot[k]
-    return prev, [row[n:] for row in m]
+        c = todo.pop()
+        for i, row in enumerate(a):
+            pai = sum(x * y for x, y in zip(row, c))
+            if pai and c != simple[i]:
+                c2 = c[:i] + (c[i] - pai,) + c[i + 1:]
+                if c2 not in seen:
+                    seen.add(c2)
+                    todo.append(c2)
+    return tuple(sorted(seen))
 
 
 # ---------------------------------------------------------------------------
@@ -199,10 +189,11 @@ class RootData:
     builds a product's weight map from one map per factor.  A factor
     subclass provides the primitives: ``n_simple()``; ``pairing_simple(v,
     i)`` = <v, alpha_i^vee>; the simple reflection ``reflect_simple(v,
-    i)``; ``ip(v, w)``, the invariant inner product scaled to be integer
-    on weights; ``rho_vec()``, any vector with <rho, alpha_i^vee> = 1 for
-    all i; ``positive_roots()`` with ``coroot_pairing(v, c)``, and
-    ``positive_root_vecs()`` as (weight-lattice vector, height) pairs.
+    i)``; ``ip(v, w)``, an integer W-invariant inner product on weights;
+    ``rho_vec()``, any vector with <rho, alpha_i^vee> = 1 for all i;
+    ``positive_roots()``, ``positive_root_vecs()`` as (weight-lattice
+    vector, height) pairs, and ``positive_coroots()`` as vectors c with
+    <v, alpha^vee> = ``coroot_pairing(v, c)``, the dot product v . c.
     Every root data gives ``fundamental_weights()``, the ordered
     highest weights of the fundamental representations.  The character
     and tensor kernels below run factor by factor on that interface and
@@ -221,9 +212,13 @@ class RootData:
     def is_dominant(self, v):
         return all(self.pairing_simple(v, i) >= 0 for i in range(self.n_simple()))
 
+    def coroot_pairing(self, v, c):
+        """<v, alpha^vee> for a coroot c of ``positive_coroots()``."""
+        return sum(x * y for x, y in zip(v, c))
+
     def positive_coroot_pairing(self, v):
-        """<v, 2 rho^vee> = sum over positive roots of <v, alpha^vee>."""
-        return sum(self.coroot_pairing(v, c) for c in self.positive_roots())
+        """<v, 2 rho^vee> = sum over positive coroots of <v, alpha^vee>."""
+        return sum(self.coroot_pairing(v, c) for c in self.positive_coroots())
 
     def zero(self):
         return (0,) * self.dim
@@ -300,15 +295,12 @@ class SimpleRootData(RootData):
         self.rank = rank
         self.dim = rank
         self.cartan = cartan_matrix(series, rank)
-        self.d = _symmetrizers(self.cartan)
-        det, adj = _det_adjugate(self.cartan)
-        # quadratic form on Dynkin labels: (omega_i, omega_j) = ainv[j][i]*d_j
-        # with ainv = adj/det, scaled to the least integer multiple
-        qform = [[adj[j][i] * self.d[j] for j in range(rank)] for i in range(rank)]
-        g = math.gcd(det, *itertools.chain(*qform))
-        self.gram = tuple(tuple(x // g for x in row) for row in qform)
-        self._positive_roots = None
-        self._root_norms = {}
+        self._roots = _positive_roots(self.cartan)
+        self._coroots = _positive_roots(tuple(zip(*self.cartan)))
+        # Bourbaki's canonical form (Lie VI.1.12): the sum over positive
+        # coroots c of <v, c><w, c>, integer, W-invariant, positive definite
+        self.gram = tuple(tuple(sum(c[i] * c[j] for c in self._coroots) for j in range(rank))
+                          for i in range(rank))
         # -w0 permutes the fundamental weights: w0(omega_i) = -omega_sigma(i)
         self._dual_perm = tuple(self.dominate(tuple(-x for x in w)).index(1)
                                 for w in self.fundamental_weights())
@@ -345,23 +337,12 @@ class SimpleRootData(RootData):
     # -- roots ---------------------------------------------------------------
     def positive_roots(self):
         """Positive roots in simple-root coordinates, deterministic order."""
-        if self._positive_roots is None:
-            rank = self.rank
-            a = self.cartan
-            simple = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
-            seen = set(simple)
-            todo = list(simple)
-            while todo:
-                c = todo.pop()
-                for i in range(rank):
-                    pai = sum(a[i][j] * c[j] for j in range(rank))
-                    c2 = tuple(c[j] - (pai if j == i else 0) for j in range(rank))
-                    if c2 not in seen:
-                        seen.add(c2)
-                        todo.append(c2)
-            pos = sorted(c for c in seen if all(x >= 0 for x in c))
-            self._positive_roots = tuple(pos)
-        return self._positive_roots
+        return self._roots
+
+    def positive_coroots(self):
+        """Positive coroots in simple-coroot coordinates, deterministic
+        order; on Dynkin labels <v, alpha^vee> is then a dot product."""
+        return self._coroots
 
     def root_to_weight(self, c):
         """Convert simple-root coordinates to Dynkin labels."""
@@ -370,21 +351,6 @@ class SimpleRootData(RootData):
 
     def positive_root_vecs(self):
         return tuple((self.root_to_weight(c), sum(c)) for c in self.positive_roots())
-
-    def coroot_pairing(self, v, c):
-        """<v, alpha^vee> for the root with simple-root coordinates c."""
-        norm = self._root_norms.get(c)
-        if norm is None:
-            norm = self._root_norms[c] = sum(
-                c[j] * c[k] * self.d[k] * self.cartan[k][j]
-                for j in range(self.rank) for k in range(self.rank))
-        num = 2 * sum(c[j] * self.d[j] * v[j] for j in range(self.rank))
-        val, rem = divmod(num, norm)
-        if rem:
-            from fractions import Fraction
-            raise InvariantError(
-                f"<{v}, alpha^vee> = {Fraction(num, norm)} for {c}: not an integer")
-        return val
 
     def diagram_automorphisms(self):
         """All permutations of simple-root indices preserving the Cartan matrix."""
@@ -405,6 +371,9 @@ class UnRootData(RootData):
         self.n = n
         self.rank = n
         self.dim = n
+        # each root e_i - e_j on Z^n is its own coroot
+        self._coroots = tuple(tuple(int(k == i) - int(k == j) for k in range(n))
+                              for i, j in self.positive_roots())
 
     def n_simple(self):
         return self.n - 1
@@ -432,13 +401,11 @@ class UnRootData(RootData):
     def positive_roots(self):
         return tuple((i, j) for i in range(self.n) for j in range(i + 1, self.n))
 
-    def positive_root_vecs(self):
-        return tuple((tuple(1 if k == i else (-1 if k == j else 0) for k in range(self.n)),
-                      j - i) for i, j in self.positive_roots())
+    def positive_coroots(self):
+        return self._coroots
 
-    def coroot_pairing(self, v, c):
-        i, j = c
-        return v[i] - v[j]
+    def positive_root_vecs(self):
+        return tuple((c, j - i) for c, (i, j) in zip(self._coroots, self.positive_roots()))
 
 
 class ProductRootData(RootData):
@@ -521,7 +488,7 @@ def _weyl_dimension(rd: RootData, lam: Weight) -> int:
     for f, part in zip(rd.factors, rd.split(lam)):
         rho = f.rho_vec()
         lr = tuple(x + r for x, r in zip(part, rho))
-        for c in f.positive_roots():
+        for c in f.positive_coroots():
             num *= f.coroot_pairing(lr, c)
             den *= f.coroot_pairing(rho, c)
     dim, rem = divmod(num, den)

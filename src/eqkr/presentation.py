@@ -55,7 +55,6 @@ from .realstruct import (
     TYPE_C,
     TYPE_H,
     TYPE_R,
-    FundamentalSplit,
     Involution,
     classify_type,
     split_fundamentals,
@@ -812,17 +811,6 @@ class Presentation:
                                                  KRCoeff.basis("1")),
                                  (gen_of[i],))
 
-    # -- tables ------------------------------------------------------------------
-    def monomial_degrees(self):
-        """Degree multiset of the plain generator monomials (raw sums)."""
-        return sorted(sum(self.gens[i].degree for i in bits)
-                      for bits in plain_monomials(self))
-
-    def generator_square(self, g):
-        """The relation table's square of a generator."""
-        e = self.gen_element(g)
-        return e * e
-
 
 # ---------------------------------------------------------------------------
 # builders
@@ -856,16 +844,14 @@ def augment_element(p_k: Presentation, e: RingElement) -> RingElement:
     return p_k._element(out)
 
 
-def build_kr_presentation(rd: RootData, inv: Involution,
-                          split: FundamentalSplit | None = None) -> Presentation:
+def build_kr_presentation(rd: RootData, inv: Involution) -> Presentation:
     """KR*_G(G^-) with the full relation table installed.
 
     Generators: dR[phi_i] (degree 1), dH[theta_j] (degree -3), lam[k]
     (degree 0), plus the constrained family of realified classes
     handled as r-slots.  When t = 0 the presentation is in Omega form.
     """
-    if split is None:
-        split = split_fundamentals(rd, inv)
+    split = split_fundamentals(rd, inv)
     gens = []
     factors = []
     for w in split.real:
@@ -1014,12 +1000,6 @@ def as_fundamental_polynomial(rd: RootData, lam) -> dict:
     because the benchmark names its span presentation.as_fundamental_polynomial.
     """
     return dict(_as_fund_poly_cached(rd, tuple(lam)))
-
-
-def exterior_ranks(p: Presentation):
-    """Ranks of the exterior powers over the coefficient ring (BZ/K)."""
-    n = len(p.gens)
-    return tuple(comb(n, k) for k in range(n + 1))
 
 
 def complexify(p: Presentation):

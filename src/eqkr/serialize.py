@@ -65,7 +65,8 @@ def presentation_payload(p: Presentation, truncation: int = 50,
         })
     relations = []
     for g in p.gens:
-        sq = p.generator_square(g)
+        e = p.gen_element(g)
+        sq = e * e
         if not sq.is_zero():
             provenance = "relation-table override (nonzero square)"
         elif g.kind == "lam":

@@ -87,10 +87,11 @@ def odd_monomials(p: Presentation, degree: int):
     return out
 
 
-def random_odd_element(p, pool, rng, max_terms=4):
-    """Integer combination of odd monomials, scaled by even coefficients."""
+def random_odd_element(p, pool, rng):
+    """Integer combination of one to four odd monomials, scaled by even
+    coefficients."""
     out = {}
-    for _ in range(rng.randint(1, max_terms)):
+    for _ in range(rng.randint(1, 4)):
         m = pool[rng.randrange(len(pool))]
         if rng.random() < 0.35:
             m = m * p.scalar(KRCoeff.basis("mu"))
@@ -108,14 +109,14 @@ def random_odd_element(p, pool, rng, max_terms=4):
 
 def verify_squares(p: Presentation, seed: int = DEFAULT_SEED,
                    n_random: int = 100) -> CheckResult:
-    """Generator squares match the relation table; random odd squares vanish."""
+    """Every generator squares to zero, as the relation table states, and
+    so do random odd elements."""
     def run():
         for g in p.gens:
-            computed = p.gen_element(g.index) * p.gen_element(g.index)
-            table = p.generator_square(g)
-            if computed != table:
-                return (f"square of {g.label()}: computed {computed!r} but "
-                        f"relation table says {table!r}")
+            e = p.gen_element(g)
+            sq = e * e
+            if not sq.is_zero():
+                return f"square of {g.label()} is {sq!r}, not 0"
         rng = random.Random(seed)
         for degree in (1, -3):
             pool = odd_monomials(p, degree)
@@ -438,9 +439,12 @@ MUTANT_KINDS = ("delta-square", "tau-flip")
 def make_mutant(p: Presentation, kind: str) -> Presentation:
     """A deliberately broken copy of a presentation, for sensitivity tests.
 
-    "delta-square": the relation table gives the first generator a
-    nonzero square.  "tau-flip": realified slots skip the
-    tau-canonicalisation, so r(x) and r(tau x) stay distinct terms.
+    "delta-square": the unit product of terms (``_mul_kr_unit``, or
+    ``_mul_bz_unit`` on BZ/K) squares the first generator's term to
+    lam[1], or to 1 where there is no lam generator, so the fault sits
+    in the engine's multiplication, under every caller.  "tau-flip":
+    realified slots skip the tau-canonicalisation, so r(x) and r(tau x)
+    stay distinct terms.
     """
     if kind not in MUTANT_KINDS:
         raise ValueError(
@@ -448,9 +452,11 @@ def make_mutant(p: Presentation, kind: str) -> Presentation:
     bad = Presentation(p.rd, p.inv, p.split, p.kind, p.factors, p.gens)
     if kind == "delta-square":
         lam = next((g for g in p.gens if g.kind == "lam"), None)
-        wrong = bad.one() if lam is None else bad.gen_element(lam.index)
-        square = bad.generator_square
-        bad.generator_square = lambda g: wrong if g == p.gens[0] else square(g)
+        wrong = (bad.one() if lam is None else bad.gen_element(lam)).terms
+        first, = bad.gen_element(p.gens[0]).terms
+        name = "_mul_kr_unit" if p.kind == "KR" else "_mul_bz_unit"
+        unit = getattr(bad, name)
+        setattr(bad, name, lambda t1, t2: wrong if t1 == t2 == first else unit(t1, t2))
     else:
         bad.pair_rep = tuple  # every weight is its own pair representative
     return bad

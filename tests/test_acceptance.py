@@ -24,7 +24,8 @@ from eqkr.presentation import (
     augment_bz,
     build_bz_presentation,
     delta_lift,
-    exterior_ranks,
+    plain_monomial_elements,
+    plain_monomials,
     rclass_square,
 )
 from eqkr.realstruct import Involution, classify_type, fs_rule_type
@@ -104,11 +105,13 @@ def test_criterion_3_classifier_consistency():
 
 
 def test_criterion_4_brylinski_zhang_side():
+    # the exterior algebra on two generators over R(SU3): plain monomials
+    # of sizes 0, 1, 1, 2, none zero through the engine
     bz3 = build_bz_presentation(build_root_data("SU3"))
-    assert exterior_ranks(bz3) == (1, 2, 1)
-    bz2 = build_bz_presentation(build_root_data("SU2"))
-    k2 = augment_bz(bz2)
-    assert sum(exterior_ranks(k2)) == 2
+    assert [len(bits) for bits in plain_monomials(bz3)] == [0, 1, 1, 2]
+    assert not any(e.is_zero() for e in plain_monomial_elements(bz3))
+    k2 = augment_bz(build_bz_presentation(build_root_data("SU2")))
+    assert len(plain_monomials(k2)) == 2
     report(4, "Brylinski-Zhang side", "SU3 ranks (1,2,1); K*(SU2) rank 2")
 
 
@@ -194,7 +197,7 @@ def test_criterion_9_coefficient_identities():
     for i in range(8):
         b = KCoeff.beta(i)
         assert c_coeff(r_coeff(b)) == b + b.conj()
-    for x in (KRCoeff.unit(), KRCoeff.basis("eta"), KRCoeff.basis("eta2"),
+    for x in (KRCoeff(one=1), KRCoeff.basis("eta"), KRCoeff.basis("eta2"),
               KRCoeff.basis("mu")):
         for j in range(4):
             y = KCoeff.beta(j)
@@ -204,7 +207,7 @@ def test_criterion_9_coefficient_identities():
     assert (eta * eta * eta).is_zero()
     assert (2 * eta).is_zero()
     assert (eta * mu).is_zero()
-    assert mu * mu == 4 * KRCoeff.unit()
+    assert mu * mu == 4 * KRCoeff(one=1)
     assert eta * eta == r_pattern(1)
     assert not r_pattern(1).is_zero()
     report(9, "coefficient identities", "c/r, projection, torsion table")

@@ -17,6 +17,8 @@ from eqkr.serialize import presentation_payload
 from eqkr.verifier import make_mutant
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+# compute bytes of the groups whose roots and coroots differ
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
 def run(argv):
@@ -317,6 +319,16 @@ def test_compute_matches_reference_bytes(group, inv, capsys):
     assert capsys.readouterr().out.encode("utf-8") == expected
 
 
+@pytest.mark.parametrize("group,inv", [("Spin7", "trivial"), ("Spin9", "trivial"),
+                                       ("Sp3", "trivial"), ("Sp3", "sigmaR"),
+                                       ("G2", "trivial"), ("F4", "trivial")])
+def test_compute_matches_golden_bytes(group, inv, capsys):
+    assert run(["compute", "--group", group, "--involution", inv,
+                "--format", "json"]) == 0
+    expected = (GOLDEN_DIR / f"{group}_{inv}.json").read_bytes()
+    assert capsys.readouterr().out.encode("utf-8") == expected
+
+
 @pytest.mark.parametrize("group,split", [("E6", (2, 0, 2)), ("E7", (4, 3, 0)),
                                          ("E8", (8, 0, 0))])
 def test_compute_exceptional_groups(group, split, capsys):
@@ -354,15 +366,13 @@ def test_verify_all_on_large_groups(group, capsys):
 
 
 def test_invariant_violation_exits_four(monkeypatch, capsys, cold_kernel_caches):
-    # pairing with the non-root (2, 1) makes every coroot pairing fractional;
-    # the kernels are memoised per root data, so start cold for compute to
-    # meet the Weyl formula
-    pairing = SimpleRootData.coroot_pairing
-    monkeypatch.setattr(SimpleRootData, "coroot_pairing",
-                        lambda self, v, c: pairing(self, v, (2, 1)))
+    # the non-coroot (2, 1) as the only coroot makes Weyl dimensions
+    # fractional; the kernels are memoised per root data, so start cold
+    # for compute to meet the Weyl formula
+    monkeypatch.setattr(SimpleRootData, "positive_coroots", lambda self: ((2, 1),))
     assert run(["compute", "--group", "SU3", "--involution", "trivial"]) == 4
     err = capsys.readouterr().err
-    assert "internal invariant violation" in err and "alpha^vee" in err
+    assert "internal invariant violation" in err and "Weyl dimension" in err
 
 
 def test_square_provenance_follows_the_computed_square():

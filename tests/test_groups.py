@@ -210,9 +210,21 @@ _SIMPLE_CATALOG = ([f"SU{r + 1}" for r in range(1, 9)]
 @pytest.mark.parametrize("name", _SIMPLE_CATALOG)
 def test_integer_cartan_data_match_the_rationals(name):
     rd = build_root_data(name)
-    d, gram = _cartan_data_over_the_rationals(rd.cartan)
-    assert rd.d == d
-    assert rd.gram == gram
+    a, n = rd.cartan, rd.rank
+    d, gram = _cartan_data_over_the_rationals(a)
+    # alpha^vee = 2 alpha / (alpha, alpha) in the basis alpha_j^vee = 2 alpha_j / (2 d_j)
+    coroots = []
+    for c in rd.positive_roots():
+        norm = sum(c[j] * c[k] * d[k] * a[k][j] for j in range(n) for k in range(n))
+        coroots.append(tuple(Fraction(2 * c[j] * d[j], norm) for j in range(n)))
+    assert rd.positive_coroots() == tuple(sorted(coroots))
+    # the canonical form is W-invariant and a positive multiple of the reference
+    for i in range(n):
+        s = _reflection_matrix(rd, i)
+        assert _matmul(_matmul(tuple(zip(*s)), rd.gram), s) == rd.gram
+    scale = Fraction(rd.gram[0][0], gram[0][0])
+    assert scale > 0
+    assert rd.gram == tuple(tuple(scale * x for x in row) for row in gram)
 
 
 # ---------------------------------------------------------------------------
@@ -445,16 +457,19 @@ def test_dominance_errors():
         character(rd, (1,))
 
 
-def test_non_integral_pairing_raises_typed_error():
-    # (2, 1) is not a root of SU3: the pairing comes out as 2/3
-    with pytest.raises(InvariantError, match="2/3"):
-        build_root_data("SU3").coroot_pairing((1, 0), (2, 1))
+def test_non_integral_pairing_raises_typed_error(monkeypatch):
+    # (2, 1) is not a coroot of SU3: with it as the only coroot the Weyl
+    # quotient of lam = (1, 0) is <lam + rho, c> / <rho, c> = 5/3
+    monkeypatch.setattr(SimpleRootData, "positive_coroots", lambda self: ((2, 1),))
+    with pytest.raises(InvariantError, match="5/3"):
+        groups._weyl_dimension(build_root_data("SU3"), (1, 0))
 
 
 def test_invariant_error_survives_optimized_mode():
-    code = ("from eqkr.groups import InvariantError, build_root_data\n"
+    code = ("from eqkr.groups import InvariantError, _expand_monomial_cached, "
+            "build_root_data\n"
             "try:\n"
-            "    build_root_data('SU3').coroot_pairing((1, 0), (2, 1))\n"
+            "    _expand_monomial_cached(build_root_data('SU3'), (-1, 0))\n"
             "except InvariantError:\n"
             "    raise SystemExit(0)\n"
             "raise SystemExit(1)\n")
@@ -521,7 +536,7 @@ def test_dominate_signed_against_the_positive_root_pairings(group):
     rng = random.Random(group)
     for _ in range(60):
         v = tuple(rng.randint(-4, 4) for _ in range(rd.dim))
-        pairings = [rd.coroot_pairing(v, c) for c in rd.positive_roots()]
+        pairings = [rd.coroot_pairing(v, c) for c in rd.positive_coroots()]
         sign, w = _dominate_signed(rd, v)
         if 0 in pairings:
             assert sign == 0, v

@@ -264,8 +264,8 @@ def _check_kernel(mat, nullity):
     return basis
 
 
-def test_null_space_of_wide_and_tall_matrices():
-    # the null space from the reduced echelon form (_echelon, _kernel),
+def test_echelon_kernel_of_wide_and_tall_matrices():
+    # the kernel from the reduced echelon form (_echelon, _kernel),
     # exact, against the numpy rank
     rng = np.random.default_rng(7)
     wide = rng.integers(-5, 6, size=(2, 4))  # rank 2: kernel of dimension 2
@@ -276,7 +276,7 @@ def test_null_space_of_wide_and_tall_matrices():
 
 
 @pytest.mark.parametrize("nullity", [1, 2])
-def test_null_space_of_a_stacked_intertwiner_shaped_system(nullity):
+def test_echelon_kernel_of_a_stacked_intertwiner_shaped_system(nullity):
     # 23 integer blocks of d^2 x d^2 that all factor through one map c of
     # corank nullity: the stack's exact kernel is the kernel of c, found
     # once across all 23 * 9 rows
