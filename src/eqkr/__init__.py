@@ -5,50 +5,58 @@ type classification relative to an involution (realstruct, oracle),
 coefficient-ring arithmetic for KR*(pt) and friends (coeffs), the
 generators-and-relations presentation engine (presentation, torus), a
 property verifier (verifier) and a command-line front end (cli).
+
+Importing the package loads none of them.  Each export below is looked
+up in the submodule that defines it when it is used (PEP 562), so a
+process imports only the layers it runs:
+
+- ``import eqkr`` alone: no submodule;
+- ``import eqkr.groups``: root data; ``import eqkr.oracle`` adds the exact
+  intertwiner oracle; neither loads presentation, verifier, torus, coeffs
+  or ``random``;
+- ``import eqkr.cli``, ``python -m eqkr`` and the ``eqkr`` script: groups,
+  realstruct, coeffs, presentation, serialize and verifier; torus only when
+  the weyl check runs, and oracle only when the oracle check runs;
+- an export, or ``from eqkr import *``: the submodules that define them,
+  with what those import.
+
+The saving is mostly compile time, paid whenever no bytecode cache can
+be written (a read-only checkout, or ``PYTHONDONTWRITEBYTECODE`` set).
+An export is resolved on every access and never stored here, so a
+rebinding in its submodule is seen through the package too.
 """
 
-from .groups import (
-    GroupSpec,
-    UnsupportedGroupError,
-    DominanceError,
-    parse_group,
-    build_root_data,
-    weyl_dimension,
-    character,
-    tensor_decompose,
-)
-from .realstruct import (
-    Involution,
-    IrrepClass,
-    FundamentalSplit,
-    UnclassifiableError,
-    classify_type,
-    fs_rule_type,
-    split_fundamentals,
-)
-from .coeffs import KCoeff, KRCoeff, c_coeff, r_coeff
-from .presentation import (
-    Presentation,
-    RingElement,
-    RClassIndex,
-    PresentationError,
-    build_bz_presentation,
-    build_kr_presentation,
-    rclass_square,
-    delta_lift,
-    complexify,
-    poincare_table,
-)
-from .torus import torus_restriction_un, weyl_denominator_product, LaurentForm
-from .verifier import (
-    CheckResult,
-    run_suite,
-    verify_cr,
-    verify_leibniz,
-    verify_module_iso,
-    verify_oracle,
-    verify_squares,
-    verify_weyl_denominator,
-)
+from importlib import import_module as _import_module
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+_EXPORTS = {  # submodule -> the names the package exports from it
+    "groups": ("GroupSpec", "UnsupportedGroupError", "DominanceError",
+               "parse_group", "build_root_data", "weyl_dimension", "character",
+               "tensor_decompose"),
+    "realstruct": ("Involution", "IrrepClass", "FundamentalSplit",
+                   "UnclassifiableError", "classify_type", "fs_rule_type",
+                   "split_fundamentals"),
+    "coeffs": ("KCoeff", "KRCoeff", "c_coeff", "r_coeff"),
+    "presentation": ("Presentation", "RingElement", "RClassIndex",
+                     "PresentationError", "build_bz_presentation",
+                     "build_kr_presentation", "rclass_square", "delta_lift",
+                     "complexify", "poincare_table"),
+    "torus": ("torus_restriction_un", "weyl_denominator_product", "LaurentForm"),
+    "verifier": ("CheckResult", "run_suite", "verify_cr", "verify_leibniz",
+                 "verify_module_iso", "verify_oracle", "verify_squares",
+                 "verify_weyl_denominator"),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted([*_EXPORTS, *_OWNER])
+
+
+def __getattr__(name):
+    module = _OWNER.get(name)
+    if module is None and name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    sub = _import_module(f"{__name__}.{module or name}")
+    return sub if module is None else getattr(sub, name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -11,8 +11,6 @@ emitted).  Output bytes are a function of (spec, seed) only.
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 
 from .groups import (
@@ -50,6 +48,10 @@ EXIT_VERIFY = 5
 
 
 def _build_parser():
+    # argparse and json are imported where used, after the eqkr modules:
+    # without bytecode caches the peak memory is reached while compiling
+    # presentation.py, and it should not hold them
+    import argparse
     ap = argparse.ArgumentParser(
         prog="eqkr",
         description="generators-and-relations presentations of equivariant "
@@ -85,6 +87,7 @@ def _build_parser():
 
 
 def _load_overrides(path):
+    import json
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)

@@ -32,12 +32,6 @@ from .presentation import (
     rclass_square,
 )
 from .realstruct import TYPE_C, Involution
-from .torus import (
-    LaurentForm,
-    top_form,
-    weyl_denominator,
-    weyl_denominator_product,
-)
 
 DEFAULT_SEED = 20240801
 DEFAULT_TRUNCATION = 50
@@ -343,6 +337,9 @@ def verify_weyl_denominator(n: int, seed: int = DEFAULT_SEED) -> CheckResult:
     """
     if n > 4:
         raise ValueError("Weyl-denominator check limited to n <= 4")
+    # imported here so that only a process that runs this check loads torus
+    from .torus import LaurentForm, top_form, weyl_denominator, weyl_denominator_product
+
     def run():
         char_prod, weighted = weyl_denominator_product(n)
         target = weyl_denominator(n) * top_form(n)
