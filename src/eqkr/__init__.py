@@ -7,23 +7,9 @@ generators-and-relations presentation engine (presentation, torus), a
 property verifier (verifier) and a command-line front end (cli).
 
 Importing the package loads none of them.  Each export below is looked
-up in the submodule that defines it when it is used (PEP 562), so a
-process imports only the layers it runs:
-
-- ``import eqkr`` alone: no submodule;
-- ``import eqkr.groups``: root data; ``import eqkr.oracle`` adds the exact
-  intertwiner oracle; neither loads presentation, verifier, torus, coeffs
-  or ``random``;
-- ``import eqkr.cli``, ``python -m eqkr`` and the ``eqkr`` script: groups,
-  realstruct, coeffs, presentation, serialize and verifier; torus only when
-  the weyl check runs, and oracle only when the oracle check runs;
-- an export, or ``from eqkr import *``: the submodules that define them,
-  with what those import.
-
-The saving is mostly compile time, paid whenever no bytecode cache can
-be written (a read-only checkout, or ``PYTHONDONTWRITEBYTECODE`` set).
-An export is resolved on every access and never stored here, so a
-rebinding in its submodule is seen through the package too.
+up in the submodule that defines it when it is used (PEP 562), on every
+access and never stored here, so a rebinding in its submodule is seen
+through the package too.  README.md says what each entry point loads.
 """
 
 from importlib import import_module as _import_module

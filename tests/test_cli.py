@@ -160,14 +160,16 @@ def test_verify_oracle_suite_takes_a_negative_seed(tmp_path):
 
 
 @pytest.mark.parametrize("module", ["numpy", "dataclasses", "inspect",
-                                    "fractions", "decimal"])
+                                    "fractions", "decimal", "eqkr.oracle",
+                                    "eqkr.torus"])
 def test_cli_starts_without(module):
     # no module imports numpy; the records are plain slotted classes, so
     # dataclasses (and the inspect it pulls in) are never needed; the
     # Cartan data are computed over the integers, and fractions (with
     # decimal) is imported only by the oracle, when an oracle check runs,
-    # and to word an invariant error.  A module that the bare interpreter has
-    # already loaded is not counted against eqkr.
+    # and to word an invariant error; torus is imported only when the weyl
+    # check runs.  A module that the bare interpreter has already loaded is
+    # not counted against eqkr.
     code = ("import sys; bare = set(sys.modules); import eqkr.cli; "
             f"sys.exit({module!r} in set(sys.modules) - bare)")
     env = dict(os.environ, PYTHONPATH=str(Path(eqkr.__file__).parents[1]))

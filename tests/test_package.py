@@ -90,12 +90,6 @@ def test_oracle_and_groups_load_no_engine(module):
     assert loaded & ENGINE == set()
 
 
-def test_cli_loads_neither_torus_nor_oracle():
-    loaded = _loaded("import eqkr.cli")
-    assert "eqkr.verifier" in loaded
-    assert loaded & {"eqkr.torus", "eqkr.oracle"} == set()
-
-
 @pytest.mark.parametrize("group, suite, loads_torus", [
     ("SU3", "all", False), ("U2", "weyl", True)])
 def test_only_the_weyl_check_loads_torus(tmp_path, group, suite, loads_torus):
