@@ -13,6 +13,11 @@ from __future__ import annotations
 
 import sys
 
+# Without bytecode caches a CLI process peaks in memory while compiling
+# presentation.py, the largest module; importing it first compiles it while
+# the least else is loaded.  argparse and json are imported where used, for
+# the same reason.
+from .presentation import build_kr_presentation
 from .groups import (
     DominanceError,
     InvariantError,
@@ -20,7 +25,6 @@ from .groups import (
     build_root_data,
     parse_group,
 )
-from .presentation import build_kr_presentation
 from .realstruct import (
     InvolutionSpecError,
     UnclassifiableError,
@@ -48,9 +52,6 @@ EXIT_VERIFY = 5
 
 
 def _build_parser():
-    # argparse and json are imported where used, after the eqkr modules:
-    # without bytecode caches the peak memory is reached while compiling
-    # presentation.py, and it should not hold them
     import argparse
     ap = argparse.ArgumentParser(
         prog="eqkr",

@@ -68,26 +68,37 @@ def test_star_import_binds_every_export():
 
 
 def _loaded(code):
-    """The modules a fresh interpreter loads while running ``code``.
+    """The modules a fresh interpreter imports while running ``code``, in the
+    order it starts importing them.
 
     ``-S`` keeps site hooks from preloading modules (some .pth files
     import random); a module the bare interpreter has loaded anyway is not
-    counted against eqkr."""
-    script = ("import atexit, sys; bare = set(sys.modules)\n"
-              "atexit.register(lambda: print(*sorted(set(sys.modules) - bare)))\n"
+    looked up again, so it is not counted against eqkr."""
+    script = ("import atexit, sys, types; order = []\n"
+              "sys.meta_path.insert(0, types.SimpleNamespace(\n"
+              "    find_spec=lambda name, *args: order.append(name)))\n"
+              "atexit.register(lambda: print(*[m for m in order if m in sys.modules]))\n"
               + code)
     env = dict(os.environ, PYTHONPATH=str(Path(eqkr.__file__).parents[1]))
     res = subprocess.run([sys.executable, "-S", "-c", script], env=env,
                          capture_output=True, text=True, timeout=60)
     assert res.returncode == 0, res.stderr
-    return set(res.stdout.split())
+    return res.stdout.split()
 
 
 @pytest.mark.parametrize("module", ["eqkr.oracle", "eqkr.groups"])
 def test_oracle_and_groups_load_no_engine(module):
-    loaded = _loaded(f"import {module}")
+    loaded = set(_loaded(f"import {module}"))
     assert module in loaded
     assert loaded & ENGINE == set()
+
+
+def test_the_cli_compiles_presentation_first():
+    # cli.py imports presentation first: without bytecode caches its compile
+    # is where a CLI process peaks in memory, and the less is loaded by then
+    # the lower the peak
+    eqkr_modules = [m for m in _loaded("import eqkr.cli") if m.startswith("eqkr")]
+    assert eqkr_modules[:3] == ["eqkr", "eqkr.cli", "eqkr.presentation"]
 
 
 @pytest.mark.parametrize("group, suite, loads_torus", [
