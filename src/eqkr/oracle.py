@@ -17,10 +17,10 @@ stages.  The Cartan elements allow an entry S[a][b] only where the weight
 of a equals the weight of b composed with theta.  The Chevalley
 generators e_i, f_i then give the other equations: they generate the
 algebra, and theta is an automorphism, so the X that satisfy the
-equation form a subalgebra that is all of it.  Fraction elimination
-gives the kernel, which must be one-dimensional (Schur).  S is rational,
-so S.Sbar = S^2, which must be c times the identity: c > 0 is Real,
-c < 0 Quaternionic.  Nothing is sampled and nothing is rounded.
+equation form a subalgebra that is all of it.  Elimination, exact over Q
+and kept in integers wherever the values are integral, gives the kernel,
+which must be one-dimensional (Schur).  S is rational, so S.Sbar = S^2,
+which must be c times the identity: c > 0 is Real, c < 0 Quaternionic.
 
 Models exist for SU(n), Sp(n) and U(n): the defining representation (the
 identity map), the derivation on the k-subsets of an exterior power, its
@@ -46,6 +46,11 @@ class OracleError(RuntimeError):
 # exact linear algebra on sparse rows {column: coefficient}
 # ---------------------------------------------------------------------------
 
+def _quotient(v, d=1):
+    """v / d, exactly: an int when it is integral, else a Fraction."""
+    return Fraction(v, d) if v % d else v // d
+
+
 def _echelon(rows):
     """Reduced echelon form of sparse rows, as {pivot column: row}: each
     row is 1 at its pivot and has no entry at any other pivot column."""
@@ -60,13 +65,13 @@ def _echelon(rows):
         if not row:
             continue
         col = min(row)
-        lead = Fraction(row[col])
-        row = {c: v / lead for c, v in row.items()}
+        lead = row[col]
+        row = {c: _quotient(v, lead) for c, v in row.items()}
         for p, other in pivots.items():
             a = other.get(col)
             if a:
                 for c, v in row.items():
-                    other[c] = other.get(c, 0) - a * v
+                    other[c] = _quotient(other.get(c, 0) - a * v)
                 pivots[p] = {c: v for c, v in other.items() if v}
         pivots[col] = row
     return pivots
@@ -110,24 +115,21 @@ def _tensor_derivation(m, k, exterior):
     """(units, size) of wedge^k C^m on its k-subsets, or of Sym^k C^m on its
     k-multisets, both as sorted tuples.  E_rc replaces a factor e_c by e_r:
     on wedge^k with the sign of sorting e_r into place, on Sym^k with the
-    multiplicity of c as coefficient."""
+    multiplicity of c as coefficient.  Each r from lo up to the next factor
+    (onto it in Sym^k) goes to place q, |p - q| factors from e_c's place p."""
     basis = list((itertools.combinations if exterior
                   else itertools.combinations_with_replacement)(range(m), k))
     idx = {s: i for i, s in enumerate(basis)}
     units = {}
     for b, s in enumerate(basis):
         for c in dict.fromkeys(s):
-            rest = list(s)
-            rest.remove(c)
-            for r in range(m):
-                if not exterior:
-                    v = s.count(c)
-                elif r in rest:
-                    continue
-                else:
-                    # sorting e_r into c's place passes the members strictly between r and c
-                    v = (-1) ** sum(min(r, c) < x < max(r, c) for x in rest)
-                units.setdefault((r, c), []).append((idx[tuple(sorted(rest + [r]))], b, v))
+            p = s.index(c)
+            rest, lo = s[:p] + s[p + 1:], 0
+            for q, hi in enumerate(rest + (m,)):
+                v = (-1) ** ((p - q) % 2) if exterior else s.count(c)
+                for r in range(lo, hi + (not exterior and hi < m)):
+                    units.setdefault((r, c), []).append((idx[rest[:q] + (r,) + rest[q:]], b, v))
+                lo = hi + 1
     return {rc: tuple(e) for rc, e in units.items()}, len(basis)
 
 
@@ -167,10 +169,8 @@ def _primitive_basis(n, k):
     """(free columns, kernel vectors) of the contraction on wedge^k C^2n,
     from its reduced echelon form: one kernel vector per free column, and
     a kernel vector's coordinates are its entries at the free columns."""
-    wedge = exterior_rep("Sp", n, k)
-    pivots = _echelon(_contraction_rows(n, k))
-    return ([f for f in range(wedge.size) if f not in pivots],
-            _kernel(pivots, range(wedge.size)))
+    pivots, size = _echelon(_contraction_rows(n, k)), exterior_rep("Sp", n, k).size
+    return [f for f in range(size) if f not in pivots], _kernel(pivots, range(size))
 
 
 @lru_cache(maxsize=None)
@@ -181,16 +181,17 @@ def primitive_exterior_rep(n, k):
     are its coordinates when E_rc is replaced by an element of sp(2n, C)."""
     free, kernel = _primitive_basis(n, k)
     coord = {f: i for i, f in enumerate(free)}
+    at = {}  # the entries (b, x) of the kernel vectors at each wedge^k column
+    for b, vec in enumerate(kernel):
+        for j, x in vec.items():
+            at.setdefault(j, []).append((b, x))
     units = {}
     for rc, entries in exterior_rep("Sp", n, k).units.items():
-        by_col = {}
+        image = {}
         for i, j, v in entries:
             if i in coord:
-                by_col.setdefault(j, []).append((coord[i], v))
-        image = {}
-        for b, vec in enumerate(kernel):
-            for j, x in vec.items():
-                for a, v in by_col.get(j, ()):
+                a = coord[i]
+                for b, x in at.get(j, ()):
                     image[a, b] = image.get((a, b), 0) + x * v
         units[rc] = tuple((a, b, v) for (a, b), v in image.items() if v)
     return RepModel("Sp", n, units, len(free), f"Sp{n} primitive wedge^{k}")
@@ -309,13 +310,11 @@ def matrix_oracle_type(rep: RepModel, inv_kind: str, seed: int | None = None):
             f"intertwiner space of {rep.label} has dimension "
             f"{len(kernel)}: not irreducible or not self-conjugate")
     s = {unknowns[u]: v for u, v in kernel[0].items() if v}
-    lead = Fraction(s[min(s)])
-    s = {ab: v / lead for ab, v in s.items()}
 
     by_row = {}
     for (b, c), v in s.items():
         by_row.setdefault(b, []).append((c, v))
-    square = {}  # S is rational, so S.Sbar = S^2
+    square = {}  # S is rational, so S.Sbar = S^2; scaling S by l scales c by l^2 > 0
     for (a, b), v in s.items():
         for c, w in by_row.get(b, ()):
             square[a, c] = square.get((a, c), 0) + v * w
@@ -324,6 +323,7 @@ def matrix_oracle_type(rep: RepModel, inv_kind: str, seed: int | None = None):
             (i, i): c for i in range(rep.size)}:
         raise OracleError(f"S.Sbar of {rep.label} is not a nonzero multiple "
                           "of the identity")
-    zero = Fraction(0)
+    lead, zero = s[min(s)], Fraction(0)
+    s = {ab: Fraction(v, lead) for ab, v in s.items()}
     return ("R" if c > 0 else "H"), [[s.get((i, j), zero) for j in range(rep.size)]
                                      for i in range(rep.size)]

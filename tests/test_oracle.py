@@ -6,6 +6,8 @@ from math import comb, lcm
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eqkr.groups import build_root_data
 from eqkr.oracle import (
@@ -290,6 +292,65 @@ def test_echelon_kernel_of_a_stacked_intertwiner_shaped_system(nullity):
     assert (c @ basis == 0).all()
 
 
+def _gauss_jordan(rows, width):
+    """Reference reduced echelon form, dense and in Fractions throughout:
+    {pivot column: row as a list}."""
+    rest = [[Fraction(v) for v in row] for row in rows]
+    pivots = {}
+    for col in range(width):
+        lead = next((row for row in rest if row[col]), None)
+        if lead is None:
+            continue
+        rest.remove(lead)
+        lead = [v / lead[col] for v in lead]
+        for row in rest + list(pivots.values()):
+            row[:] = [v - row[col] * w for v, w in zip(row, lead)]
+        pivots[col] = lead
+    return pivots
+
+
+@st.composite
+def _sparse_integer_matrices(draw):
+    """(width, rows): mostly-zero integer rows with non-unit entries, some
+    of them zero rows or integer combinations of two earlier rows."""
+    width = draw(st.integers(1, 7))
+    entry = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -2, 3, -4, 6])
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["random", "random", "combination", "zero"]))
+        if kind == "zero" or (kind == "combination" and not rows):
+            rows.append([0] * width)
+        elif kind == "combination":
+            (x, a), (y, b) = (draw(st.tuples(entry, st.sampled_from(rows))) for _ in range(2))
+            rows.append([x * u + y * w for u, w in zip(a, b)])
+        else:
+            rows.append(draw(st.lists(entry, min_size=width, max_size=width)))
+    return width, rows
+
+
+@given(_sparse_integer_matrices())
+@settings(max_examples=150, deadline=None)
+def test_echelon_and_kernel_against_dense_gauss_jordan(matrix):
+    # the sparse elimination gives the reference's pivots and values, and
+    # keeps every integral value an int: the oracle's models, systems and
+    # S.Sbar stay in int arithmetic through it
+    width, rows = matrix
+    pivots = _echelon([{c: v for c, v in enumerate(row) if v} for row in rows])
+    want = _gauss_jordan(rows, width)
+    assert sorted(pivots) == list(want)
+    for col, row in pivots.items():
+        assert [row.get(c, 0) for c in range(width)] == want[col]
+        assert all(v and (type(v) is int) == (v.denominator == 1) for v in row.values())
+    kernel = _kernel(pivots, range(width))
+    assert len(pivots) + len(kernel) == width
+    for vec in kernel:
+        assert all(type(v) is int or v.denominator > 1 for v in vec.values())
+        assert all(sum(row[c] * v for c, v in vec.items()) == 0 for row in rows)
+    free = [c for c in range(width) if c not in pivots]
+    assert [[vec.get(f, 0) for f in free] for vec in kernel] == [
+        [int(f == g) for f in free] for g in free]
+
+
 # ---------------------------------------------------------------------------
 # the models
 # ---------------------------------------------------------------------------
@@ -511,13 +572,33 @@ def _decisions(group, kind):
             yield rep, matrix_oracle_type(rep, kind)[1]
 
 
+# every decision that has a model: perfbench's oracle-crosscheck cases, plus
+# Sp(n)/sigmaR and the U(n) cases
+ALL_ORACLE_CASES = ([(f"SU{n}", kind) for n in range(2, 6) for kind in ("trivial", "sigmaR")]
+                    + [("SU2", "sigmaH"), ("SU4", "sigmaH")]
+                    + [(f"Sp{n}", kind) for n in range(1, 4) for kind in ("trivial", "sigmaR")]
+                    + [("U2", "sigmaR"), ("U3", "sigmaR"), ("U4", "sigmaH")])
+
+
+def test_intertwiner_is_returned_in_fractions_with_a_leading_one():
+    # matrix_oracle_type's contract, on all 37 decisions: the elimination
+    # keeps integral values as ints, and the returned S alone is made of
+    # Fractions, scaled so that its first nonzero entry is 1
+    count = 0
+    for group, kind in ALL_ORACLE_CASES:
+        for rep, s in _decisions(group, kind):
+            assert all(type(v) is Fraction for row in s for v in row), rep.label
+            assert next(v for row in s for v in row if v) == 1, rep.label
+            count += 1
+    assert count == 37
+
+
 @pytest.mark.parametrize("group,kind", ORACLE_SUITE_CASES)
 def test_intertwiner_solves_the_equation_on_the_whole_algebra(group, kind):
     # the oracle uses the Chevalley generators only; its S satisfies
     # d rho(x) S = S d rho(theta x) exactly for every x of a basis of the
     # complexified algebra
     for rep, s in _decisions(group, kind):
-        assert all(isinstance(v, Fraction) for row in s for v in row)
         s, _ = _integral(s)  # both sides scale by the same denominators
         for x in _complex_basis(rep.family, rep.n):
             lhs = _dense_differential(rep, x, exact=True) @ s
