@@ -117,12 +117,20 @@ def _override_weight(entry):
     return weight
 
 
-def _emit(text, out_path):
-    if out_path:
+def _emit(text, out_path, code):
+    """Write text to out_path, or to stdout without one, and return the
+    exit code: ``code``, or EXIT_SPEC when the file cannot be written."""
+    if not out_path:
+        sys.stdout.write(text)
+        return code
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"error: cannot write output file {out_path}: {exc.strerror}",
+              file=sys.stderr)
+        return EXIT_SPEC
+    return code
 
 
 def _involution(args):
@@ -142,8 +150,7 @@ def main(argv=None) -> int:
         if args.command == "compute":
             p = build_kr_presentation(inv.rd, inv)
             render = presentation_json if args.format == "json" else presentation_text
-            _emit(render(p, args.truncate, args.seed), args.out)
-            return EXIT_OK
+            return _emit(render(p, args.truncate, args.seed), args.out, EXIT_OK)
         # verify: the weyl and none suites need no presentation, so they
         # also run where none can be built (U(n) with the trivial involution)
         p = None
@@ -152,8 +159,8 @@ def main(argv=None) -> int:
         report = run_suite(p, args.suite, args.seed, args.truncate, inv=inv,
                            probe=args.sensitivity_probe)
         render = report_json if args.format == "json" else report_text
-        _emit(render(report), args.out)
-        return EXIT_OK if report.passed else EXIT_VERIFY
+        return _emit(render(report), args.out,
+                     EXIT_OK if report.passed else EXIT_VERIFY)
     except (UnsupportedGroupError, InvolutionSpecError, DominanceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC

@@ -79,7 +79,8 @@ class KRCoeff(FrozenRecord):
 
     @staticmethod
     def basis(name: str) -> "KRCoeff":
-        return KRCoeff(**{{"1": "one", "eta": "eta", "eta2": "eta2", "mu": "mu"}[name]: 1})
+        """The basis class named in KR_BASIS, as one shared record."""
+        return _KR_BASIS_RECORDS[name]
 
     def as_dict(self):
         return {"1": self.one, "eta": self.eta, "eta2": self.eta2, "mu": self.mu}
@@ -104,6 +105,10 @@ class KRCoeff(FrozenRecord):
 
     def is_zero(self):
         return self.one == 0 and self.eta == 0 and self.eta2 == 0 and self.mu == 0
+
+
+_KR_BASIS_RECORDS = {"1": KRCoeff(one=1), "eta": KRCoeff(eta=1),
+                     "eta2": KRCoeff(eta2=1), "mu": KRCoeff(mu=1)}
 
 
 def c_coeff(x: KRCoeff) -> KCoeff:

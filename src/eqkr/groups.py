@@ -499,7 +499,6 @@ def _weyl_dimension(rd: RootData, lam: Weight) -> int:
     return dim
 
 
-@lru_cache(maxsize=None)
 def _dominant_multiplicities(rd, lam):
     """Multiplicities of the dominant weights of V_lam (all positive).
 
@@ -726,5 +725,5 @@ def dominant_weights_up_to_dim(rd: RootData, bound: int):
 
 
 # every process-wide cache keyed on root data; patching a root-data method clears them
-_KERNEL_CACHES = (_dominant_multiplicities, _orbit_character, _klimyk, _expand_monomial_cached,
-                  _as_fund_poly_cached, dominant_weights_up_to_dim)
+_KERNEL_CACHES = (_orbit_character, _klimyk, _expand_monomial_cached, _as_fund_poly_cached,
+                  dominant_weights_up_to_dim)

@@ -196,38 +196,25 @@ class RingElement:
         return " + ".join(bits)
 
 
-def _merge_graded(a, b, parity):
-    """Koszul-signed merge of sorted index tuples; None on collision."""
+def koszul_sort(factors, parity=None):
+    """(factors sorted increasingly, the number of transpositions of two
+    odd entries that sorts them), so the Koszul sign is (-1) ** count;
+    None when an entry repeats.  ``parity`` maps an entry to 0 or 1; every
+    entry is odd without it."""
     out = []
-    sign = 1
-    i = j = 0
-    rem_odd = sum(parity(x) for x in a)
-    while i < len(a) and j < len(b):
-        if a[i] == b[j]:
+    count = 0
+    for x in factors:
+        pos = len(out)
+        while pos and out[pos - 1] > x:
+            pos -= 1
+        if pos and out[pos - 1] == x:
             return None
-        if a[i] < b[j]:
-            rem_odd -= parity(a[i])
-            out.append(a[i])
-            i += 1
-        else:
-            if parity(b[j]) and rem_odd % 2:
-                sign = -sign
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out), sign
-
-
-def _inversions(seq):
-    """Number of pairs i < j with seq[i] > seq[j]: the transpositions
-    that sort seq."""
-    inv = 0
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                inv += 1
-    return inv
+        if parity is None:
+            count += len(out) - pos
+        elif parity(x):
+            count += sum(map(parity, out[pos:]))
+        out.insert(pos, x)
+    return tuple(out), count
 
 
 class Presentation:
@@ -239,7 +226,9 @@ class Presentation:
     pure.  ``_c_image`` is the one complexification of a KR term,
     ``_realify`` the one realification of a BZ term dict, and
     ``_mul_kr_unit`` multiplies two KR terms in two cases: no r-slot
-    (type bookkeeping) or a slot (the projection formula).  Each
+    (type bookkeeping) or a slot (the projection formula).  Every sign
+    from reordering odd factors, in a product, under tau or in a slot,
+    comes from the one routine ``koszul_sort``.  Each
     presentation memoises its own term arithmetic at unit coefficient:
     ``_mul_table`` maps an ordered pair of terms of the presentation's
     own kind (KR, or BZ/K) to their product, ``_realify_table`` maps
@@ -450,10 +439,11 @@ class Presentation:
         """Product of two BZ terms at unit coefficient."""
         w1, j1, b1 = t1
         w2, j2, b2 = t2
-        merged = _merge_graded(b1, b2, lambda x: 1)
+        merged = koszul_sort(b1 + b2)
         if merged is None:
             return {}
-        bits, sign = merged
+        bits, count = merged
+        sign = (-1) ** count
         if self.kind == "K":
             return {(self.zero_weight, (j1 + j2) % 4, bits): sign}
         out = {}
@@ -479,9 +469,8 @@ class Presentation:
 
     def _tau_bz_term(self, w, j, bits):
         """tau-image of one BZ term; returns (w*, bits*, sign)."""
-        mapped = [self._tau_factor(b) for b in bits]
-        sign = (-1) ** (j % 2 + len(bits) + _inversions(mapped))
-        return self._tau_weight(w), tuple(sorted(mapped)), sign
+        mapped, count = koszul_sort([self._tau_factor(b) for b in bits])
+        return self._tau_weight(w), mapped, (-1) ** (j % 2 + len(bits) + count)
 
     def _tau_bz(self, terms):
         out = {}
@@ -617,11 +606,10 @@ class Presentation:
         delta factors sorted and the sign s with r(slot) = s . r(term).
         """
         rho, i, eps, nu = slot
-        bits = [self._pair_factor(k, "u") for k in eps]
-        bits += [self._pair_factor(k, "v") for k in nu]
-        sign = (-1) ** (len(nu) + _inversions(bits))
+        bits, count = koszul_sort([self._pair_factor(k, "u") for k in eps]
+                                  + [self._pair_factor(k, "v") for k in nu])
         w = self.zero_weight if rho is None else rho
-        return (w, i, tuple(sorted(bits))), sign
+        return (w, i, bits), (-1) ** (len(nu) + count)
 
     def _c_image(self, term):
         """Complexification of one KR term, as a BZ term dict over this
@@ -712,12 +700,12 @@ class Presentation:
         cw1, cls1, p1, s1 = t1
         cw2, cls2, p2, s2 = t2
         if s1 is None and s2 is None:
-            merged = _merge_graded(p1, p2, self._gen_parity)
+            merged = koszul_sort(p1 + p2, self._gen_parity)
             if merged is None:
                 return {}
-            plain, sign = merged
+            plain, count = merged
             return self._class_terms(self._typed_mult(cw1, cls1, cw2, cls2),
-                                     plain, sign)
+                                     plain, (-1) ** count)
         # a.p.r(x) . y = p . r(c(a) . x . c(y)), with the slot term in
         # front: y . t = (-1)^(|y| |t|) t . y
         own, other, sign = t1, t2, 1
@@ -749,14 +737,14 @@ class Presentation:
     def _add_times_plain(self, out, plain, terms, coeff):
         """Accumulate coeff . plain . t into out for each KR term t."""
         for (tw, tcls, tplain, tslot), c in terms.items():
-            merged = _merge_graded(plain, tplain, self._gen_parity)
+            merged = koszul_sort(plain + tplain, self._gen_parity)
             if merged is None:
                 continue
-            nplain, nsign = merged
+            nplain, count = merged
             if self._lam_kills(nplain, tslot):
                 continue
             key = (tw, tcls, nplain, tslot)
-            out[key] = out.get(key, 0) + coeff * c * nsign
+            out[key] = out.get(key, 0) + coeff * c * (-1) ** count
 
     # -- normalization and public multiplication ------------------------------------
     def _normalize_terms(self, terms):
@@ -923,7 +911,7 @@ def rclass_square(p: Presentation, idx: RClassIndex) -> RClassSquareResult:
     for k in sorted(s_idx + n_idx):
         rank[("u", k)] = len(rank)
         rank[("v", k)] = len(rank)
-    transpositions = _inversions([rank[x] for x in seq])
+    _, transpositions = koszul_sort([rank[x] for x in seq])
 
     case = _SQUARE_CASE[idx.degree()]
     s = (-1) ** (idx.i + transpositions)

@@ -4,14 +4,17 @@ The model is the Laurent polynomial ring Z[e_1^{+-1}, ..., e_n^{+-1}]
 with its exterior differential; a form is a finite sum of terms
 (monomial exponents) . de_{j_1} ^ ... ^ de_{j_k}.  This hosts the
 torus restrictions of the odd generators for U(n) and the Weyl-
-denominator identity behind their independence.
+denominator identity behind their independence, evaluated on the
+engine's own data: the weights of wedge^k C^n are the U(n) character
+of groups.character, the roots e_i - e_j come from U(n)'s root data,
+and the wedge signs from presentation.koszul_sort.
 """
 
 from __future__ import annotations
 
-import itertools
-
 from ._record import FrozenRecord
+from .groups import build_root_data, character
+from .presentation import koszul_sort
 
 
 class LaurentForm(FrozenRecord):
@@ -58,13 +61,12 @@ class LaurentForm(FrozenRecord):
         out = {}
         for (e1, d1), c1 in self.terms.items():
             for (e2, d2), c2 in other.terms.items():
-                if set(d1) & set(d2):
+                merged = koszul_sort(d1 + d2)
+                if merged is None:
                     continue
-                sign = _wedge_sign(d1, d2)
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                dbits = tuple(sorted(d1 + d2))
-                key = (exps, dbits)
-                out[key] = out.get(key, 0) + c1 * c2 * sign
+                dbits, count = merged
+                key = (tuple(a + b for a, b in zip(e1, e2)), dbits)
+                out[key] = out.get(key, 0) + c1 * c2 * (-1) ** count
                 if out[key] == 0:
                     del out[key]
         return LaurentForm(self.n, out)
@@ -74,72 +76,68 @@ class LaurentForm(FrozenRecord):
         out = LaurentForm.zero(self.n)
         for (exps, dbits), c in self.terms.items():
             for j, a in enumerate(exps):
-                if a == 0 or j in dbits:
+                merged = koszul_sort((j,) + dbits)
+                if a == 0 or merged is None:
                     continue
+                bits, count = merged
                 shifted = tuple(x - (1 if k == j else 0)
                                 for k, x in enumerate(exps))
-                sign = _wedge_sign((j,), dbits)
-                out = out + LaurentForm.monomial(self.n, shifted,
-                                                 (j,) + dbits, c * a * sign)
+                out = out + LaurentForm.monomial(self.n, shifted, bits,
+                                                 c * a * (-1) ** count)
         return out
 
     def is_zero(self):
         return not self.terms
 
 
-def _wedge_sign(d1, d2):
-    """Sign of merging sorted odd-degree factor tuples d1, d2."""
-    inv = 0
-    for a in d1:
-        for b in d2:
-            if b < a:
-                inv += 1
-    return (-1) ** inv
-
-
 # ---------------------------------------------------------------------------
 # torus restrictions for U(n)
 # ---------------------------------------------------------------------------
+
+def _wedge_weights(n: int, k: int):
+    """(weight, multiplicity) pairs of wedge^k C^n: the character of the
+    k-th fundamental representation of U(n)."""
+    if not 1 <= k <= n:
+        raise ValueError(f"k={k} out of range 1..{n}")
+    rd = build_root_data(f"U{n}")
+    return character(rd, rd.fundamental_weights()[k - 1]).items()
+
 
 def torus_restriction_un(n: int, k: int) -> LaurentForm:
     """Torus restriction of the degree-shifted generator of wedge^k.
 
     The restricted class decomposes over the weights of wedge^k of the
-    defining representation: for each k-subset J the term is the
-    one-dimensional character e_J = prod_{j in J} e_j tensored with
-    the derivation class of that character line,
+    defining representation: each weight e_J = prod_{j in J} e_j is a
+    one-dimensional character, tensored with the derivation class of
+    that character line,
 
         sum_J  e_J . d(e_J).
     """
-    if not 1 <= k <= n:
-        raise ValueError(f"k={k} out of range 1..{n}")
     out = LaurentForm.zero(n)
-    for subset in itertools.combinations(range(n), k):
-        exps = tuple(1 if j in subset else 0 for j in range(n))
-        mono = LaurentForm.monomial(n, exps)
-        out = out + mono * LaurentForm.monomial(n, exps).d()
+    for exps, m in _wedge_weights(n, k):
+        out = out + (LaurentForm.monomial(n, exps, coeff=m)
+                     * LaurentForm.monomial(n, exps).d())
     return out
 
 
 def character_restriction_form(n: int, k: int) -> LaurentForm:
     """d of the restricted character of wedge^k (elementary symmetric)."""
-    out = LaurentForm.zero(n)
-    for subset in itertools.combinations(range(n), k):
-        exps = tuple(1 if j in subset else 0 for j in range(n))
-        out = out + LaurentForm.monomial(n, exps)
-    return out.d()
+    return LaurentForm(n, {(w, ()): m for w, m in _wedge_weights(n, k)}).d()
+
+
+def root_product(n: int, sign: int) -> LaurentForm:
+    """prod (e_i + sign . e_j) as a 0-form, over the positive roots
+    e_i - e_j of U(n)'s root data."""
+    out = LaurentForm.one(n)
+    for a, _ in build_root_data(f"U{n}").positive_root_vecs():
+        out = out * (LaurentForm.monomial(n, [max(x, 0) for x in a])
+                     + LaurentForm.monomial(n, [max(-x, 0) for x in a], coeff=sign))
+    return out
 
 
 def weyl_denominator(n: int) -> LaurentForm:
     """prod_{i<j} (e_i - e_j) as a 0-form."""
-    out = LaurentForm.one(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            ei = tuple(1 if a == i else 0 for a in range(n))
-            ej = tuple(1 if a == j else 0 for a in range(n))
-            out = out * (LaurentForm.monomial(n, ei)
-                         - LaurentForm.monomial(n, ej))
-    return out
+    return root_product(n, -1)
 
 
 def top_form(n: int) -> LaurentForm:

@@ -200,6 +200,21 @@ def test_python_dash_m_runs_the_cli(capsys):
     assert res.stdout == capsys.readouterr().out.encode()
 
 
+@pytest.mark.parametrize("command", ["compute", "verify"])
+@pytest.mark.parametrize("target", ["directory", "missing-parent"])
+def test_unwritable_out_exits_two(tmp_path, command, target):
+    # an --out that cannot be opened is a usage error: one line, no traceback
+    out = tmp_path if target == "directory" else tmp_path / "missing" / "p.json"
+    env = dict(os.environ, PYTHONPATH=str(Path(eqkr.__file__).parents[1]))
+    res = subprocess.run([sys.executable, "-m", "eqkr", command, "--group", "SU2",
+                          "--out", str(out)], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith(f"error: cannot write output file {out}: ")
+    assert res.stderr.count("\n") == 1 and "Traceback" not in res.stderr
+
+
 def test_unclassifiable_exit_loads_no_numpy():
     # U2/trivial has a matrix model but no generator catalog: the
     # classifier stops at exit 3 without consulting the oracle

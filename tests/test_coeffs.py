@@ -30,6 +30,17 @@ def test_normal_form_relations():
     assert MU * MU == 4 * ONE
 
 
+def test_basis_records_equal_their_fields():
+    built = {"1": KRCoeff(1, 0, 0, 0), "eta": KRCoeff(0, 1, 0, 0),
+             "eta2": KRCoeff(0, 0, 1, 0), "mu": KRCoeff(0, 0, 0, 1)}
+    for name in KR_BASIS:
+        x = KRCoeff.basis(name)
+        assert x == built[name] and hash(x) == hash(built[name])
+        assert x.as_dict() == {n: int(n == name) for n in KR_BASIS}
+        # one shared record per name, which is safe because it is frozen
+        assert KRCoeff.basis(name) is x
+
+
 def test_c_map_values():
     assert c_coeff(ONE) == KCoeff((1, 0, 0, 0))
     assert c_coeff(ETA).is_zero()

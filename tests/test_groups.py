@@ -502,7 +502,7 @@ def test_the_package_imports_no_numpy():
 def _broken_form(monkeypatch, form):
     monkeypatch.setattr(SimpleRootData, "ip", lambda self, v, w: form(v, w))
     rd = build_root_data("SU3")
-    return lambda lam: _dominant_multiplicities.__wrapped__(rd, lam)
+    return lambda lam: _dominant_multiplicities(rd, lam)
 
 
 @pytest.mark.usefixtures("cold_kernel_caches")

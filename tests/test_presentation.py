@@ -3,6 +3,8 @@ import random
 
 import pytest
 from conftest import GOLDEN, kr
+from hypothesis import given
+from hypothesis import strategies as st
 
 from eqkr.coeffs import KRCoeff
 from eqkr.groups import build_root_data
@@ -18,6 +20,7 @@ from eqkr.presentation import (
     classified_irreps,
     complexify,
     delta_lift,
+    koszul_sort,
     plain_monomial_elements,
     plain_monomials,
     poincare_table,
@@ -182,6 +185,51 @@ def _homogeneous_pool(p):
             e = p.rclass_element(idx)
             pool.append((canon_degree(idx.degree()), e))
     return pool
+
+
+def _bubble_sort_swaps(seq, parity):
+    """Reference for koszul_sort: bubble sort counting the swaps of two odd
+    entries; None when an entry repeats."""
+    if len(set(seq)) < len(seq):
+        return None
+    out, swaps = list(seq), 0
+    for end in range(len(out) - 1, 0, -1):
+        for i in range(end):
+            if out[i] > out[i + 1]:
+                swaps += parity(out[i]) * parity(out[i + 1])
+                out[i], out[i + 1] = out[i + 1], out[i]
+    return tuple(out), swaps
+
+
+@given(st.lists(st.integers(0, 9), max_size=8))
+def test_koszul_sort_all_odd_is_bubble_sort(seq):
+    assert koszul_sort(seq) == _bubble_sort_swaps(seq, lambda x: 1)
+
+
+@given(st.lists(st.integers(0, 9), max_size=8),
+       st.lists(st.integers(0, 1), min_size=10, max_size=10))
+def test_koszul_sort_parity_weighted_is_bubble_sort(seq, parities):
+    parity = parities.__getitem__
+    assert koszul_sort(seq, parity) == _bubble_sort_swaps(seq, parity)
+
+
+# two dR (odd) and two lam (even) generators
+SU4_SQUARED = kr("SU4xSU4", "trivial")
+
+
+@given(st.lists(st.sampled_from(range(len(SU4_SQUARED.gens))), max_size=6))
+def test_koszul_sort_on_generator_parities(seq):
+    parity = SU4_SQUARED._gen_parity
+    assert koszul_sort(seq, parity) == _bubble_sort_swaps(seq, parity)
+
+
+def test_koszul_sort_refuses_a_repeated_even_generator():
+    # lam_k^2 is no normal-form monomial: the product drops it, like any
+    # repeated exterior factor
+    lam = [g.index for g in SU4_SQUARED.gens if g.kind == "lam"]
+    assert SU4_SQUARED.gens[lam[0]].parity == 0
+    assert koszul_sort(lam + lam[:1], SU4_SQUARED._gen_parity) is None
+    assert koszul_sort(lam[::-1], SU4_SQUARED._gen_parity) == (tuple(lam), 0)
 
 
 def test_associativity_and_normal_form_idempotence():

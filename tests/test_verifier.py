@@ -8,7 +8,7 @@ import pytest
 from conftest import GOLDEN, kr
 
 import eqkr
-from eqkr import oracle, realstruct
+from eqkr import groups, oracle, realstruct
 from eqkr.groups import build_root_data
 from eqkr.presentation import Presentation, build_bz_presentation, build_kr_presentation
 from eqkr.realstruct import Involution
@@ -57,6 +57,24 @@ def test_weyl_check():
     assert verify_weyl_denominator(3).passed
     with pytest.raises(ValueError):
         verify_weyl_denominator(5)
+
+
+@pytest.mark.usefixtures("cold_kernel_caches")
+@pytest.mark.parametrize("n", [3, 4])
+def test_weyl_check_fails_on_a_wrong_un_character(monkeypatch, n):
+    # the check reads the weights of wedge^k C^n from the engine's U(n)
+    # characters, so dropping one weight of wedge^2 C^n must fail it
+    orbit_character = groups._orbit_character
+    wedge2 = (1, 1) + (0,) * (n - 2)
+
+    def drop_one_weight(rd, lam):
+        out = dict(orbit_character(rd, lam))
+        if str(rd.spec) == f"U{n}" and lam == wedge2:
+            del out[min(out)]
+        return out
+
+    monkeypatch.setattr(groups, "_orbit_character", drop_one_weight)
+    assert verify_weyl_denominator(n).status == "fail"
 
 
 def test_negative_controls_fail():
