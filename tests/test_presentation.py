@@ -3,7 +3,7 @@ import random
 
 import pytest
 from conftest import GOLDEN, kr
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from eqkr.coeffs import KRCoeff
@@ -213,23 +213,16 @@ def test_koszul_sort_parity_weighted_is_bubble_sort(seq, parities):
     assert koszul_sort(seq, parity) == _bubble_sort_swaps(seq, parity)
 
 
-# two dR (odd) and two lam (even) generators
+# generators dR, dR, lam, lam: two odd, then two even
 SU4_SQUARED = kr("SU4xSU4", "trivial")
 
 
 @given(st.lists(st.sampled_from(range(len(SU4_SQUARED.gens))), max_size=6))
+@example([3, 0, 3])  # a repeated lam: no normal-form monomial, so None
 def test_koszul_sort_on_generator_parities(seq):
     parity = SU4_SQUARED._gen_parity
+    assert [g.kind for g in SU4_SQUARED.gens] == ["dR", "dR", "lam", "lam"]
     assert koszul_sort(seq, parity) == _bubble_sort_swaps(seq, parity)
-
-
-def test_koszul_sort_refuses_a_repeated_even_generator():
-    # lam_k^2 is no normal-form monomial: the product drops it, like any
-    # repeated exterior factor
-    lam = [g.index for g in SU4_SQUARED.gens if g.kind == "lam"]
-    assert SU4_SQUARED.gens[lam[0]].parity == 0
-    assert koszul_sort(lam + lam[:1], SU4_SQUARED._gen_parity) is None
-    assert koszul_sort(lam[::-1], SU4_SQUARED._gen_parity) == (tuple(lam), 0)
 
 
 def test_associativity_and_normal_form_idempotence():
