@@ -76,8 +76,8 @@ class LaurentForm(FrozenRecord):
         out = LaurentForm.zero(self.n)
         for (exps, dbits), c in self.terms.items():
             for j, a in enumerate(exps):
-                merged = koszul_sort((j,) + dbits)
-                if a == 0 or merged is None:
+                merged = koszul_sort((j,) + dbits) if a else None
+                if merged is None:
                     continue
                 bits, count = merged
                 shifted = tuple(x - (1 if k == j else 0)
