@@ -336,7 +336,8 @@ def verify_weyl_denominator(n: int, seed: int = DEFAULT_SEED) -> CheckResult:
     same element.  Both sides are built from the engine's own U(n) data
     (the characters of wedge^k C^n from groups.character, the roots
     e_i - e_j from the root data) with the engine's one sign rule,
-    presentation.koszul_sort, so a fault in any of them fails the check.
+    presentation.koszul_sort, so a wrong U(n) character or sign rule
+    fails the check.
     """
     if n > 4:
         raise ValueError("Weyl-denominator check limited to n <= 4")
