@@ -151,10 +151,10 @@ def main(argv=None) -> int:
             p = build_kr_presentation(inv.rd, inv)
             render = presentation_json if args.format == "json" else presentation_text
             return _emit(render(p, args.truncate, args.seed), args.out, EXIT_OK)
-        # verify: the weyl and none suites need no presentation, so they
-        # also run where none can be built (U(n) with the trivial involution)
+        # verify: the weyl, oracle and none suites need no presentation, so
+        # they also run where none can be built (U(n) with the trivial involution)
         p = None
-        if args.suite in ("fast", "all", "oracle"):
+        if args.suite in ("fast", "all"):
             p = build_kr_presentation(inv.rd, inv)
         report = run_suite(p, args.suite, args.seed, args.truncate, inv=inv,
                            probe=args.sensitivity_probe)

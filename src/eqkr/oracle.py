@@ -6,36 +6,49 @@ module checks that rule independently (``eqkr verify --suite oracle``).
 
 For a self-twisted-dual representation rho and an involution sigma, the
 antilinear intertwiner v -> S(vbar) solves rho(g) S = S conj(rho(sigma g)).
-Differentiated, with theta(X) = conj(sigma_* X) extended C-linearly (-X^T
-for the trivial sigma, X for sigmaR, J X J^-1 for sigmaH), this reads
+Differentiated, with theta(X) = conj(sigma_* X) extended C-linearly, this
+reads
 
     d rho(X) S = S d rho(theta X)        for X in the complexified algebra.
 
-Every model is exact: d rho of each matrix unit is a sparse rational
-matrix on a weight basis, so the equation is solved over Q, in two
-stages.  The Cartan elements allow an entry S[a][b] only where the weight
-of a equals the weight of b composed with theta.  The Chevalley
-generators e_i, f_i then give the other equations: they generate the
-algebra, and theta is an automorphism, so the X that satisfy the
-equation form a subalgebra that is all of it.  Elimination, exact over Q
-and kept in integers wherever the values are integral, gives the kernel,
-which must be one-dimensional (Schur).  S is rational, so S.Sbar = S^2,
-which must be c times the identity: c > 0 is Real, c < 0 Quaternionic.
+One model serves every weight: V_lam is built from the Cartan matrix
+alone, over Q, one weight space at a time from the top (Humphreys,
+Introduction to Lie Algebras and Representation Theory, sections 20-21;
+de Graaf, Lie Algebras: Theory and Algorithms, on representations).
+Below lam a vector is zero exactly when every e_j kills it, so each
+candidate f_i b is stored by its images e_j f_i b = f_i e_j b +
+delta_ij <wt b, alpha_i^vee> b, which lie in weight spaces already built;
+the reduced echelon form of those images gives the new basis and every
+candidate's coordinates.  The rank must reach the Weyl dimension and
+never pass it, or the build raises OracleError.  A U(n) weight is its
+A_{n-1} labels plus its central weight.
 
-Models exist for SU(n), Sp(n) and U(n): the defining representation (the
-identity map), the derivation on the k-subsets of an exterior power, its
-Sp(n) primitive part (the kernel of the contraction with the symplectic
-form, on the rational basis that the reduced echelon form gives), and the
-derivation on the monomials of a symmetric power.
+theta is a table on the Chevalley generators: the Chevalley involution
+e_i -> -f_i, f_i -> -e_i for ``trivial`` (negating the centre of U(n)),
+the identity for ``sigmaR``, and tau o omega for ``sigmaH``, with tau the
+diagram flip of A_{2m-1}; both realizations of sigmaH fix Sp(m), so they
+are conjugate.  The models are rational, so under ``sigmaR`` S is the
+identity and every decision is R by construction.
+
+The equation is solved over Q in two stages.  The Cartan elements allow
+an entry S[a][b] only where the weight of a equals the weight of b
+composed with theta, read off the model's weights.  The generators e_i,
+f_i then give the other equations: they generate the algebra, and theta
+is an automorphism, so the X that satisfy the equation form a subalgebra
+that is all of it.  Elimination, exact over Q and kept in integers
+wherever the values are integral, gives the kernel, which must be
+one-dimensional (Schur).  S is rational, so S.Sbar = S^2, which must be c
+times the identity: c > 0 is Real, c < 0 Quaternionic.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
+from operator import add, sub
 
-from .groups import RootData
+from .groups import RootData, _weyl_dimension, cartan_matrix
 
 
 class OracleError(RuntimeError):
@@ -85,192 +98,137 @@ def _kernel(pivots, columns):
 
 
 # ---------------------------------------------------------------------------
-# matrix models
+# highest-weight models
 # ---------------------------------------------------------------------------
 
 class RepModel:
-    """A representation given by its differential d rho on a rational weight
-    basis: units[(r, c)] lists the nonzero entries (i, j, v) of d rho(E_rc)
-    for the matrix unit E_rc of the defining representation.  Built once
-    per model and shared; never modified."""
+    """V_lam on a rational basis of weight vectors: weights[b] is the
+    weight of basis vector b (Dynkin labels, then the central weight of
+    U(n)), and e[i][b], f[i][b] are its images under the Chevalley
+    generators, as sparse columns {basis vector: coefficient}.  Built once
+    per weight and shared; never modified."""
 
-    def __init__(self, family, n, units, size, label):
-        self.family = family
-        self.n = n  # rank parameter of the defining representation
-        self.units = units
-        self.size = size
+    def __init__(self, cartan, group, label, top, dim):
+        self.cartan = cartan
+        self.group = group  # the group a refusal names, e.g. "SU(3)"
         self.label = label
-
-    def differential(self, x):
-        """d rho of a sparse defining-size matrix {(r, c): coefficient}, as a
-        sparse matrix {(i, j): value}."""
-        out = {}
-        for rc, a in x.items():
-            for i, j, v in self.units.get(rc, ()):
-                out[i, j] = out.get((i, j), 0) + a * v
-        return {ij: v for ij, v in out.items() if v}
+        self.size = dim
+        self.weights = [top]  # basis vector 0 spans the top weight space
+        self.e = [[{} for _ in range(dim)] for _ in cartan]
+        self.f = [[{} for _ in range(dim)] for _ in cartan]
 
 
-def _tensor_derivation(m, k, exterior):
-    """(units, size) of wedge^k C^m on its k-subsets, or of Sym^k C^m on its
-    k-multisets, both as sorted tuples.  E_rc replaces a factor e_c by e_r:
-    on wedge^k with the sign of sorting e_r into place, on Sym^k with the
-    multiplicity of c as coefficient.  Each r from lo up to the next factor
-    (onto it in Sym^k) goes to place q, |p - q| factors from e_c's place p."""
-    basis = list((itertools.combinations if exterior
-                  else itertools.combinations_with_replacement)(range(m), k))
-    idx = {s: i for i, s in enumerate(basis)}
-    units = {}
-    for b, s in enumerate(basis):
-        for c in dict.fromkeys(s):
-            p = s.index(c)
-            rest, lo = s[:p] + s[p + 1:], 0
-            for q, hi in enumerate(rest + (m,)):
-                v = (-1) ** ((p - q) % 2) if exterior else s.count(c)
-                for r in range(lo, hi + (not exterior and hi < m)):
-                    units.setdefault((r, c), []).append((idx[rest[:q] + (r,) + rest[q:]], b, v))
-                lo = hi + 1
-    return {rc: tuple(e) for rc, e in units.items()}, len(basis)
+def _lowered(rep, i, b):
+    """The images of f_i b under e_1 + ... + e_r, as one sparse vector:
+    e_j f_i b = f_i e_j b + delta_ij <wt b, alpha_i^vee> b lies in the
+    weight space of wt b - alpha_i + alpha_j, so distinct j stay apart."""
+    out = {}
+    fi = rep.f[i]
+    for ej in rep.e:
+        for c, v in ej[b].items():
+            for d, w in fi[c].items():
+                out[d] = out.get(d, 0) + v * w
+    h = rep.weights[b][i]
+    if h:
+        out[b] = out.get(b, 0) + h
+    return out
+
+
+def _highest_weight_model(cartan, top, dim, group, label):
+    """V_top of the Lie algebra with Cartan matrix cartan (columns are
+    the simple roots on Dynkin labels), for top its Dynkin labels and any
+    further coordinates, which every basis vector shares.
+
+    Below top, V_mu is spanned by the f_i V_{mu+alpha_i}, and mu - alpha_i
+    is visited only when the i-string through mu goes below it:
+    <mu, alpha_i^vee> + p > 0, with p its length above mu.  Raises
+    OracleError as soon as the rank passes dim, and at the end unless it
+    equals dim."""
+    alphas = [tuple(row[i] for row in cartan) + (0,) * (len(top) - len(cartan))
+              for i in range(len(cartan))]
+    rep = RepModel(cartan, group, label, top, dim)
+    built = {top: ([0], [0] * len(alphas))}  # the basis vectors and the p of each weight
+    layer = [top]
+    while layer:
+        below = {}  # the candidates (i, b) and the p of each weight one layer down
+        for nu in layer:
+            basis, p = built[nu]
+            for i, a in enumerate(alphas):
+                if nu[i] + p[i] > 0:
+                    mu = tuple(map(sub, nu, a))
+                    if mu not in below:
+                        below[mu] = [], [0] * len(alphas)
+                    candidates, q = below[mu]
+                    candidates += [(i, b) for b in basis]
+                    q[i] = p[i] + 1
+        layer = []
+        for mu, (candidates, q) in below.items():
+            images = [_lowered(rep, i, b) for i, b in candidates]
+            pivots = _echelon(images)
+            size = len(rep.weights)
+            if size + len(pivots) > dim:
+                raise OracleError(f"{label} passes its Weyl dimension {dim}")
+            raised = {tuple(map(add, mu, a)): ej for a, ej in zip(alphas, rep.e)}
+            new = {}  # pivot column -> (new basis vector, den, g)
+            for k, (col, row) in enumerate(pivots.items(), size):
+                # the basis vector is the row made a primitive integer vector,
+                # den / g times it, so a weight space of dimension 1 keeps
+                # every coordinate integral
+                den = lcm(*(v.denominator for v in row.values()))
+                row = {c: v.numerator * (den // v.denominator) for c, v in row.items()}
+                g = gcd(*row.values())
+                new[col] = k, den, g
+                for c, v in row.items():
+                    raised[rep.weights[c]][k][c] = v // g
+            rep.weights += [mu] * len(new)
+            for (i, b), image in zip(candidates, images):
+                rep.f[i][b] = {new[c][0]: _quotient(v * new[c][2], new[c][1])
+                               for c, v in image.items() if v and c in new}
+            if new:
+                built[mu] = list(range(size, len(rep.weights))), q
+                layer.append(mu)
+    if len(rep.weights) != dim:
+        raise OracleError(f"{label} ends at dimension {len(rep.weights)}, short of its "
+                          f"Weyl dimension {dim}")
+    return rep
 
 
 @lru_cache(maxsize=None)
-def defining_rep(family, n):
-    m = 2 * n if family == "Sp" else n
-    units = {(r, c): ((r, c, 1),) for r in range(m) for c in range(m)}
-    return RepModel(family, n, units, m, f"{family}{n} defining")
-
-
-@lru_cache(maxsize=None)
-def exterior_rep(family, n, k):
-    units, size = _tensor_derivation(defining_rep(family, n).size, k, True)
-    return RepModel(family, n, units, size, f"{family}{n} wedge^{k}")
-
-
-@lru_cache(maxsize=None)
-def symmetric_rep(family, n, k):
-    units, size = _tensor_derivation(defining_rep(family, n).size, k, False)
-    return RepModel(family, n, units, size, f"{family}{n} sym^{k}")
-
-
-def _contraction_rows(n, k):
-    """The contraction wedge^k C^2n -> wedge^(k-2) with the form J = [[0, I],
-    [-I, 0]]: one sparse row per (k-2)-subset, over the k-subsets."""
-    idx = {s: i for i, s in enumerate(itertools.combinations(range(2 * n), k - 2))}
-    rows = [{} for _ in idx]
-    for b, s in enumerate(itertools.combinations(range(2 * n), k)):
-        for p, q in itertools.combinations(range(k), 2):
-            if s[q] == s[p] + n:  # J is 1 at (i, i + n); s is sorted, so never -1
-                rows[idx[s[:p] + s[p + 1:q] + s[q + 1:]]][b] = (-1) ** (p + q + 1)
-    return rows
-
-
-@lru_cache(maxsize=None)
-def _primitive_basis(n, k):
-    """(free columns, kernel vectors) of the contraction on wedge^k C^2n,
-    from its reduced echelon form: one kernel vector per free column, and
-    a kernel vector's coordinates are its entries at the free columns."""
-    pivots, size = _echelon(_contraction_rows(n, k)), exterior_rep("Sp", n, k).size
-    return [f for f in range(size) if f not in pivots], _kernel(pivots, range(size))
-
-
-@lru_cache(maxsize=None)
-def primitive_exterior_rep(n, k):
-    """Fundamental V_{omega_k} of Sp(n): the kernel of the contraction in
-    wedge^k, invariant under d rho of sp(2n, C).  d rho(E_rc) sends each
-    kernel vector to the free-column entries of its wedge^k image, which
-    are its coordinates when E_rc is replaced by an element of sp(2n, C)."""
-    free, kernel = _primitive_basis(n, k)
-    coord = {f: i for i, f in enumerate(free)}
-    at = {}  # the entries (b, x) of the kernel vectors at each wedge^k column
-    for b, vec in enumerate(kernel):
-        for j, x in vec.items():
-            at.setdefault(j, []).append((b, x))
-    units = {}
-    for rc, entries in exterior_rep("Sp", n, k).units.items():
-        image = {}
-        for i, j, v in entries:
-            if i in coord:
-                a = coord[i]
-                for b, x in at.get(j, ()):
-                    image[a, b] = image.get((a, b), 0) + x * v
-        units[rc] = tuple((a, b, v) for (a, b), v in image.items() if v)
-    return RepModel("Sp", n, units, len(free), f"Sp{n} primitive wedge^{k}")
+def _weight_model(rd: RootData, lam) -> RepModel:
+    """The model of V_lam for a simple or unitary group, built once per
+    (root data, weight): a U(n) weight becomes its A_{n-1} labels plus its
+    central weight sum(lam)."""
+    (fam, n), = rd.spec.factors
+    top = tuple(rd.pairing_simple(lam, i) for i in range(rd.n_simple()))
+    if fam == "U":
+        cartan, top = (cartan_matrix("A", n - 1) if n > 1 else ()), top + (sum(lam),)
+    else:
+        cartan = rd.cartan
+    return _highest_weight_model(cartan, top, _weyl_dimension(rd, lam), f"{fam}({n})",
+                                f"{rd.spec} V({', '.join(map(str, lam))})")
 
 
 def rep_for_weight(rd: RootData, lam) -> RepModel | None:
-    """A concrete matrix model for lam, when the catalog has one: the
-    fundamental representations of SU(n), Sp(n) and U(n)."""
-    if len(rd.factors) > 1:
-        return None
-    fam, n = rd.spec.factors[0]
-    funds = rd.fundamental_weights()
+    """The model of V_lam when lam is a fundamental weight of one SU(n),
+    Sp(n) or U(n) factor; None otherwise."""
     lam = tuple(lam)
-    if fam not in ("SU", "Sp", "U") or lam not in funds:
+    if (len(rd.factors) > 1 or rd.spec.factors[0][0] not in ("SU", "Sp", "U")
+            or lam not in rd.fundamental_weights()):
         return None
-    k = funds.index(lam) + 1
-    if k == 1:
-        return defining_rep(fam, n)
-    return primitive_exterior_rep(n, k) if fam == "Sp" else exterior_rep(fam, n, k)
+    return _weight_model(rd, lam)
 
 
 # ---------------------------------------------------------------------------
 # the intertwiner equation
 # ---------------------------------------------------------------------------
 
-def _theta(inv_kind, family, n):
-    """theta(X) = conj(sigma_* X), extended C-linearly, on sparse
-    defining-size matrices, or None when sigma has no matrix realization."""
-    if inv_kind == "trivial":
-        return lambda x: {(c, r): -a for (r, c), a in x.items()}
-    if inv_kind == "sigmaR":
-        # sigma is entrywise conjugation, which preserves Sp(n) too
-        return lambda x: x
-    if inv_kind == "sigmaH" and family in ("SU", "U") and n % 2 == 0:
-        h = n // 2
-
-        def j(c):  # J e_c for J = [[0, I], [-I, 0]], as (index, sign)
-            return (c - h, 1) if c >= h else (c + h, -1)
-
-        def theta(x):  # J E_rc J^-1 = (J e_r)(J e_c)^T, since J^-1 = J^T
-            out = {}
-            for (r, c), a in x.items():
-                (jr, sr), (jc, sc) = j(r), j(c)
-                out[jr, jc] = sr * sc * a
-            return out
-        return theta
-    return None
-
-
-def _chevalley(family, n):
-    """(Cartan basis, Chevalley generators e_i and f_i) of the complexified
-    Lie algebra, as sparse defining-size matrices."""
-    if family in ("SU", "U"):
-        es = [{(i, i + 1): 1} for i in range(n - 1)]
-        cartan = ([{(i, i): 1} for i in range(n)] if family == "U"
-                  else [{(i, i): 1, (i + 1, i + 1): -1} for i in range(n - 1)])
-    elif family == "Sp":
-        # sp(2n, C) is [[A, B], [C, -A^T]] with B and C symmetric
-        es = ([{(i, i + 1): 1, (n + i + 1, n + i): -1} for i in range(n - 1)]
-              + [{(n - 1, 2 * n - 1): 1}])
-        cartan = [{(i, i): 1, (n + i, n + i): -1} for i in range(n)]
-    else:
-        raise OracleError(f"no Lie algebra model for family {family}")
-    return cartan, es + [{(c, r): a for (r, c), a in e.items()} for e in es]
-
-
-def _weight_pairs(rep, theta, cartan):
-    """The entries (a, b) of S that the Cartan equations allow: those where
-    the weight of basis vector a equals the weight of b composed with
-    theta.  Every basis vector is an eigenvector of each d rho(h), so the
-    weights are read off the diagonals."""
-    def weights(hs):
-        ds = [rep.differential(h) for h in hs]
-        return [tuple(dh.get((i, i), 0) for dh in ds) for i in range(rep.size)]
-
-    by_weight = {}
-    for b, w in enumerate(weights([theta(h) for h in cartan])):
-        by_weight.setdefault(w, []).append(b)
-    return [(a, b) for a, w in enumerate(weights(cartan)) for b in by_weight.get(w, ())]
+# theta on the Chevalley generators, by involution: (flip, swap, z).  With
+# swap, e_i -> -f_tau(i) and f_i -> -e_tau(i), else e_i -> e_tau(i) and
+# f_i -> f_tau(i); tau is the diagram flip with flip, else the identity;
+# z scales the centre of U(n)
+_THETA = {"trivial": (False, True, -1),  # the Chevalley involution omega
+          "sigmaR": (False, False, 1),
+          "sigmaH": (True, True, 1)}  # tau o omega, on A_{2m-1} only
 
 
 def matrix_oracle_type(rep: RepModel, inv_kind: str, seed: int | None = None):
@@ -283,23 +241,37 @@ def matrix_oracle_type(rep: RepModel, inv_kind: str, seed: int | None = None):
     The decision is exact and draws nothing: seed is accepted from callers
     that pass one, and ignored.
     """
-    theta = _theta(inv_kind, rep.family, rep.n)
-    if theta is None:
-        raise OracleError(f"no matrix realization of {inv_kind} on "
-                          f"{rep.family}({rep.n})")
-    cartan, generators = _chevalley(rep.family, rep.n)
-    unknowns = _weight_pairs(rep, theta, cartan)
+    rank = len(rep.cartan)
+    if inv_kind not in _THETA or _THETA[inv_kind][0] and not (
+            rank % 2 and rep.cartan == cartan_matrix("A", rank)):
+        raise OracleError(f"no matrix realization of {inv_kind} on {rep.group}")
+    flip, swap, z = _THETA[inv_kind]
+    tau = range(rank - 1, -1, -1) if flip else range(rank)
+    by_weight = {}  # basis vectors by their weight composed with theta
+    for b, w in enumerate(rep.weights):  # theta h_i = -h_tau(i) when swap
+        w = tuple(-w[t] if swap else w[t] for t in tau) + tuple(z * x for x in w[rank:])
+        by_weight.setdefault(w, []).append(b)
+    # deepest rows first: S grows down the basis, so each pivot falls on the
+    # larger entry of its equation and the elimination stays in integers
+    unknowns = [(a, b) for a in range(rep.size - 1, -1, -1)
+                for b in by_weight.get(rep.weights[a], ())]
     index = {ab: u for u, ab in enumerate(unknowns)}
     cols, rows = {}, {}  # the unknown columns of each row of S, and rows of each column
     for a, b in unknowns:
         cols.setdefault(a, []).append(b)
         rows.setdefault(b, []).append(a)
 
-    system = {}  # entry (p, q) of d rho(x) S - S d rho(theta x) for each generator x
-    for g, x in enumerate(generators):
-        terms = [(p, q, index[a, q], v) for (p, a), v in rep.differential(x).items()
+    pairs = []  # (x, s, y) with theta x = s y, for each generator x
+    for i, t in enumerate(tau):
+        if swap:
+            pairs += [(rep.e[i], -1, rep.f[t]), (rep.f[i], -1, rep.e[t])]
+        else:
+            pairs += [(rep.e[i], 1, rep.e[t]), (rep.f[i], 1, rep.f[t])]
+    system = {}  # entry (p, q) of d rho(x) S - s S d rho(y) for each generator x
+    for g, (x, s, y) in enumerate(pairs):
+        terms = [(p, q, index[a, q], v) for a, col in enumerate(x) for p, v in col.items()
                  for q in cols.get(a, ())]
-        terms += [(p, q, index[p, b], -v) for (b, q), v in rep.differential(theta(x)).items()
+        terms += [(p, q, index[p, b], -s * v) for q, col in enumerate(y) for b, v in col.items()
                   for p in rows.get(b, ())]
         for p, q, u, v in terms:
             eq = system.setdefault((g, p, q), {})

@@ -1,10 +1,10 @@
 """Property suites that re-derive and check the algebraic laws.
 
-Each check is a pure function from a built presentation (plus a seed)
-to a CheckResult; failures carry a witness, never an exception.  The
-negative-control fixtures below (make_mutant) exist so the test suite
-can confirm each check actually fails when the corresponding law is
-broken.
+Each check is a pure function from a built presentation, or from the
+involution or rank it alone needs (plus a seed), to a CheckResult;
+failures carry a witness, never an exception.  The negative-control
+fixtures below (make_mutant) exist so the test suite can confirm each
+check actually fails when the corresponding law is broken.
 """
 
 from __future__ import annotations
@@ -387,24 +387,28 @@ def verify_rclass_squares(p: Presentation, seed: int = DEFAULT_SEED) -> CheckRes
     return _timed(f"rclass-squares[{p.rd.spec}/{p.inv.name}]", seed, run)
 
 
-def verify_oracle(p: Presentation, seed: int = DEFAULT_SEED) -> CheckResult:
+def verify_oracle(inv: Involution, seed: int = DEFAULT_SEED) -> CheckResult:
     """The matrix oracle agrees with the catalog rule.
 
-    Every self-twisted-dual fundamental weight that has both a matrix
-    model and a catalog type is decided by the exact antilinear-
-    intertwiner oracle and compared with ``Involution.catalog_type``.
-    The oracle draws nothing, so the seed is only echoed in the result.
-    Skipped when no such weight exists (products, exceptional and
-    orthogonal groups).
+    Every self-twisted-dual fundamental weight of one SU(n), Sp(n) or
+    U(n) factor that has a catalog type is decided by the exact
+    antilinear-intertwiner oracle, on the model of V_lam that eqkr.oracle
+    builds from the Cartan matrix, and compared with
+    ``Involution.catalog_type``.  The check needs the involution only, not
+    a presentation.  Under ``sigmaR`` the rational model makes every
+    decision R by construction.  The oracle draws nothing, so the seed is
+    only echoed in the result.  Skipped when no such weight exists
+    (products, exceptional and orthogonal groups, U(n) under ``trivial``).
     """
     # imported here so that the other suites start without fractions
     from .oracle import OracleError, matrix_oracle_type, rep_for_weight
-    name = f"oracle[{p.rd.spec}/{p.inv.name}]"
+    rd = inv.rd
+    name = f"oracle[{rd.spec}/{inv.name}]"
     cases = []
-    for w in p.rd.fundamental_weights():
-        if p.inv.twisted_dual_weight(w) != w:
+    for w in rd.fundamental_weights():
+        if inv.twisted_dual_weight(w) != w:
             continue
-        rep, catalog = rep_for_weight(p.rd, w), p.inv.catalog_type(w)
+        rep, catalog = rep_for_weight(rd, w), inv.catalog_type(w)
         if rep is not None and catalog is not None:
             cases.append((w, rep, catalog))
     if not cases:
@@ -415,7 +419,7 @@ def verify_oracle(p: Presentation, seed: int = DEFAULT_SEED) -> CheckResult:
     def run():
         for w, rep, catalog in cases:
             try:
-                got, _ = matrix_oracle_type(rep, p.inv.kinds[0])
+                got, _ = matrix_oracle_type(rep, inv.kinds[0])
             except OracleError as exc:
                 return f"weight {w}: {exc}"
             if got != catalog:
@@ -479,10 +483,10 @@ def run_suite(p: Presentation | None, suite: str, seed: int = DEFAULT_SEED,
 
     ``inv`` (default ``p.inv``) names the group and involution of the
     report, and its group's U(n) factor sets the rank of the
-    Weyl-denominator check; it is needed when no presentation can be
-    built (U(n) with the trivial involution), which the weyl and none
-    suites allow.  ``probe`` injects a named fault for sensitivity
-    testing.
+    Weyl-denominator check; the oracle check reads it alone.  It is
+    needed when no presentation can be built (U(n) with the trivial
+    involution), which the weyl, oracle and none suites allow.
+    ``probe`` injects a named fault for sensitivity testing.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; pick one of {SUITES}")
@@ -506,8 +510,8 @@ def run_suite(p: Presentation | None, suite: str, seed: int = DEFAULT_SEED,
     if suite == "all" and target is not None:
         if n is None:
             checks.append(lambda: verify_module_iso(target, truncation, seed))
-    if suite == "oracle" and target is not None:
-        checks.append(lambda: verify_oracle(target, seed))
+    if suite == "oracle":
+        checks.append(lambda: verify_oracle(inv, seed))
     if suite in ("all", "weyl"):
         if n is not None and n <= 4:
             checks.append(lambda: verify_weyl_denominator(n, seed))

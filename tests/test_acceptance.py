@@ -12,12 +12,7 @@ from conftest import GOLDEN, kr
 from eqkr.cli import main as cli_main
 from eqkr.coeffs import KCoeff, KRCoeff, c_coeff, r_coeff, r_pattern
 from eqkr.groups import build_root_data
-from eqkr.oracle import (
-    defining_rep,
-    exterior_rep,
-    matrix_oracle_type,
-    primitive_exterior_rep,
-)
+from eqkr.oracle import matrix_oracle_type, rep_for_weight
 from eqkr.presentation import (
     RClassIndex,
     as_fundamental_polynomial,
@@ -84,21 +79,12 @@ def test_criterion_2_primitive_generator_typing():
 
 def test_criterion_3_classifier_consistency():
     checked = 0
-    for n in range(2, 6):
-        rd = build_root_data(f"SU{n}")
-        for k, w in enumerate(rd.fundamental_weights(), start=1):
+    for group in [f"SU{n}" for n in range(2, 6)] + [f"Sp{n}" for n in range(1, 4)]:
+        rd = build_root_data(group)
+        for w in rd.fundamental_weights():
             if rd.dual_weight(w) != w:
                 continue
-            rep = defining_rep("SU", n) if k == 1 else exterior_rep("SU", n, k)
-            got, _ = matrix_oracle_type(rep, "trivial")
-            assert got == fs_rule_type(rd, w)
-            checked += 1
-    for n in range(1, 4):
-        rd = build_root_data(f"Sp{n}")
-        for k, w in enumerate(rd.fundamental_weights(), start=1):
-            rep = (defining_rep("Sp", n) if k == 1
-                   else primitive_exterior_rep(n, k))
-            got, _ = matrix_oracle_type(rep, "trivial")
+            got, _ = matrix_oracle_type(rep_for_weight(rd, w), "trivial")
             assert got == fs_rule_type(rd, w)
             checked += 1
     report(3, "classifier consistency", f"{checked} self-dual fundamentals")

@@ -140,7 +140,10 @@ def test_unknown_probe_exits_two(capsys):
     ("SU4", "sigmaH", "pass"), ("Sp3", "trivial", "pass"),
     ("G2", "trivial", "skipped"), ("Sp1", "sigmaR", "pass"),
     ("Sp2", "sigmaR", "pass"), ("Sp3", "sigmaR", "pass"), ("U3", "sigmaR", "pass"),
-    ("SU2xSU2", "trivial,trivial", "skipped"), ("SU3", "trivial", "skipped")])
+    ("SU2xSU2", "trivial,trivial", "skipped"), ("SU3", "trivial", "skipped"),
+    ("U2", "trivial", "skipped"), ("U1", "sigmaR", "pass"), ("U2", "sigmaH", "pass"),
+    ("U4", "sigmaH", "pass"), ("SU2", "sigmaH", "pass"), ("SU5", "trivial", "skipped"),
+    ("Spin8", "trivial", "skipped"), ("E6", "trivial", "skipped")])
 def test_verify_oracle_suite(tmp_path, group, involution, status):
     out = tmp_path / "o.json"
     assert run(["verify", "--group", group, "--involution", involution,

@@ -10,7 +10,7 @@ from conftest import GOLDEN, kr
 import eqkr
 from eqkr import groups, oracle, realstruct
 from eqkr.groups import build_root_data
-from eqkr.presentation import Presentation, build_bz_presentation, build_kr_presentation
+from eqkr.presentation import Presentation, build_bz_presentation
 from eqkr.realstruct import Involution
 from eqkr.verifier import (
     CheckResult,
@@ -203,20 +203,20 @@ def test_suite_composition():
 
 
 def test_oracle_check_fails_on_disagreement(monkeypatch):
-    p = kr("SU4", "sigmaH")
-    assert verify_oracle(p).passed
-    catalog = p.inv.catalog_type
+    inv = Involution(build_root_data("SU4"), "sigmaH")
+    assert verify_oracle(inv).passed
+    catalog = inv.catalog_type
     flipped = {"R": "H", "H": "R"}
-    monkeypatch.setattr(p.inv, "catalog_type", lambda w: flipped[catalog(w)])
-    res = verify_oracle(p)
+    monkeypatch.setattr(inv, "catalog_type", lambda w: flipped[catalog(w)])
+    res = verify_oracle(inv)
     assert res.status == "fail"
-    assert res.witness.startswith("weight (1, 0, 0) (SU4 defining): oracle H, catalog R")
+    assert res.witness.startswith("weight (1, 0, 0) (SU4 V(1, 0, 0)): oracle H, catalog R")
     monkeypatch.undo()
 
     def inconclusive(rep, kind, **kw):
         raise oracle.OracleError(f"oracle inconclusive for {rep.label}")
     monkeypatch.setattr(oracle, "matrix_oracle_type", inconclusive)
-    res = verify_oracle(p)
+    res = verify_oracle(inv)
     assert res.status == "fail" and "inconclusive" in res.witness
 
 
@@ -224,18 +224,18 @@ def test_oracle_check_fails_on_disagreement(monkeypatch):
     ("SU4", "sigmaH", realstruct.Z_ONE),
     ("Sp2", "sigmaR", realstruct.Z_EXP_RHO)])
 def test_oracle_check_catches_a_wrong_central_element(monkeypatch, group, kind, wrong):
-    assert verify_oracle(kr(group, kind)).passed
+    inv = Involution(build_root_data(group), kind)
+    assert verify_oracle(inv).passed
     monkeypatch.setitem(realstruct.CENTRAL_ELEMENT, kind, wrong)
-    res = verify_oracle(kr(group, kind))
+    res = verify_oracle(inv)
     assert res.status == "fail" and "catalog" in res.witness
 
 
 def test_oracle_check_skips_weights_without_a_catalog_type():
-    su2 = build_root_data("SU2")
-    # a custom diagram involution has no catalog rule; the override
-    # only lets the presentation be built
-    custom = Involution(su2, ((0,),), overrides={(1,): "H"})
-    res = verify_oracle(build_kr_presentation(su2, custom))
+    # a custom diagram involution has no catalog rule, and the check needs
+    # no presentation, so no override is needed either
+    custom = Involution(build_root_data("SU2"), ((0,),))
+    res = verify_oracle(custom)
     assert res.status == "skipped" and "catalog type" in res.witness
 
 
@@ -250,3 +250,6 @@ def test_un_suite_runs_weyl_only():
     rep = run_suite(None, "weyl", inv=u2)
     assert rep.passed
     assert [r.name for r in rep.results] == ["weyl-denominator[U(2)]"]
+    # the oracle check needs no presentation either
+    rep = run_suite(None, "oracle", inv=u2)
+    assert [(r.name, r.status) for r in rep.results] == [("oracle[U2/trivial]", "skipped")]
