@@ -41,6 +41,7 @@ from .verifier import (
     DEFAULT_TRUNCATION,
     MUTANT_KINDS,
     SUITES,
+    SuiteSpecError,
     run_suite,
 )
 
@@ -57,8 +58,9 @@ def _build_parser():
         prog="eqkr",
         description="generators-and-relations presentations of equivariant "
                     "KR-theory rings",
-        epilog="--sensitivity-probe injects a named fault into the verifier "
-               "(self-test of the suite's ability to fail)")
+        epilog="--sensitivity-probe injects a named fault into the presentation "
+               "that the fast and all suites check (self-test of their ability "
+               "to fail); the other suites read none and refuse it")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(sp):
@@ -151,17 +153,13 @@ def main(argv=None) -> int:
             p = build_kr_presentation(inv.rd, inv)
             render = presentation_json if args.format == "json" else presentation_text
             return _emit(render(p, args.truncate, args.seed), args.out, EXIT_OK)
-        # verify: the weyl, oracle and none suites need no presentation, so
-        # they also run where none can be built (U(n) with the trivial involution)
-        p = None
-        if args.suite in ("fast", "all"):
-            p = build_kr_presentation(inv.rd, inv)
-        report = run_suite(p, args.suite, args.seed, args.truncate, inv=inv,
+        report = run_suite(inv, args.suite, args.seed, args.truncate,
                            probe=args.sensitivity_probe)
         render = report_json if args.format == "json" else report_text
         return _emit(render(report), args.out,
                      EXIT_OK if report.passed else EXIT_VERIFY)
-    except (UnsupportedGroupError, InvolutionSpecError, DominanceError) as exc:
+    except (UnsupportedGroupError, InvolutionSpecError, DominanceError,
+            SuiteSpecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC
     except UnclassifiableError as exc:

@@ -104,11 +104,10 @@ class Generator(FrozenRecord):
 class RClassIndex(FrozenRecord):
     """Index of a realified generator r_{rho, i, eps, nu}.
 
-    rho: None for the trivial representation, a complex-type dominant
-    weight, or a dict weight -> int for a virtual one; i: Bott
-    exponent >= 0 (periodicity identifies i with i+4); eps/nu: 0/1
-    tuples with eps_k nu_k never both 1 and the first eps index
-    preceding the first nu index.
+    rho: None for the trivial representation, or a complex-type dominant
+    weight; i: Bott exponent >= 0 (periodicity identifies i with i+4);
+    eps/nu: 0/1 tuples with eps_k nu_k never both 1 and the first eps
+    index preceding the first nu index.
     """
 
     __slots__ = ("rho", "i", "eps", "nu")
@@ -301,6 +300,10 @@ class Presentation:
             self._classify_cache[w] = cached
         return cached
 
+    def _h_type(self, cw):
+        """Whether the coefficient atom V_cw is of H type."""
+        return cw != self.zero_weight and self.classify(cw).type == TYPE_H
+
     def _tau_factor(self, fi):
         """Index of the factor f* with tau(dG[f]) = -dG[f*]."""
         fs = self._factor_tau[fi]
@@ -328,7 +331,7 @@ class Presentation:
         """Degree of a KR term."""
         cw, cls, plain, rslot = t
         d = KR_DEGREE[cls]
-        if cw != self.zero_weight and self.classify(cw).type == TYPE_H:
+        if self._h_type(cw):
             d -= 4
         for gi in plain:
             d += self.gens[gi].degree
@@ -411,22 +414,14 @@ class Presentation:
         t = self.split.t
         if len(idx.eps) != t:
             raise PresentationError(f"eps/nu must have length t={t}")
-        if idx.rho is None:
-            rhos = {self.zero_weight: 1}
-        elif isinstance(idx.rho, dict):
-            rhos = {tuple(w): c for w, c in idx.rho.items()}
-        else:
-            rhos = {tuple(idx.rho): 1}
+        w = self.zero_weight if idx.rho is None else tuple(idx.rho)
+        if w != self.zero_weight and self.classify(w).type != TYPE_C:
+            raise PresentationError(
+                f"rho weight {w} must be trivial or complex type")
         eps = tuple(k for k, e in enumerate(idx.eps) if e)
         nu = tuple(k for k, n in enumerate(idx.nu) if n)
-        bz = {}
-        for w, c in rhos.items():
-            if w != self.zero_weight and self.classify(w).type != TYPE_C:
-                raise PresentationError(
-                    f"rho weight {w} must be trivial or complex type")
-            term, sign = self._slot_to_bz((w, idx.i, eps, nu))
-            bz[term] = c * sign
-        return self._element(self._realify(bz))
+        term, sign = self._slot_to_bz((w, idx.i, eps, nu))
+        return self._element(self._realify({term: sign}))
 
     def _pair_factor(self, k, role):
         fi = self._pair_factors.get((k, role))
@@ -625,8 +620,7 @@ class Presentation:
         dG[f] for dR/dH[f], -beta^3 dG[gamma_k] dG[sigmabar gamma_k] for
         lam_k, and x + tau x for the slot r(x)."""
         cw, cls, plain, rslot = term
-        shift = 2 if (cw != self.zero_weight
-                      and self.classify(cw).type == TYPE_H) else 0
+        shift = 2 if self._h_type(cw) else 0
         out = {(cw, (i + shift) % 4, ()): a
                for i, a in enumerate(c_coeff(KRCoeff.basis(cls)).c) if a}
         for gi in plain:
@@ -650,12 +644,11 @@ class Presentation:
     def _typed_mult(self, cw1, cls1, cw2, cls2):
         """Product of two coefficient atoms with type bookkeeping: the
         class of V_cw1 (x) V_cw2, scaled by cls1 . cls2 (see _rep_class)."""
-        h1 = int(cw1 != self.zero_weight and self.classify(cw1).type == TYPE_H)
-        h2 = int(cw2 != self.zero_weight and self.classify(cw2).type == TYPE_H)
+        parity = (self._h_type(cw1) + self._h_type(cw2)) % 2
         kr = KRCoeff.basis(cls1) * KRCoeff.basis(cls2)
         if kr.is_zero():
             return [], {}
-        return self._rep_class(self.tensor(cw1, cw2), (h1 + h2) % 2, kr)
+        return self._rep_class(self.tensor(cw1, cw2), parity, kr)
 
     def _rep_class(self, decomp, parity, kr):
         """kr times the class of a real (parity 0) or quaternionic (parity
@@ -867,7 +860,7 @@ class RClassSquareResult(Record):
     in r(x . tau x), and ``probe`` the predicted (term, coefficient) of
     the trivial-weight lam-monomial term of the square: eta^2 with 1, mu
     with ``sign``, 1 with 2 . ``sign``; None in the zero case, where the
-    whole square vanishes, and for a virtual rho."""
+    whole square vanishes."""
 
     __slots__ = ("element", "case", "sign", "transpositions", "probe")
 
@@ -918,7 +911,7 @@ def rclass_square(p: Presentation, idx: RClassIndex) -> RClassSquareResult:
     cls, coeff, sign = {"zero": (None, 0, None), "eta2": ("eta2", 1, None),
                         "mu": ("mu", s, s), "two": ("1", 2 * s, s)}[case]
     probe = None
-    if case != "zero" and not isinstance(idx.rho, dict):
+    if case != "zero":
         # rho (x) sigmabar*rho contains the trivial representation once
         lam_plain = tuple(sorted(p._lam_gen[k] for k in s_idx + n_idx))
         probe = ((p.zero_weight, cls, lam_plain, None), coeff)

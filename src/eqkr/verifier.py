@@ -2,9 +2,10 @@
 
 Each check is a pure function from a built presentation, or from the
 involution or rank it alone needs (plus a seed), to a CheckResult;
-failures carry a witness, never an exception.  The negative-control
-fixtures below (make_mutant) exist so the test suite can confirm each
-check actually fails when the corresponding law is broken.
+failures carry a witness, never an exception.  run_suite alone decides
+which suites build a presentation; the negative controls (make_mutant)
+break it, so a test or ``--sensitivity-probe`` confirms that each check
+reading it fails when its law breaks.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .presentation import (
     RClassIndex,
     as_fundamental_polynomial,
     build_bz_presentation,
+    build_kr_presentation,
     canon_degree,
     classified_irreps,
     complexify,
@@ -476,52 +478,48 @@ class VerificationReport(Record):
 SUITES = ("none", "fast", "all", "weyl", "oracle")
 
 
-def run_suite(p: Presentation | None, suite: str, seed: int = DEFAULT_SEED,
-              truncation: int = DEFAULT_TRUNCATION, inv: Involution | None = None,
-              probe: str | None = None) -> VerificationReport:
-    """Run a named check suite on a built presentation.
+class SuiteSpecError(ValueError):
+    """A sensitivity probe given to a suite that reads no presentation."""
 
-    ``inv`` (default ``p.inv``) names the group and involution of the
-    report, and its group's U(n) factor sets the rank of the
-    Weyl-denominator check; the oracle check reads it alone.  It is
-    needed when no presentation can be built (U(n) with the trivial
-    involution), which the weyl, oracle and none suites allow.
-    ``probe`` injects a named fault for sensitivity testing.
+
+def run_suite(inv: Involution, suite: str, seed: int = DEFAULT_SEED,
+              truncation: int = DEFAULT_TRUNCATION,
+              probe: str | None = None) -> VerificationReport:
+    """Run a named check suite on the group and involution ``inv``.
+
+    fast and all alone build the KR presentation of ``inv``
+    (UnclassifiableError where none exists, as on U(n) with the trivial
+    involution) and check ``make_mutant(p, probe)`` if ``probe`` is set.
+    The weyl check reads the U(n) rank, the oracle check ``inv``, so
+    none, weyl and oracle run on every group and refuse a probe, which
+    could not fail them, with SuiteSpecError.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; pick one of {SUITES}")
-    if inv is None:
-        inv = p.inv
     report = VerificationReport(str(inv.rd.spec), inv.name, suite, seed,
                                 truncation)
-    if suite == "none":
-        return report
-    target = p
-    if probe is not None and p is not None:
-        target = make_mutant(p, probe)
-    checks = []
-    if suite in ("fast", "all") and target is not None:
-        checks.append(lambda: verify_squares(target, seed))
-        checks.append(lambda: verify_cr(target, seed))
-        checks.append(lambda: verify_leibniz(target, 10, seed))
-        if target.split is not None and target.split.t:
-            checks.append(lambda: verify_rclass_squares(target, seed))
-    n = _un_rank_of(inv.rd.spec)
-    if suite == "all" and target is not None:
-        if n is None:
-            checks.append(lambda: verify_module_iso(target, truncation, seed))
+    results, n = report.results, _un_rank_of(inv.rd.spec)
+    if suite in ("fast", "all"):
+        p = build_kr_presentation(inv.rd, inv)
+        if probe is not None:
+            p = make_mutant(p, probe)
+        results += [verify_squares(p, seed), verify_cr(p, seed),
+                    verify_leibniz(p, 10, seed)]
+        if p.split.t:
+            results.append(verify_rclass_squares(p, seed))
+        if suite == "all" and n is None:
+            results.append(verify_module_iso(p, truncation, seed))
+    elif probe is not None:
+        raise SuiteSpecError(f"suite {suite} reads no presentation, so the "
+                             f"{probe} probe cannot act on it")
     if suite == "oracle":
-        checks.append(lambda: verify_oracle(inv, seed))
-    if suite in ("all", "weyl"):
-        if n is not None and n <= 4:
-            checks.append(lambda: verify_weyl_denominator(n, seed))
-        elif suite == "weyl":
-            report.results.append(CheckResult(
-                "weyl-denominator", "skipped",
-                "no U(n) factor with n <= 4", seed))
-    for fn in checks:
-        report.results.append(fn())
-    report.results.sort(key=lambda r: r.name)
+        results.append(verify_oracle(inv, seed))
+    if suite in ("all", "weyl") and n is not None and n <= 4:
+        results.append(verify_weyl_denominator(n, seed))
+    elif suite == "weyl":
+        results.append(CheckResult("weyl-denominator", "skipped",
+                                   "no U(n) factor with n <= 4", seed))
+    results.sort(key=lambda r: r.name)
     return report
 
 

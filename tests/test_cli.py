@@ -14,7 +14,7 @@ from eqkr.groups import SimpleRootData, build_root_data
 from eqkr.presentation import build_bz_presentation, build_kr_presentation
 from eqkr.realstruct import involution_from_name
 from eqkr.serialize import presentation_payload
-from eqkr.verifier import make_mutant
+from eqkr.verifier import MUTANT_KINDS, make_mutant
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 # compute bytes of the groups whose roots and coroots differ
@@ -240,6 +240,29 @@ def test_probe_exits_five(tmp_path):
     data = json.loads(out.read_text())
     assert data["passed"] is False
     assert any(r["status"] == "fail" and r["witness"] for r in data["results"])
+
+
+@pytest.mark.parametrize("probe", MUTANT_KINDS)
+@pytest.mark.parametrize("suite", ["none", "weyl", "oracle"])
+@pytest.mark.parametrize("group,involution", [("SU2", "trivial"), ("SU4", "sigmaH"),
+                                              ("U2", "trivial")])
+def test_probe_on_a_suite_without_a_presentation_exits_two(group, involution, suite,
+                                                           probe, capsys):
+    # no check of these suites reads the presentation the probe breaks
+    assert run(["verify", "--group", group, "--involution", involution,
+                "--suite", suite, "--sensitivity-probe", probe]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: suite {suite} reads no presentation, so the {probe} " \
+        "probe cannot act on it\n"
+
+
+@pytest.mark.parametrize("probe", MUTANT_KINDS)
+def test_probe_on_u2_trivial_fast_still_exits_three(probe, capsys):
+    assert run(["verify", "--group", "U2", "--suite", "fast",
+                "--sensitivity-probe", probe]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "not fundamental" in err
 
 
 def test_byte_determinism(tmp_path):

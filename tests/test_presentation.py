@@ -102,15 +102,21 @@ def test_eta_mu_rules_on_realified_classes():
     p = kr("SU3", "trivial")
     eta = p.scalar(KRCoeff.basis("eta"))
     mu = p.scalar(KRCoeff.basis("mu"))
-    for idx in [RClassIndex(None, 0, (1,), (0,)),
-                RClassIndex((1, 0), 1, (0,), (0,)),
-                RClassIndex((0, 1), 2, (1,), (0,)),
-                RClassIndex({(1, 0): 2, (0, 1): -1}, 0, (1,), (0,))]:
-        r = p.rclass_element(idx)
+
+    def virtual(idx):  # 2 r(V(1,0)) + (-r(V(0,1))), summed by the engine
+        def r(rho):
+            return p.rclass_element(RClassIndex(rho, idx.i, idx.eps, idx.nu))
+        return 2 * r((1, 0)) + -r((0, 1))
+
+    for idx, element in [(RClassIndex(None, 0, (1,), (0,)), p.rclass_element),
+                         (RClassIndex((1, 0), 1, (0,), (0,)), p.rclass_element),
+                         (RClassIndex((0, 1), 2, (1,), (0,)), p.rclass_element),
+                         (RClassIndex(None, 0, (1,), (0,)), virtual)]:
+        r = element(idx)
         assert (r * eta).is_zero()
-        assert r * mu == 2 * p.rclass_element(idx.shifted(2))
+        assert r * mu == 2 * element(idx.shifted(2))
         # Bott periodicity of the realified index
-        assert p.rclass_element(idx.shifted(4)) == r
+        assert element(idx.shifted(4)) == r
 
 
 def test_rclass_square_cases_su3():

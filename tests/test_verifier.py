@@ -8,12 +8,13 @@ import pytest
 from conftest import GOLDEN, kr
 
 import eqkr
-from eqkr import groups, oracle, realstruct
+from eqkr import groups, oracle, realstruct, verifier
 from eqkr.groups import build_root_data
 from eqkr.presentation import Presentation, build_bz_presentation
 from eqkr.realstruct import Involution
 from eqkr.verifier import (
     CheckResult,
+    SuiteSpecError,
     enumerate_rclasses,
     make_mutant,
     run_suite,
@@ -175,31 +176,31 @@ def test_enumerate_rclasses_is_deterministic():
 
 
 def test_reports_are_seed_deterministic():
-    p = kr("SU2", "trivial")
-    r1 = run_suite(p, "fast", seed=123)
-    r2 = run_suite(p, "fast", seed=123)
+    inv = Involution(build_root_data("SU2"), "trivial")
+    r1 = run_suite(inv, "fast", seed=123)
+    r2 = run_suite(inv, "fast", seed=123)
     assert [(x.name, x.status, x.witness) for x in r1.results] == \
         [(x.name, x.status, x.witness) for x in r2.results]
     assert all(x.seed == 123 for x in r1.results)
 
 
 def test_suite_composition():
-    p = kr("SU3", "sigmaR")
-    rep = run_suite(p, "none")
+    inv = Involution(build_root_data("SU3"), "sigmaR")
+    rep = run_suite(inv, "none")
     assert rep.results == []
-    rep = run_suite(p, "fast")
+    rep = run_suite(inv, "fast")
     names = {r.name.split("[")[0] for r in rep.results}
     assert names == {"squares", "cr", "leibniz"}
-    rep = run_suite(p, "all", truncation=20)
+    rep = run_suite(inv, "all", truncation=20)
     names = {r.name.split("[")[0] for r in rep.results}
     assert "module-iso" in names
     assert "oracle" not in names
     assert rep.passed
-    rep = run_suite(p, "oracle")
+    rep = run_suite(inv, "oracle")
     assert [r.name for r in rep.results] == ["oracle[SU3/sigmaR]"]
     assert rep.passed
     with pytest.raises(ValueError):
-        run_suite(p, "everything")
+        run_suite(inv, "everything")
 
 
 def test_oracle_check_fails_on_disagreement(monkeypatch):
@@ -240,16 +241,34 @@ def test_oracle_check_skips_weights_without_a_catalog_type():
 
 
 def test_probe_makes_suite_fail():
-    p = kr("SU3", "sigmaR")
-    rep = run_suite(p, "fast", probe="delta-square")
+    rep = run_suite(Involution(build_root_data("SU3"), "sigmaR"), "fast",
+                    probe="delta-square")
     assert not rep.passed
+
+
+def test_only_fast_and_all_build_a_presentation(monkeypatch):
+    class Built(Exception):
+        pass
+
+    def build(rd, inv):
+        raise Built
+    monkeypatch.setattr(verifier, "build_kr_presentation", build)
+    inv = Involution(build_root_data("SU2"), "trivial")
+    for suite in ("none", "weyl", "oracle"):
+        assert run_suite(inv, suite).passed
+        # nor does a probe reach one: it is refused, having nothing to break
+        with pytest.raises(SuiteSpecError, match=f"suite {suite} "):
+            run_suite(inv, suite, probe="tau-flip")
+    for suite in ("fast", "all"):
+        with pytest.raises(Built):
+            run_suite(inv, suite)
 
 
 def test_un_suite_runs_weyl_only():
     u2 = Involution(build_root_data("U2"), "trivial")
-    rep = run_suite(None, "weyl", inv=u2)
+    rep = run_suite(u2, "weyl")
     assert rep.passed
     assert [r.name for r in rep.results] == ["weyl-denominator[U(2)]"]
     # the oracle check needs no presentation either
-    rep = run_suite(None, "oracle", inv=u2)
+    rep = run_suite(u2, "oracle")
     assert [(r.name, r.status) for r in rep.results] == [("oracle[U2/trivial]", "skipped")]
