@@ -113,6 +113,8 @@ class RClassIndex(FrozenRecord):
     __slots__ = ("rho", "i", "eps", "nu")
 
     def __init__(self, rho, i, eps, nu):
+        if rho is not None and any(type(x) is not int for x in rho):
+            raise ValueError(f"rho must be None or an integer weight, not {rho!r}")
         if i < 0:
             raise ValueError("Bott exponent must be >= 0")
         if len(eps) != len(nu):

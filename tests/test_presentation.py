@@ -687,7 +687,8 @@ def test_inputs_of_the_wrong_kind_are_refused(call, message):
 
 @pytest.mark.parametrize("args,message", [
     ((None, -1, (), ()), "Bott exponent"), ((None, 0, (1,), ()), "equal length"),
-    ((None, 0, (2,), (0,)), "must be bits")])
+    ((None, 0, (2,), (0,)), "must be bits"),
+    (({(1, 0): 2, (0, 1): -1}, 0, (1,), (0,)), "rho must be")])
 def test_rclass_index_validation(args, message):
     with pytest.raises(ValueError, match=message):
         RClassIndex(*args)
