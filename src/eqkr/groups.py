@@ -22,9 +22,10 @@ determinant character (1,...,1) is invertible.  It is not treated via a
 semisimple cover.
 
 Every root data is the product of its factors; a simple or unitary group
-is the product of itself.  Characters, dimensions and tensor products are
-computed factor by factor, by kernels cached per root-data object, and
-build_root_data returns one object per group so those caches are shared.
+is the product of itself.  Characters, dimensions, tensor products and
+R(G) = R(G1) (x) R(G2) (x) ... are computed factor by factor, by kernels
+cached per root-data object, and build_root_data returns one object per
+group so those caches are shared.
 
 R(G) is the polynomial ring on the fundamental representations, with the
 U(n) determinants inverted.  _as_fund_poly_cached writes V_lam in the
@@ -36,7 +37,6 @@ bounded dimension.  _KERNEL_CACHES holds every cache keyed on root data.
 from __future__ import annotations
 
 import itertools
-import math
 import re
 from functools import lru_cache
 
@@ -188,17 +188,20 @@ class RootData:
     weight into factor parts, ``join`` glues parts back and ``combine``
     builds a product's weight map from one map per factor.  A factor
     subclass provides the primitives: ``n_simple()``; ``pairing_simple(v,
-    i)`` = <v, alpha_i^vee>; the simple reflection ``reflect_simple(v,
-    i)``; ``ip(v, w)``, an integer W-invariant inner product on weights;
-    ``rho_vec()``, any vector with <rho, alpha_i^vee> = 1 for all i;
-    ``positive_roots()``, ``positive_root_vecs()`` as (weight-lattice
-    vector, height) pairs, and ``positive_coroots()`` as vectors c with
-    <v, alpha^vee> = ``coroot_pairing(v, c)``, the dot product v . c.
-    Every root data gives ``fundamental_weights()``, the ordered
-    highest weights of the fundamental representations.  The character
-    and tensor kernels below run factor by factor on that interface and
-    are cached per root-data object, which is why build_root_data hands
-    out one object per group.
+    i)`` = <v, alpha_i^vee>; ``is_dominant(v)``, all of those pairings
+    >= 0, tested in the factor's own coordinates; the simple reflection
+    ``reflect_simple(v, i)``; ``ip(v, w)``, an integer W-invariant inner
+    product on weights; ``rho_vec()``, any vector with <rho,
+    alpha_i^vee> = 1 for all i; ``positive_roots()``,
+    ``positive_root_vecs()`` as (weight-lattice vector, height) pairs,
+    and ``positive_coroots()`` as vectors c with <v, alpha^vee> =
+    ``coroot_pairing(v, c)``, the dot product v . c.  Every root data
+    gives ``fundamental_weights()``, the ordered highest weights of the
+    fundamental representations, one per weight coordinate of a factor,
+    so ``split`` cuts an exponent tuple as it cuts a weight.  The
+    character, tensor and R(G) kernels below run factor by factor on
+    that interface and are cached per root-data object, which is why
+    build_root_data hands out one object per group.
     """
 
     spec: GroupSpec
@@ -208,9 +211,6 @@ class RootData:
     def __init__(self, spec: GroupSpec):
         self.spec = spec
         self.factors = (self,)
-
-    def is_dominant(self, v):
-        return all(self.pairing_simple(v, i) >= 0 for i in range(self.n_simple()))
 
     def coroot_pairing(self, v, c):
         """<v, alpha^vee> for a coroot c of ``positive_coroots()``."""
@@ -234,14 +234,12 @@ class RootData:
 
     def combine(self, maps):
         """Weight -> multiplicity map of the product from one map per
-        factor.  With one factor it is that factor's map itself, which may
-        be a shared cached map: read only."""
-        if len(maps) == 1:
-            return maps[0]
-        out = {}
-        for combo in itertools.product(*[m.items() for m in maps]):
-            weights, mults = zip(*combo)
-            out[self.join(weights)] = math.prod(mults)  # join is injective
+        factor, folded left to right: weights concatenate (injectively)
+        and multiplicities multiply.  With one factor it is that factor's
+        map itself, which may be a shared cached map: read only."""
+        out = maps[0]
+        for m in maps[1:]:
+            out = {w + w2: c * c2 for w, c in out.items() for w2, c2 in m.items()}
         return out
 
     # -- generic machinery ----------------------------------------------------
@@ -310,6 +308,10 @@ class SimpleRootData(RootData):
 
     def pairing_simple(self, v, i):
         return v[i]
+
+    def is_dominant(self, v):
+        # the Dynkin labels are the simple coroot pairings
+        return all(x >= 0 for x in v)
 
     def reflect_simple(self, v, i):
         c = v[i]
@@ -380,6 +382,9 @@ class UnRootData(RootData):
 
     def pairing_simple(self, v, i):
         return v[i] - v[i + 1]
+
+    def is_dominant(self, v):
+        return all(x >= y for x, y in zip(v, v[1:]))
 
     def reflect_simple(self, v, i):
         w = list(v)
@@ -636,12 +641,16 @@ def _expand_monomial_cached(rd, exp):
     """Highest weight -> multiplicity of prod f_i^exp[i] over the
     fundamentals f_i = rd.fundamental_weights()[i]; shared, so read only.
 
-    The cached expansion of the shorter monomial, with the last nonzero
-    exponent moved one step towards zero, tensored with that fundamental:
-    one tensor product per new monomial, in slot order.  A negative
-    exponent tensors with the dual, the inverse of a one-dimensional
-    fundamental (a U(n) determinant) only.
+    A product combines its factors' expansions of their exponent blocks.
+    On one factor: the cached expansion of the shorter monomial, with
+    the last nonzero exponent moved one step towards zero, tensored with
+    that fundamental: one tensor product per new monomial, in slot order.
+    A negative exponent tensors with the dual, the inverse of a
+    one-dimensional fundamental (a U(n) determinant) only.
     """
+    if len(rd.factors) > 1:
+        return rd.combine([_expand_monomial_cached(f, e)
+                           for f, e in zip(rd.factors, rd.split(exp))])
     last = max((i for i, a in enumerate(exp) if a), default=None)
     if last is None:
         return {rd.zero(): 1}
@@ -660,23 +669,27 @@ def _expand_monomial_cached(rd, exp):
 
 
 def _natural_exponents(rd: RootData, lam):
-    """Exponents a with highest weight of prod f_i^{a_i} equal to lam: factor
-    by factor, the coordinates of lam in the fundamental weights."""
-    out = []
-    for f, part in zip(rd.factors, rd.split(lam)):
-        if isinstance(f, UnRootData):
-            # lam = sum_k (lam_k - lam_k+1) (1^k, 0^n-k) + lam_n (1^n)
-            out.extend(part[k] - part[k + 1] for k in range(f.n - 1))
-            out.append(part[-1])
-        else:  # Dynkin labels
-            out.extend(part)
-    return tuple(out)
+    """Exponents a with highest weight of prod f_i^{a_i} equal to lam, on
+    one factor: the coordinates of lam in the fundamental weights."""
+    if isinstance(rd, UnRootData):
+        # lam = sum_k (lam_k - lam_k+1) (1^k, 0^n-k) + lam_n (1^n)
+        return tuple(lam[k] - lam[k + 1] for k in range(rd.n - 1)) + (lam[-1],)
+    return tuple(lam)  # Dynkin labels
 
 
 @lru_cache(maxsize=None)
 def _as_fund_poly_cached(rd, lam):
-    """V_lam as sorted (exponent tuple, coefficient) pairs over the fundamentals:
-    its natural monomial minus the lower constituents, each recursively."""
+    """V_lam as sorted (exponent tuple, coefficient) pairs over the fundamentals.
+
+    A product multiplies its factors' polynomials, R(G1 x G2) being
+    R(G1) (x) R(G2): exponents concatenate, coefficients multiply.  On
+    one factor: the natural monomial minus the lower constituents, each
+    recursively.
+    """
+    if len(rd.factors) > 1:
+        poly = rd.combine([dict(_as_fund_poly_cached(f, part))
+                           for f, part in zip(rd.factors, rd.split(lam))])
+        return tuple(sorted(poly.items()))
     if lam == rd.zero():
         return (((0,) * len(rd.fundamental_weights()), 1),)
     exp = _natural_exponents(rd, lam)

@@ -107,7 +107,8 @@ class RClassIndex(FrozenRecord):
     rho: None for the trivial representation, or a complex-type dominant
     weight; i: Bott exponent >= 0 (periodicity identifies i with i+4);
     eps/nu: 0/1 tuples with eps_k nu_k never both 1 and the first eps
-    index preceding the first nu index.
+    index preceding the first nu index.  rho, eps and nu are stored as
+    tuples whatever sequences they are given as, so the record hashes.
     """
 
     __slots__ = ("rho", "i", "eps", "nu")
@@ -128,7 +129,7 @@ class RClassIndex(FrozenRecord):
         first_n = next((k for k, n in enumerate(nu) if n), None)
         if first_n is not None and (first_e is None or first_e > first_n):
             raise ValueError("first eps index must precede first nu index")
-        self._init(rho, i, eps, nu)
+        self._init(None if rho is None else tuple(rho), i, tuple(eps), tuple(nu))
 
     @property
     def factor_count(self):
@@ -235,10 +236,11 @@ class Presentation:
     own kind (KR, or BZ/K) to their product, ``_realify_table`` maps
     (w, j, bits, allow_flip) to the realification of that BZ term and
     ``_c_table`` maps a KR term to its complexification; ``_weight_tau``
-    maps a weight to its twisted dual; ``_derivation_table`` maps
-    (cofactor exponents, i) to the terms of f^cofactor . df_i.  Table
-    entries are shared, so read only.  A mutant or an augmented copy is
-    a new presentation and starts with empty tables.
+    maps a weight to its twisted dual; ``_derivation_table`` maps the
+    exponent tuple of a monomial f^a to the terms of its derivative
+    sum_i a_i f^(a - e_i) . df_i.  Table entries are shared, so read
+    only.  A mutant or an augmented copy is a new presentation and
+    starts with empty tables.
     """
 
     def __init__(self, rd: RootData, inv, split, kind: str, factors, gens):
@@ -770,6 +772,16 @@ class Presentation:
         return RingElement(self, out)
 
     # -- derivation ---------------------------------------------------------------
+    def _derivative(self, exp):
+        """d(f^exp) = sum_i exp_i f^(exp - e_i) . df_i, at unit coefficient."""
+        out = {}
+        for i, a in enumerate(exp):
+            if a:
+                cof = exp[:i] + (a - 1,) + exp[i + 1:]
+                for t, m in self._derivation_unit(cof, i).items():
+                    out[t] = out.get(t, 0) + a * m
+        return out
+
     def _derivation_unit(self, cof, i):
         """f^cof . df_i, the cofactor expanded into irreducibles: in K,
         pushed to its rank; in KR, its class (real or quaternionic by
@@ -928,9 +940,9 @@ def delta_lift(p: Presentation, poly, twist: str | None = None) -> RingElement:
     coefficients.  A negative exponent needs an invertible, that is
     one-dimensional, fundamental (a U(n) determinant); in a KR
     presentation every nonzero exponent must sit on an R/H fundamental.
-    Leibniz gives d(prod f^a) = sum_i a_i f^{a-e_i} df_i, the cofactor
-    expanded exactly into the weight basis; each (cofactor, i) is
-    computed once per presentation.
+    Leibniz gives d(prod f^a) = sum_i a_i f^{a-e_i} df_i, each cofactor
+    expanded exactly into the weight basis; the derivative of each
+    monomial is computed once per presentation.
 
     ``twist`` (K-theory only): None; "sigmabar", the derivation of
     sigmabar* poly (the twisted dual permutes the fundamentals); or
@@ -954,19 +966,16 @@ def delta_lift(p: Presentation, poly, twist: str | None = None) -> RingElement:
         poly = {tuple(exp[k] for k in perm): c for exp, c in poly.items()}
     elif twist is not None:
         raise PresentationError(f"unknown twist {twist!r}")
+    table = p._derivation_table
     out = {}
     for exp, c in poly.items():
         if c == 0:
             continue
-        for i, a in enumerate(exp):
-            if a == 0:
-                continue
-            cof = exp[:i] + (a - 1,) + exp[i + 1:]
-            unit = p._derivation_table.get((cof, i))
-            if unit is None:
-                unit = p._derivation_table[cof, i] = p._derivation_unit(cof, i)
-            for t, m in unit.items():
-                out[t] = out.get(t, 0) + c * a * m
+        d = table.get(exp)
+        if d is None:
+            d = table[exp] = p._derivative(exp)
+        for t, m in d.items():
+            out[t] = out.get(t, 0) + c * m
     return p._element(out)
 
 

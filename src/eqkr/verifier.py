@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
+from operator import add
 
 from ._record import Record
 from .coeffs import KR_BASIS, KCoeff, KRCoeff, c_coeff, r_coeff
@@ -163,7 +164,7 @@ def verify_leibniz(p: Presentation, bound: int = 15,
                 prod_poly = {}
                 for e1, c1 in poly(a).items():
                     for e2, c2 in poly(b).items():
-                        key = tuple(x + y for x, y in zip(e1, e2))
+                        key = tuple(map(add, e1, e2))
                         prod_poly[key] = prod_poly.get(key, 0) + c1 * c2
                 lhs = delta_lift(q, prod_poly)
                 rhs = {}

@@ -562,6 +562,46 @@ def test_as_fundamental_polynomial_roundtrip():
         assert total == {lam: 1}
 
 
+def _weight_product(a, b):
+    """The product of two characters, as weight -> multiplicity maps."""
+    out = {}
+    for w, m in a.items():
+        for w2, m2 in b.items():
+            key = tuple(x + y for x, y in zip(w, w2))
+            out[key] = out.get(key, 0) + m * m2
+    return out
+
+
+@pytest.mark.parametrize("group,weights", [
+    ("SU3", [(1, 0), (2, 1), (0, 3), (2, 2)]),
+    ("U3", [(1, 0, 0), (2, 1, -1), (0, 0, -2), (3, 1, 1)]),
+    ("SU2xSU2", [(0, 0), (1, 0), (2, 1), (0, 3), (3, 2)]),
+    ("SU2xSU3", [(1, 1, 0), (2, 0, 1), (0, 2, 1), (3, 1, 1)]),
+    ("SU3xSU3", [(1, 0, 0, 1), (2, 1, 0, 1), (0, 1, 2, 0)]),
+    ("Sp2xSU2", [(1, 0, 1), (0, 1, 2), (1, 1, 1)]),
+    ("SU2xU2", [(1, 1, 0), (2, 0, -1), (0, 2, 1), (1, -1, -2)]),
+])
+def test_fundamental_polynomial_against_fundamental_characters(group, weights):
+    # sum c . prod chi(f_i)^e_i, the fundamental characters multiplied as
+    # weight maps (a negative exponent through the inverse determinant's
+    # character), must be the character of V_lam
+    rd = build_root_data(group)
+    funds = rd.fundamental_weights()
+    chars = [character(rd, f) for f in funds]
+    inverses = [character(rd, rd.dual_weight(f)) if weyl_dimension(rd, f) == 1 else None
+                for f in funds]
+    for lam in weights:
+        total = {}
+        for exp, c in as_fundamental_polynomial(rd, lam).items():
+            term = {rd.zero(): c}
+            for chi, inverse, e in zip(chars, inverses, exp):
+                for _ in range(abs(e)):
+                    term = _weight_product(term, chi if e > 0 else inverse)
+            for w, m in term.items():
+                total[w] = total.get(w, 0) + m
+        assert {w: m for w, m in total.items() if m} == character(rd, lam), lam
+
+
 def _naive_monomial(rd, funds, exp):
     """prod funds[i]^exp[i], one fundamental at a time; a negative
     exponent multiplies by the inverse character -funds[i]."""

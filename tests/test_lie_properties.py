@@ -71,6 +71,34 @@ def test_character_is_weyl_invariant(case):
 # Kostka numbers from semistandard tableaux
 # ---------------------------------------------------------------------------
 
+# every series A-G, E6-E8, U(n) and two products
+DOMINANCE_GROUPS = ("SU4", "Spin7", "Sp3", "Spin8", "G2", "F4", "E6", "E7", "E8",
+                    "U1", "U3", "SU3xU2", "Sp2xG2")
+
+
+def random_vector(names):
+    return st.sampled_from(names).flatmap(
+        lambda name: st.tuples(st.just(name), st.tuples(
+            *[st.integers(-3, 3)] * build_root_data(name).dim)))
+
+
+@given(random_vector(DOMINANCE_GROUPS))
+@settings(max_examples=200, deadline=None)
+def test_is_dominant_is_the_simple_coroot_test(case):
+    # each family tests dominance in its own coordinates; the definition
+    # is <v, alpha_i^vee> >= 0 for every simple root, factor by factor.
+    # The orbit's dominant member is tried too, so that both answers
+    # occur on every family.
+    name, v = case
+    rd = build_root_data(name)
+    top = rd.join([f.dominate(part) for f, part in zip(rd.factors, rd.split(v))])
+    for w in (v, top):
+        expected = all(f.pairing_simple(part, i) >= 0
+                       for f, part in zip(rd.factors, rd.split(w))
+                       for i in range(f.n_simple()))
+        assert rd.is_dominant(w) == expected, w
+
+
 def _horizontal_strips(shape, size):
     """Shapes inner with shape/inner a horizontal strip of the given size."""
     floors = shape[1:] + (0,)

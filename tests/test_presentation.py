@@ -694,6 +694,16 @@ def test_rclass_index_validation(args, message):
         RClassIndex(*args)
 
 
+def test_rclass_index_from_lists_is_the_tuple_record():
+    # lists are stored as tuples, so the frozen record hashes and equals
+    # the one built from tuples
+    from_lists = RClassIndex([1, 0], 0, [1], [0])
+    from_tuples = RClassIndex((1, 0), 0, (1,), (0,))
+    assert from_lists == from_tuples and hash(from_lists) == hash(from_tuples)
+    assert (from_lists.rho, from_lists.eps, from_lists.nu) == ((1, 0), (1,), (0,))
+    assert RClassIndex(None, 0, [1], [0]) == RClassIndex(None, 0, (1,), (0,))
+
+
 @pytest.mark.parametrize("name", ["SU3", "SU4", "SU3xSU3"])
 def test_lam_kills_a_slot_on_its_own_pair(name):
     # lam_1 . r(rho) times r(dG[gamma_1]): the product's slot uses pair 1,

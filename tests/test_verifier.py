@@ -114,6 +114,24 @@ def test_leibniz_catches_a_dropped_tau_sign(monkeypatch):
     assert res.status == "fail" and "pullback rewrite" in res.witness
 
 
+@pytest.mark.parametrize("group,kind,lifts,polys", [
+    ("SU2xSU2", ("trivial", "sigmaR"), 519, 134),
+    ("SU3xSU3", "trivial", 314, 122),
+    ("Sp2xSU2", "trivial", 197, 62),
+])
+def test_leibniz_workload_is_pinned(monkeypatch, group, kind, lifts, polys):
+    # a faster sweep must not be a smaller one: count the derivations it
+    # lifts and the fundamental polynomials it asks for
+    calls = dict.fromkeys(("delta_lift", "as_fundamental_polynomial"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(verifier, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(verifier, name, counted)
+    assert verify_leibniz(kr(group, kind), 10).passed
+    assert calls == {"delta_lift": lifts, "as_fundamental_polynomial": polys}
+
+
 def test_rclass_squares_catch_a_dropped_bott_sign(monkeypatch):
     tau_term = Presentation._tau_bz_term
 
