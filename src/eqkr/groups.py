@@ -28,10 +28,11 @@ cached per root-data object, and build_root_data returns one object per
 group so those caches are shared.
 
 R(G) is the polynomial ring on the fundamental representations, with the
-U(n) determinants inverted.  _as_fund_poly_cached writes V_lam in the
-fundamentals from cached monomial expansions (one tensor product past a
-shorter monomial each); dominant_weights_up_to_dim lists the weights of
-bounded dimension.  _KERNEL_CACHES holds every cache keyed on root data.
+U(n) determinants inverted.  _as_fund_poly_cached writes V_lam in a
+factor's fundamentals from cached monomial expansions (one tensor
+product past a shorter monomial each); dominant_weights_up_to_dim lists
+the weights of bounded dimension.  _KERNEL_CACHES holds every cache
+keyed on root data.
 """
 
 from __future__ import annotations
@@ -679,17 +680,9 @@ def _natural_exponents(rd: RootData, lam):
 
 @lru_cache(maxsize=None)
 def _as_fund_poly_cached(rd, lam):
-    """V_lam as sorted (exponent tuple, coefficient) pairs over the fundamentals.
-
-    A product multiplies its factors' polynomials, R(G1 x G2) being
-    R(G1) (x) R(G2): exponents concatenate, coefficients multiply.  On
-    one factor: the natural monomial minus the lower constituents, each
-    recursively.
-    """
-    if len(rd.factors) > 1:
-        poly = rd.combine([dict(_as_fund_poly_cached(f, part))
-                           for f, part in zip(rd.factors, rd.split(lam))])
-        return tuple(sorted(poly.items()))
+    """V_lam as sorted (exponent tuple, coefficient) pairs over the
+    fundamentals of one simple or unitary factor: its natural monomial
+    minus the lower constituents, each recursively."""
     if lam == rd.zero():
         return (((0,) * len(rd.fundamental_weights()), 1),)
     exp = _natural_exponents(rd, lam)

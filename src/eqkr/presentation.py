@@ -789,12 +789,13 @@ class Presentation:
         dH[f_i]."""
         ff = self._fund_factor
         expansion = _expand_monomial_cached(self.rd, cof)
+        bits = (ff[i],)
         if self.kind == "BZ":
-            return {(w, 0, (ff[i],)): m for w, m in expansion.items()}
+            return {(w, 0, bits): m for w, m in expansion.items()}
         if self.kind == "K":
             rank = sum(m * weyl_dimension(self.rd, w)
                        for w, m in expansion.items())
-            return {(self.zero_weight, 0, (ff[i],)): rank}
+            return {(self.zero_weight, 0, bits): rank}
         gen_of = [self._gen_by_factor.get(fi) for fi in ff]
         if gen_of[i] is None or any(a and g is None
                                     for a, g in zip(cof, gen_of)):
@@ -988,10 +989,13 @@ def as_fundamental_polynomial(rd: RootData, lam) -> dict:
     constituents; R(G) is a free polynomial ring on the fundamentals
     (with the determinants inverted), so the expression is unique.
 
-    A copy-out wrapper of ``groups._as_fund_poly_cached``; it stays here
-    because the benchmark names its span presentation.as_fundamental_polynomial.
+    R(G1 x G2) is R(G1) (x) R(G2), so a product multiplies its factors'
+    polynomials, each from the cached ``groups._as_fund_poly_cached``:
+    exponents concatenate and coefficients multiply.  The product itself
+    is not cached; the caller owns the returned map.
     """
-    return dict(_as_fund_poly_cached(rd, tuple(lam)))
+    return rd.combine([dict(_as_fund_poly_cached(f, part))
+                       for f, part in zip(rd.factors, rd.split(lam))])
 
 
 def complexify(p: Presentation):
