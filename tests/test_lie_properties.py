@@ -4,6 +4,8 @@ Random dominant weights of every simple family (dimension capped) must
 satisfy the Weyl dimension formula through their orbit sums, give a
 W-invariant character, and, for SU(n), agree with Kostka numbers counted
 from semistandard tableaux, a model that shares no code with Freudenthal.
+Random integer vectors pin each family's dominance test to the simple
+coroot pairings.
 """
 
 from functools import lru_cache
@@ -67,10 +69,6 @@ def test_character_is_weyl_invariant(case):
         assert all(ch.get(rd.reflect_simple(w, i)) == m for w, m in ch.items())
 
 
-# ---------------------------------------------------------------------------
-# Kostka numbers from semistandard tableaux
-# ---------------------------------------------------------------------------
-
 # every series A-G, E6-E8, U(n) and two products
 DOMINANCE_GROUPS = ("SU4", "Spin7", "Sp3", "Spin8", "G2", "F4", "E6", "E7", "E8",
                     "U1", "U3", "SU3xU2", "Sp2xG2")
@@ -98,6 +96,10 @@ def test_is_dominant_is_the_simple_coroot_test(case):
                        for i in range(f.n_simple()))
         assert rd.is_dominant(w) == expected, w
 
+
+# ---------------------------------------------------------------------------
+# Kostka numbers from semistandard tableaux
+# ---------------------------------------------------------------------------
 
 def _horizontal_strips(shape, size):
     """Shapes inner with shape/inner a horizontal strip of the given size."""
