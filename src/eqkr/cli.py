@@ -11,12 +11,14 @@ emitted).  Output bytes are a function of (spec, seed) only.
 
 from __future__ import annotations
 
+import atexit
+import functools
+import gc
 import sys
 
 # Without bytecode caches a CLI process peaks in memory while compiling
 # presentation.py, the largest module; importing it first compiles it while
-# the least else is loaded.  argparse and json are imported where used, for
-# the same reason.
+# the least else is loaded.
 from .presentation import build_kr_presentation
 from .groups import (
     DominanceError,
@@ -52,41 +54,113 @@ EXIT_INTERNAL = 4
 EXIT_VERIFY = 5
 
 
-def _build_parser():
-    import argparse
-    ap = argparse.ArgumentParser(
-        prog="eqkr",
-        description="generators-and-relations presentations of equivariant "
-                    "KR-theory rings",
-        epilog="--sensitivity-probe injects a named fault into the presentation "
-               "that the fast and all suites check (self-test of their ability "
-               "to fail); the other suites read none and refuse it")
-    sub = ap.add_subparsers(dest="command", required=True)
+# One table both parses argv and renders -h: (option, commands, default,
+# kind, metavar, help).  kind is str, int or the tuple of allowed values;
+# help None keeps the option out of -h.
+_BOTH = ("compute", "verify")
+_OPTIONS = (
+    ("--group", _BOTH, None, str, "SPEC",
+     "group spec, e.g. SU3, Sp2, U2, SU2xSU2 (required)"),
+    ("--involution", _BOTH, "trivial", str, "NAME",
+     "trivial | sigmaR | sigmaH, or a comma list for products"),
+    ("--override", _BOTH, None, str, "FILE",
+     'JSON file with type overrides {"overrides": [{"weight": [..], "type": "R"}]}'),
+    ("--format", _BOTH, "json", ("json", "text"), None, "output format"),
+    ("--truncate", _BOTH, DEFAULT_TRUNCATION, int, "D",
+     "irrep dimension bound for tables"),
+    ("--seed", _BOTH, DEFAULT_SEED, int, "N", "seed of the random draws"),
+    ("--out", _BOTH, None, str, "FILE", "write output here, not to stdout"),
+    ("--suite", ("verify",), "fast", SUITES, None, "the checks that verify runs"),
+    ("--sensitivity-probe", ("verify",), None, MUTANT_KINDS, None, None),
+)
+_COMMANDS = {"compute": "build and emit a presentation",
+             "verify": "run property checks"}
+_EPILOG = ("--sensitivity-probe injects a named fault into the presentation\n"
+           "that the fast and all suites check (self-test of their ability\n"
+           "to fail); the other suites read none and refuse it")
 
-    def common(sp):
-        sp.add_argument("--group", required=True,
-                        help="group spec, e.g. SU3, Sp2, U2, SU2xSU2")
-        sp.add_argument("--involution", default="trivial",
-                        help="trivial | sigmaR | sigmaH, or a comma list "
-                             "for products")
-        sp.add_argument("--override", metavar="FILE",
-                        help="JSON file with type overrides "
-                             '{"overrides": [{"weight": [..], "type": "R"}]}')
-        sp.add_argument("--format", choices=("json", "text"), default="json")
-        sp.add_argument("--truncate", type=int, default=DEFAULT_TRUNCATION,
-                        metavar="D", help="irrep dimension bound for tables")
-        sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        sp.add_argument("--out", metavar="FILE", help="write output here")
 
-    sp = sub.add_parser("compute", help="build and emit a presentation")
-    common(sp)
+def _usage_error(message):
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_SPEC)
 
-    sp = sub.add_parser("verify", help="run property checks")
-    common(sp)
-    sp.add_argument("--suite", choices=SUITES, default="fast")
-    sp.add_argument("--sensitivity-probe", choices=MUTANT_KINDS, default=None,
-                    help=argparse.SUPPRESS)
-    return ap
+
+def _help(command):
+    """Write the help of ``command`` (of the whole CLI when None) and exit 0."""
+    lines = [f"usage: eqkr {command or '{compute,verify}'} --group SPEC [option ...]",
+             "", "generators-and-relations presentations of equivariant "
+             "KR-theory rings", ""]
+    if command is None:
+        lines += ["commands:", *(f"  {name:9}{text}" for name, text in
+                                 _COMMANDS.items()), ""]
+    lines += ["options:", "  -h, --help", "      show this help and exit"]
+    for name, commands, default, kind, metavar, text in _OPTIONS:
+        if text is None or command not in (None, *commands):
+            continue
+        if isinstance(kind, tuple):
+            metavar = "{" + ",".join(kind) + "}"
+        if default is not None:
+            text = f"{text} (default: {default})"
+        lines += [f"  {name} {metavar}", f"      {text}"]
+    sys.stdout.write("\n".join([*lines, "", _EPILOG, ""]))
+    raise SystemExit(EXIT_OK)
+
+
+def _dest(name):
+    return name[2:].replace("-", "_")
+
+
+def _parse(argv):
+    """argv as a dict of the command and each of its options' values, keyed
+    as argparse names them.  An option may be cut to a unique prefix, takes
+    its value as ``--opt v`` or ``--opt=v`` (v may start with -), and may be
+    repeated, the last value winning.  A usage error writes one line and
+    exits 2; -h or --help writes the help and exits 0."""
+    words = iter(sys.argv[1:] if argv is None else argv)
+    args, rows = {}, {"--help": None}
+    for word in words:
+        if word == "-h":
+            _help(args.get("command"))
+        if word == "--" or not word.startswith("--"):
+            if "command" in args:
+                _usage_error(f"unexpected argument {word!r}")
+            if word not in _COMMANDS:
+                _usage_error(f"unknown command {word!r}: choose compute or verify")
+            args["command"] = word
+            for row in _OPTIONS:
+                if word in row[1]:
+                    rows[row[0]] = row
+                    args[_dest(row[0])] = row[2]
+            continue
+        given, eq, value = word.partition("=")
+        hits = [given] if given in rows else [n for n in rows if n.startswith(given)]
+        if not hits:
+            _usage_error(f"unknown option {given}")
+        if len(hits) > 1:
+            _usage_error(f"ambiguous option {given}: could be {', '.join(hits)}")
+        name = hits[0]
+        if name == "--help":
+            if eq:
+                _usage_error("--help takes no value")
+            _help(args.get("command"))
+        if not eq:
+            value = next(words, None)
+            if value is None:
+                _usage_error(f"{name} needs a value")
+        kind = rows[name][3]
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                _usage_error(f"{name} must be an integer, not {value!r}")
+        elif kind is not str and value not in kind:
+            _usage_error(f"{name} must be one of {', '.join(kind)}, not {value!r}")
+        args[_dest(name)] = value
+    if "command" not in args:
+        _usage_error("missing command: compute or verify")
+    if args["group"] is None:
+        _usage_error(f"eqkr {args['command']} needs --group")
+    return args
 
 
 def _load_overrides(path):
@@ -136,27 +210,38 @@ def _emit(text, out_path, code):
 
 
 def _involution(args):
-    rd = build_root_data(parse_group(args.group))
-    overrides = _load_overrides(args.override) if args.override else None
-    return involution_from_name(rd, args.involution, overrides=overrides)
+    rd = build_root_data(parse_group(args["group"]))
+    overrides = _load_overrides(args["override"]) if args["override"] else None
+    return involution_from_name(rd, args["involution"], overrides=overrides)
+
+
+@functools.cache
+def _freeze_heap_at_exit():
+    # Nothing a job builds needs a finaliser (no __del__ or weakref callback;
+    # --out is closed by its with), so the heap is frozen at exit and the
+    # interpreter's shutdown collection skips it.  Cached: once per process.
+    atexit.register(gc.freeze)
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.truncate < 1:  # even the trivial irreducible has dimension 1
-        print(f"error: --truncate must be at least 1, not {args.truncate}",
+    _freeze_heap_at_exit()
+    args = _parse(argv)
+    if args["truncate"] < 1:  # even the trivial irreducible has dimension 1
+        print(f"error: --truncate must be at least 1, not {args['truncate']}",
               file=sys.stderr)
         return EXIT_SPEC
     try:
         inv = _involution(args)
-        if args.command == "compute":
+        if args["command"] == "compute":
             p = build_kr_presentation(inv.rd, inv)
-            render = presentation_json if args.format == "json" else presentation_text
-            return _emit(render(p, args.truncate, args.seed), args.out, EXIT_OK)
-        report = run_suite(inv, args.suite, args.seed, args.truncate,
-                           probe=args.sensitivity_probe)
-        render = report_json if args.format == "json" else report_text
-        return _emit(render(report), args.out,
+            render = (presentation_json if args["format"] == "json"
+                      else presentation_text)
+            return _emit(render(p, args["truncate"], args["seed"]), args["out"],
+                         EXIT_OK)
+        report = run_suite(inv, args["suite"], args["seed"], args["truncate"],
+                           probe=args["sensitivity_probe"])
+        render = report_json if args["format"] == "json" else report_text
+        return _emit(render(report), args["out"],
                      EXIT_OK if report.passed else EXIT_VERIFY)
     except (UnsupportedGroupError, InvolutionSpecError, DominanceError,
             SuiteSpecError) as exc:

@@ -1,3 +1,6 @@
+import argparse
+import contextlib
+import io
 import json
 import os
 import re
@@ -7,14 +10,22 @@ from pathlib import Path
 
 import pytest
 from conftest import GOLDEN
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import eqkr
-from eqkr.cli import main
+from eqkr.cli import _OPTIONS, _parse, main
 from eqkr.groups import SimpleRootData, build_root_data
 from eqkr.presentation import build_bz_presentation, build_kr_presentation
 from eqkr.realstruct import involution_from_name
 from eqkr.serialize import presentation_payload
-from eqkr.verifier import MUTANT_KINDS, make_mutant
+from eqkr.verifier import (
+    DEFAULT_SEED,
+    DEFAULT_TRUNCATION,
+    MUTANT_KINDS,
+    SUITES,
+    make_mutant,
+)
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 # compute bytes of the groups whose roots and coroots differ
@@ -128,6 +139,175 @@ def test_truncation_below_one_exits_two(argv, capsys):
     assert err.startswith("error: --truncate must be at least 1")
 
 
+def _reference_parser():
+    """The argparse parser the CLI used before its own option table, kept as
+    the reference that table's parser is held to."""
+    ap = argparse.ArgumentParser(
+        prog="eqkr",
+        description="generators-and-relations presentations of equivariant "
+                    "KR-theory rings",
+        epilog="--sensitivity-probe injects a named fault into the presentation "
+               "that the fast and all suites check (self-test of their ability "
+               "to fail); the other suites read none and refuse it")
+    sub = ap.add_subparsers(dest="command", required=True)
+
+    def common(sp):
+        sp.add_argument("--group", required=True,
+                        help="group spec, e.g. SU3, Sp2, U2, SU2xSU2")
+        sp.add_argument("--involution", default="trivial",
+                        help="trivial | sigmaR | sigmaH, or a comma list "
+                             "for products")
+        sp.add_argument("--override", metavar="FILE",
+                        help="JSON file with type overrides "
+                             '{"overrides": [{"weight": [..], "type": "R"}]}')
+        sp.add_argument("--format", choices=("json", "text"), default="json")
+        sp.add_argument("--truncate", type=int, default=DEFAULT_TRUNCATION,
+                        metavar="D", help="irrep dimension bound for tables")
+        sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        sp.add_argument("--out", metavar="FILE", help="write output here")
+
+    sp = sub.add_parser("compute", help="build and emit a presentation")
+    common(sp)
+
+    sp = sub.add_parser("verify", help="run property checks")
+    common(sp)
+    sp.add_argument("--suite", choices=SUITES, default="fast")
+    sp.add_argument("--sensitivity-probe", choices=MUTANT_KINDS, default=None,
+                    help=argparse.SUPPRESS)
+    return ap
+
+
+def _read_with(parse, argv):
+    """(values, None) when parse accepts argv, else (exit code, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            return parse(argv), None
+    except SystemExit as exc:
+        assert out.getvalue() == ""
+        return exc.code, err.getvalue()
+
+
+def _reference_parse(argv):
+    return vars(_reference_parser().parse_args(argv))
+
+
+def _shortest_prefix(name, names):
+    # the shortest cut of name that no other option name starts with
+    return next(k for k in range(3, len(name) + 1)
+                if not any(o.startswith(name[:k]) for o in names if o != name))
+
+
+VALUES = {int: st.integers(-10**6, 10**6).map(str),
+          # a value may hold = and may be a negative number
+          str: st.text("SUp23x,.=_", min_size=1, max_size=6)
+          | st.integers(-99, -1).map(str)}
+
+
+@st.composite
+def _option_words(draw, command):
+    """The words of a well-formed argv after its command, one list per option:
+    any order, repeats, unique prefixes, both value forms, --group present."""
+    rows = [row for row in _OPTIONS if command in row[1]]
+    names = [row[0] for row in rows] + ["--help"]
+    picks = draw(st.permutations(draw(st.lists(st.sampled_from(rows), max_size=8))
+                                 + [rows[0]]))
+    chunks = []
+    for name, _, _, kind, _, _ in picks:
+        word = name[:draw(st.integers(_shortest_prefix(name, names), len(name)))]
+        value = draw(st.sampled_from(kind) if isinstance(kind, tuple) else VALUES[kind])
+        chunks.append([f"{word}={value}"] if draw(st.booleans()) else [word, value])
+    return chunks
+
+
+@st.composite
+def _well_formed(draw):
+    command = draw(st.sampled_from(["compute", "verify"]))
+    return [command, *(w for chunk in draw(_option_words(command)) for w in chunk)]
+
+
+FAULTS = ("unknown option", "ambiguous option", "missing value", "bad choice",
+          "not an integer", "no command", "no --group", "stray positional")
+
+
+@st.composite
+def _malformed(draw):
+    command = draw(st.sampled_from(["compute", "verify"]))
+    chunks = draw(_option_words(command))
+    fault = draw(st.sampled_from(FAULTS))
+    at = draw(st.integers(0, len(chunks)))
+    if fault == "unknown option":
+        word = draw(st.sampled_from(["--no-such", "--suite" if command == "compute"
+                                     else "--sei", "--group-x"]))
+        chunks.insert(at, [word, "1"])
+    elif fault == "ambiguous option":
+        word = draw(st.sampled_from(["--o", "--s", "--se"] if command == "verify"
+                                    else ["--o"]))
+        chunks.insert(at, [word, "1"] if draw(st.booleans()) else [f"{word}=1"])
+    elif fault == "missing value":
+        chunks.append([draw(st.sampled_from(
+            [row[0] for row in _OPTIONS if command in row[1]]))])
+    elif fault == "bad choice":
+        bad = [["--format", "xml"], ["--format=JSON"]]
+        if command == "verify":
+            bad += [["--suite=fastest"], ["--sensitivity-probe", "no-such"]]
+        chunks.insert(at, draw(st.sampled_from(bad)))
+    elif fault == "not an integer":
+        name = draw(st.sampled_from(["--seed", "--truncate"]))
+        chunks.insert(at, [name, draw(st.sampled_from(["x", "1.5", "-1.5", "", "0x10"]))])
+    elif fault == "no --group":
+        chunks = [c for c in chunks if not "--group".startswith(c[0].partition("=")[0])]
+    elif fault == "stray positional":
+        chunks.insert(at, [draw(st.sampled_from(["stray", "-3", command]))])
+    words = [w for chunk in chunks for w in chunk]
+    return words if fault == "no command" else [command, *words]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_well_formed())
+def test_the_option_table_parses_as_argparse_did(argv):
+    expected, _ = _read_with(_reference_parse, argv)
+    assert isinstance(expected, dict), expected
+    assert _read_with(_parse, argv) == (expected, None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_malformed())
+def test_a_usage_error_exits_two_with_one_error_line(argv):
+    assert _read_with(_reference_parse, argv)[0] == 2
+    code, err = _read_with(_parse, argv)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+def _public_options(command):
+    """{option: (default, choices)} of each option the reference parser's
+    help lists for command, or for either command when None."""
+    commands = _reference_parser()._subparsers._group_actions[0].choices
+    return {action.option_strings[-1]: (action.default, action.choices)
+            for name, sp in commands.items() if command in (None, name)
+            for action in sp._actions
+            if action.help != argparse.SUPPRESS and action.dest != "help"}
+
+
+@pytest.mark.parametrize("command", [None, "compute", "verify"])
+def test_help_lists_every_public_option(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "-h"] if command else ["-h"])
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    lines = out.splitlines()
+    listed = {line.split()[0]: line for line in lines if line.startswith("  --")}
+    public = _public_options(command)
+    assert set(listed) == set(public) and "--sensitivity-probe" not in listed
+    for name, (default, choices) in public.items():
+        entry = lines[lines.index(listed[name]) + 1]
+        assert (f"(default: {default})" in entry) is (default is not None), entry
+        assert choices is None or "{" + ",".join(choices) + "}" in listed[name]
+    assert " ".join(_reference_parser().epilog.split()) in " ".join(out.split())
+
+
 def test_unknown_probe_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["verify", "--group", "SU3", "--sensitivity-probe", "no-such"])
@@ -229,6 +409,19 @@ def test_unclassifiable_exit_loads_no_numpy():
                          capture_output=True, text=True, timeout=60)
     assert res.returncode == 3, res.stderr
     assert "not fundamental" in res.stderr
+
+
+def test_a_cli_process_writes_the_whole_report_before_it_exits(tmp_path, capsys):
+    # the heap is frozen at exit; the --out file is closed before that
+    out = tmp_path / "bad.json"
+    argv = ["verify", "--group", "SU3", "--suite", "fast",
+            "--sensitivity-probe", "delta-square"]
+    env = dict(os.environ, PYTHONPATH=str(Path(eqkr.__file__).parents[1]))
+    res = subprocess.run([sys.executable, "-m", "eqkr", *argv, "--out", str(out)],
+                         env=env, capture_output=True, timeout=60)
+    assert (res.returncode, res.stdout, res.stderr) == (5, b"", b"")
+    assert run(argv) == 5
+    assert out.read_text(encoding="utf-8") == capsys.readouterr().out
 
 
 def test_probe_exits_five(tmp_path):

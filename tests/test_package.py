@@ -109,3 +109,39 @@ def test_only_the_weyl_check_loads_torus(tmp_path, group, suite, loads_torus):
                      f"sys.exit(main(['verify', '--group', {group!r}, '--suite', "
                      f"{suite!r}, '--out', {str(out)!r}]))")
     assert ("eqkr.torus" in loaded) is loads_torus
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "--group", "SU3"],
+    ["verify", "--group", "SU2", "--suite", "all"]])
+def test_the_cli_loads_no_argparse(tmp_path, argv):
+    # the CLI parses argv from its own option table; argparse (and the
+    # gettext it loads) would cost every process their import
+    out = tmp_path / "out.json"
+    loaded = _loaded("from eqkr.cli import main\n"
+                     f"sys.exit(main({[*argv, '--out', str(out)]!r}))")
+    assert out.stat().st_size > 0
+    assert {"argparse", "gettext"}.isdisjoint(loaded)
+
+
+def _new_exit_callbacks(code):
+    """How many atexit callbacks a fresh interpreter registers running code."""
+    script = ("import atexit\nbefore = atexit._ncallbacks()\n" + code
+              + "\nprint(atexit._ncallbacks() - before)")
+    env = dict(os.environ, PYTHONPATH=str(Path(eqkr.__file__).parents[1]))
+    res = subprocess.run([sys.executable, "-S", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    return int(res.stdout)
+
+
+def test_importing_the_package_registers_no_exit_callback():
+    assert _new_exit_callbacks(
+        "import eqkr, eqkr.groups, eqkr.presentation, eqkr.verifier") == 0
+
+
+def test_main_registers_one_exit_callback_per_process(tmp_path):
+    # cli.main freezes the heap at exit, so the shutdown collection skips
+    # what the job built; a second call must not register it again
+    call = f"main(['compute', '--group', 'SU2', '--out', {str(tmp_path / 'p.json')!r}])"
+    assert _new_exit_callbacks(f"from eqkr.cli import main\n{call}\n{call}") == 1
