@@ -222,6 +222,13 @@ def koszul_sort(factors, parity=None):
 class Presentation:
     """A built presentation: generators, relation table, coefficient tag.
 
+    The factor table ``factors`` lists one (role, weight, pair) per
+    fundamental: role phi/theta for an R/H fundamental, u/v for the
+    representative and the twisted dual of complex pair ``pair``.  It is
+    the one catalog: the generators follow from it (dG[f] per factor on
+    BZ/K; on KR dR/dH per phi/theta factor, then lam[k] per pair), and
+    realification and complexification read it.
+
     Term tuples:  KR: (cw, cls, plain, rslot) with rslot = None or
     (rho, i, eps, nu);  BZ/K: (w, j, bits).  Immutable once built, apart
     from memo tables that fill as it is used; the element operations are
@@ -239,17 +246,16 @@ class Presentation:
     maps a weight to its twisted dual; ``_derivation_table`` maps the
     exponent tuple of a monomial f^a to the terms of its derivative
     sum_i a_i f^(a - e_i) . df_i.  Table entries are shared, so read
-    only.  A mutant or an augmented copy is a new presentation and
-    starts with empty tables.
+    only.  A mutant or an augmented copy is a new presentation, built
+    from the same factor table, and starts with empty tables.
     """
 
-    def __init__(self, rd: RootData, inv, split, kind: str, factors, gens):
+    def __init__(self, rd: RootData, inv, split, kind: str, factors):
         self.rd = rd
         self.inv = inv
         self.split = split
         self.kind = kind  # "KR" | "BZ" | "K"
         self.factors = tuple(factors)   # (role, weight, pair) in order
-        self.gens = tuple(gens)
         self.zero_weight = rd.zero()
         self._classify_cache = {}
         self._tensor_cache = {}
@@ -258,17 +264,25 @@ class Presentation:
         self._c_table = {}
         self._weight_tau = {}
         self._derivation_table = {}
-        self._lam_gen = {g.pair: g.index for g in self.gens if g.kind == "lam"}
-        self._lam_pair = {g.index: g.pair for g in self.gens if g.kind == "lam"}
-        gen_of_weight = {g.payload: g.index for g in self.gens
-                         if g.kind in ("dR", "dH")}
-        self._gen_by_factor = {fi: gen_of_weight[w]
-                               for fi, (_, w, _) in enumerate(self.factors)
-                               if w in gen_of_weight}
-        self._factor_by_gen = {gi: fi for fi, gi in self._gen_by_factor.items()}
-        self._pair_factors = {(pair, role): fi
-                              for fi, (role, _, pair) in enumerate(self.factors)
-                              if role in ("u", "v")}
+        # one pass derives the generators; the KR table lists its pairs
+        # last, so lam[k], taken at the u factor of pair k, follows dR/dH
+        gens = []
+        self._gen_by_factor, self._factor_by_gen = {}, {}
+        self._lam_gen, self._pair_factors = {}, {}
+        for fi, (role, w, pair) in enumerate(self.factors):
+            if role in ("u", "v"):
+                self._pair_factors[pair, role] = fi
+            gi = len(gens)
+            if kind != "KR":
+                gens.append(Generator("dG", w, gi))
+            elif role in ("phi", "theta"):
+                gens.append(Generator("dR" if role == "phi" else "dH", w, gi))
+                self._gen_by_factor[fi] = gi
+                self._factor_by_gen[gi] = fi
+            elif role == "u":
+                gens.append(Generator("lam", w, gi, pair))
+                self._lam_gen[pair] = gi
+        self.gens = tuple(gens)
         # tau on factors: dG[f] -> -dG[f*]; None where f* is no factor
         # (U(n) under the trivial involution), an error only once it is used
         factor_of = {w: fi for fi, (_, w, _) in enumerate(self.factors)}
@@ -504,68 +518,56 @@ class Presentation:
         """
         if any(bits[i] >= bits[i + 1] for i in range(len(bits) - 1)):
             raise PresentationError("realification needs sorted delta factors")
-        w0, j0, bits0 = w, j, bits
-        plain = []
-        bl = list(bits)
-        sign = 1
-        # phi/theta factors lead in sorted order; dG[f] = beta^{-1} c(dF[f])
-        while bl and self.factors[bl[0]][0] in ("phi", "theta"):
-            fi = bl.pop(0)
-            plain.append(self._gen_by_factor[fi])
-            j -= 1
-        # full gamma pairs: dG[gamma_k] dG[sigmabar gamma_k] = -beta c(lam_k)
-        while True:
-            hit = None
-            for pos, fi in enumerate(bl):
-                role, _, k = self.factors[fi]
-                if role == "u" and pos + 1 < len(bl) and bl[pos + 1] == fi + 1:
-                    hit = (pos, k)
-                    break
-            if hit is None:
-                break
-            pos, k = hit
-            del bl[pos:pos + 2]  # adjacent pair crosses 2*pos odd factors: net +
-            sign = -sign
-            j += 1
-            plain.append(self._lam_gen[k])
-        eps = tuple(sorted(self.factors[fi][2] for fi in bl
-                           if self.factors[fi][0] == "u"))
-        nu = tuple(sorted(self.factors[fi][2] for fi in bl
-                          if self.factors[fi][0] == "v"))
-        plain = tuple(sorted(plain))
+        # one pass: the factor table lists phi/theta first and each u just
+        # before its v, so plain, eps and nu come out sorted
+        plain, eps, nu = [], [], []
+        sign, i = 1, j
+        for pos, fi in enumerate(bits):
+            role, _, k = self.factors[fi]
+            if role in ("phi", "theta"):
+                # dG[f] = beta^{-1} c(dF[f])
+                plain.append(self._gen_by_factor[fi])
+                i -= 1
+            elif role == "u" and pos + 1 < len(bits) and bits[pos + 1] == fi + 1:
+                # dG[gamma_k] dG[sigmabar gamma_k] = -beta c(lam_k); the
+                # adjacent pair crosses an even number of odd factors
+                plain.append(self._lam_gen[k])
+                sign = -sign
+                i += 1
+            elif role == "u":
+                eps.append(k)
+            elif not pos or bits[pos - 1] != fi - 1:  # a v not taken by lam
+                nu.append(k)
+        plain, eps, nu = tuple(plain), tuple(eps), tuple(nu)
 
         rho = None
         cw = self.zero_weight
         if w != self.zero_weight:
-            wcls = self.classify(w)
-            if wcls.type == TYPE_R:
-                cw = w
-            elif wcls.type == TYPE_H:
-                cw = w
-                j += 2
-            else:
+            wtype = self.classify(w).type
+            if wtype == TYPE_C:
                 rho = w
+            else:
+                cw = w
+                if wtype == TYPE_H:
+                    i += 2
 
-        needs_flip = False
         if rho is not None:
-            if rho != self.pair_rep(rho):
-                needs_flip = True
-        elif eps or nu:
-            if not eps or (nu and min(nu) < min(eps)):
-                needs_flip = True
+            needs_flip = rho != self.pair_rep(rho)
+        else:
+            needs_flip = nu and (not eps or nu[0] < eps[0])
         if needs_flip:
             if not allow_flip:
                 raise PresentationError("realified class failed to canonicalize")
-            ws, mapped, tsign = self._tau_bz_term(w0, j0, bits0)
-            return self._realify_term(ws, j0, mapped, tsign, allow_flip=False)
+            ws, mapped, tsign = self._tau_bz_term(w, j, bits)
+            return self._realify_term(ws, j, mapped, tsign, allow_flip=False)
 
         if rho is None and not eps and not nu:
             return [((cw, name, plain, None), sign * val)
-                    for name, val in r_pattern(j).as_dict().items() if val]
+                    for name, val in r_pattern(i).as_dict().items() if val]
         # the lam factors took whole pairs out of the strictly increasing
         # bits, so the slot uses none of their pairs: no lam kill here
-        slot = (rho, j % 4, eps, nu)
-        # the leftover factors bl are the slot's, sorted: r(bl) = s . r(slot)
+        slot = (rho, i % 4, eps, nu)
+        # the leftover factors are the slot's, sorted: r(them) = s . r(slot)
         _, slot_sign = self._slot_to_bz(slot)
         return [((cw, "1", plain, slot), sign * slot_sign)]
 
@@ -574,7 +576,7 @@ class Presentation:
         if slot is None:
             return False
         used = set(slot[2]) | set(slot[3])
-        return any(self._lam_pair.get(gi) in used for gi in plain)
+        return any(self.gens[gi].pair in used for gi in plain)
 
     def realify_bz(self, e: RingElement) -> RingElement:
         """Realification of a K-theory element (from the complexify target).
@@ -822,14 +824,13 @@ def build_bz_presentation(rd: RootData,
     """
     if inv is None:
         inv = Involution(rd, "trivial")
-    factors = tuple(("phi", w, -1) for w in rd.fundamental_weights())
-    gens = tuple(Generator("dG", w, i) for i, (_, w, _) in enumerate(factors))
-    return Presentation(rd, inv, None, "BZ", factors, gens)
+    return Presentation(rd, inv, None, "BZ",
+                        [("phi", w, -1) for w in rd.fundamental_weights()])
 
 
 def augment_bz(p: Presentation) -> Presentation:
     """The K*(G) variant: coefficients pushed to Z by the rank map."""
-    return Presentation(p.rd, p.inv, None, "K", p.factors, p.gens)
+    return Presentation(p.rd, p.inv, None, "K", p.factors)
 
 
 def augment_element(p_k: Presentation, e: RingElement) -> RingElement:
@@ -843,25 +844,18 @@ def augment_element(p_k: Presentation, e: RingElement) -> RingElement:
 def build_kr_presentation(rd: RootData, inv: Involution) -> Presentation:
     """KR*_G(G^-) with the full relation table installed.
 
-    Generators: dR[phi_i] (degree 1), dH[theta_j] (degree -3), lam[k]
+    The factor table lists the R fundamentals (phi), the H fundamentals
+    (theta), then each complex pair as u and v; the generators follow
+    from it: dR[phi_i] (degree 1), dH[theta_j] (degree -3), lam[k]
     (degree 0), plus the constrained family of realified classes
     handled as r-slots.  When t = 0 the presentation is in Omega form.
     """
     split = split_fundamentals(rd, inv)
-    gens = []
-    factors = []
-    for w in split.real:
-        gens.append(Generator("dR", w, len(gens)))
-        factors.append(("phi", w, -1))
-    for w in split.quat:
-        gens.append(Generator("dH", w, len(gens)))
-        factors.append(("theta", w, -1))
-    for k, (rep, _) in enumerate(split.pairs):
-        gens.append(Generator("lam", rep, len(gens), pair=k))
-    for k, (rep, other) in enumerate(split.pairs):
-        factors.append(("u", rep, k))
-        factors.append(("v", other, k))
-    return Presentation(rd, inv, split, "KR", tuple(factors), tuple(gens))
+    factors = ([("phi", w, -1) for w in split.real]
+               + [("theta", w, -1) for w in split.quat]
+               + [(role, w, k) for k, pair in enumerate(split.pairs)
+                  for role, w in zip("uv", pair)])
+    return Presentation(rd, inv, split, "KR", factors)
 
 
 # ---------------------------------------------------------------------------
@@ -1004,10 +998,8 @@ def complexify(p: Presentation):
     Presentation._c_image."""
     if p.kind != "KR":
         raise PresentationError("complexify maps a KR presentation")
-    target = Presentation(
-        p.rd, p.inv, None, "BZ", p.factors,
-        tuple(Generator("dG", w, i) for i, (_, w, _) in enumerate(p.factors)))
-    return ComplexificationMap(p, target)
+    return ComplexificationMap(p, Presentation(p.rd, p.inv, None, "BZ",
+                                               p.factors))
 
 
 class ComplexificationMap:

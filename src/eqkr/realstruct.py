@@ -207,15 +207,15 @@ def classify_type(rd: RootData, inv: Involution, lam) -> IrrepClass:
 class FundamentalSplit(FrozenRecord):
     """Fundamental representations split by type.
 
-    ``real``/``quat`` hold the self-twisted-dual fundamentals, ``cplx``
-    one representative per complex pair (the lexicographically smaller
-    highest weight); ``pairs`` lists (representative, twisted dual).
+    ``real``/``quat`` hold the self-twisted-dual fundamentals; ``pairs``
+    lists one (representative, twisted dual) per complex pair, the
+    representative the lexicographically smaller highest weight.
     """
 
-    __slots__ = ("real", "quat", "cplx", "pairs")
+    __slots__ = ("real", "quat", "pairs")
 
-    def __init__(self, real, quat, cplx, pairs):
-        self._init(real, quat, cplx, pairs)
+    def __init__(self, real, quat, pairs):
+        self._init(real, quat, pairs)
 
     @property
     def r(self):
@@ -227,7 +227,7 @@ class FundamentalSplit(FrozenRecord):
 
     @property
     def t(self):
-        return len(self.cplx)
+        return len(self.pairs)
 
 
 def split_fundamentals(rd: RootData, inv: Involution) -> FundamentalSplit:
@@ -240,7 +240,7 @@ def split_fundamentals(rd: RootData, inv: Involution) -> FundamentalSplit:
     """
     fundamentals = rd.fundamental_weights()
     fund_set = set(fundamentals)
-    real, quat, cplx, pairs = [], [], [], []
+    real, quat, pairs = [], [], []
     seen_cplx = set()
     for w in fundamentals:
         cls = classify_type(rd, inv, w)
@@ -256,13 +256,9 @@ def split_fundamentals(rd: RootData, inv: Involution) -> FundamentalSplit:
                     "this involution")
             if w in seen_cplx:
                 continue
-            rep = min(w, cls.twisted_dual)
-            other = max(w, cls.twisted_dual)
-            cplx.append(rep)
-            pairs.append((rep, other))
+            pairs.append((min(w, cls.twisted_dual), max(w, cls.twisted_dual)))
             seen_cplx.update((w, cls.twisted_dual))
-    split = FundamentalSplit(tuple(real), tuple(quat), tuple(cplx),
-                             tuple(pairs))
+    split = FundamentalSplit(tuple(real), tuple(quat), tuple(pairs))
     if split.r + split.s + 2 * split.t != len(fundamentals):
         raise UnclassifiableError(
             f"split counts r={split.r} s={split.s} t={split.t} do not cover "

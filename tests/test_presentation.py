@@ -16,6 +16,7 @@ from eqkr.presentation import (
     augment_bz,
     augment_element,
     build_bz_presentation,
+    build_kr_presentation,
     canon_degree,
     classified_irreps,
     complexify,
@@ -88,6 +89,22 @@ def test_su3_trivial_generators():
     assert (lam * lam).is_zero()
     assert lam.degrees() == [0]
 
+
+def test_an_h_override_squares_through_mu_doubling():
+    # V(1,1) (x) V(1,1) = V(0,0) + V(2,2) + 2 V(1,1) + V(3,0) + V(0,3) on
+    # SU3; with V(1,1) of H type the square is a real class, so the two
+    # H-type copies of V(1,1) pair up as V(1,1).mu (the R/H branch of
+    # _rep_class, which catalog types never reach)
+    rd = build_root_data("SU3")
+    p = build_kr_presentation(rd, Involution(rd, "trivial", {(1, 1): "H"}))
+    v = p.class_element((1, 1))
+    square = v * v
+    assert square == (p.one() + p.class_element((2, 2))
+                      + p.class_element((1, 1), "mu")
+                      + p.rclass_element(RClassIndex((0, 3), 0, (0,), (0,))))
+    assert square.degrees() == [0]
+    c = complexify(p)
+    assert c(square) == c(v) * c(v)
 
 def test_multiply_examples():
     p = kr("SU3", "sigmaR")
@@ -486,6 +503,26 @@ def test_realify_is_tau_invariant():
             ty = bz._element(dict(bz._tau_bz(y.terms)))
             assert p.realify_bz(y) == p.realify_bz(ty)
 
+
+@pytest.mark.parametrize("name,kind", [
+    ("SU4", "trivial"), ("SU6", "trivial"), ("SU3xSU3", "trivial"),
+    ("Spin10", "trivial"),
+    pytest.param("SU2xSU4", ("trivial", "trivial"), id="SU2xSU4-trivial,trivial")])
+def test_c_of_r_is_y_plus_tau_y_on_every_single_term(name, kind):
+    """c(r(y)) = y + tau(y) on each y = beta^j . V_w . dG[bits], for every
+    sorted factor subset: patterns of three to five factors, which the
+    two-factor random draws of verify_cr never build, included."""
+    p = kr(name, kind)
+    cmap = complexify(p)
+    bz = cmap.target
+    nf = len(p.factors)
+    subsets = [bits for k in range(nf + 1)
+               for bits in itertools.combinations(range(nf), k)]
+    weights = [p.zero_weight] + [w for _, w, _ in p.factors]
+    for bits, j, w in itertools.product(subsets, range(4), weights):
+        y = bz._element({(w, j, bits): 1})
+        tau_y = bz._element(bz._tau_bz(y.terms))
+        assert cmap(p.realify_bz(y)) == y + tau_y, (w, j, bits)
 
 @pytest.mark.parametrize("name,kind", [("SU3", "trivial"), ("SU4", "sigmaH"),
                                        ("SU3xSU3", "trivial")])

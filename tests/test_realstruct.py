@@ -80,8 +80,7 @@ def test_split_examples():
     assert (s.r, s.s, s.t) == (2, 0, 0)
     s = split_fundamentals(su3, Involution(su3, "trivial"))
     assert (s.r, s.s, s.t) == (0, 0, 1)
-    assert s.cplx == ((0, 1),)  # lexicographically smaller member
-    assert s.pairs == (((0, 1), (1, 0)),)
+    assert s.pairs == (((0, 1), (1, 0)),)  # lexicographically smaller first
     su4 = build_root_data("SU4")
     s = split_fundamentals(su4, Involution(su4, "sigmaH"))
     assert s.real == ((0, 1, 0),)

@@ -20,7 +20,7 @@ RECORDS = [
      "RClassIndex(rho=(1, 0), i=1, eps=(1, 0), nu=(0, 1))"),
     (RClassSquareResult, (None, "mu", -1, 2, None), False, None),
     (IrrepClass, ((1, 0), (0, 1), "C", "rule"), True, None),
-    (FundamentalSplit, (((1,),), (), (), ()), True, None),
+    (FundamentalSplit, (((1,),), (), ()), True, None),
     (LaurentForm, (2, {((1, 0), (0,)): 3}), True, None),
     (CheckResult, ("squares[SU2]", "fail", "lhs != rhs", 7, 0.5), False, None),
     (VerificationReport, ("SU2", "trivial", "fast", 7, 50, []), False, None),

@@ -8,7 +8,7 @@ import pytest
 from conftest import GOLDEN, kr
 
 import eqkr
-from eqkr import groups, oracle, realstruct, verifier
+from eqkr import groups, oracle, realstruct, torus, verifier
 from eqkr.groups import build_root_data
 from eqkr.presentation import Presentation, build_bz_presentation
 from eqkr.realstruct import Involution
@@ -76,6 +76,36 @@ def test_weyl_check_fails_on_a_wrong_un_character(monkeypatch, n):
 
     monkeypatch.setattr(groups, "_orbit_character", drop_one_weight)
     assert verify_weyl_denominator(n).status == "fail"
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_weyl_check_fails_on_a_wrong_weighted_restriction(monkeypatch, n):
+    # doubling every weight-decorated restriction leaves the character
+    # product alone and multiplies the weighted product by 2^n
+    restriction = torus.torus_restriction_un
+    monkeypatch.setattr(torus, "torus_restriction_un",
+                        lambda n, k: restriction(n, k) + restriction(n, k))
+    res = verify_weyl_denominator(n)
+    assert res.status == "fail"
+    assert res.witness == (f"weighted product is not the expected unit-adjusted "
+                           f"multiple of the Weyl denominator for U({n})")
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("mutant", ["zero-product", "every-merge-repeats"])
+def test_weyl_check_fails_when_every_form_product_vanishes(monkeypatch, n, mutant):
+    # a form product that is always zero makes the character product and
+    # its target both zero, and so equal, and the weighted product equal
+    # its expected multiple: the nonzero test alone catches it
+    if mutant == "zero-product":
+        monkeypatch.setattr(torus.LaurentForm, "__mul__",
+                            lambda a, b: torus.LaurentForm.zero(a.n))
+    else:
+        sort = torus.koszul_sort
+        monkeypatch.setattr(torus, "koszul_sort",
+                            lambda f, parity=None: None if len(f) > 1 else sort(f, parity))
+    res = verify_weyl_denominator(n)
+    assert res.status == "fail" and res.witness == "character product is zero"
 
 
 def test_negative_controls_fail():
