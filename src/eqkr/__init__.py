@@ -19,8 +19,7 @@ _EXPORTS = {  # submodule -> the names the package exports from it
                "parse_group", "build_root_data", "weyl_dimension", "character",
                "tensor_decompose"),
     "realstruct": ("Involution", "IrrepClass", "FundamentalSplit",
-                   "UnclassifiableError", "classify_type", "fs_rule_type",
-                   "split_fundamentals"),
+                   "UnclassifiableError", "classify_type", "split_fundamentals"),
     "coeffs": ("KCoeff", "KRCoeff", "c_coeff", "r_coeff"),
     "presentation": ("Presentation", "RingElement", "RClassIndex",
                      "PresentationError", "build_bz_presentation",

@@ -167,20 +167,6 @@ class Involution:
 # spec operations
 # ---------------------------------------------------------------------------
 
-def fs_rule_type(rd: RootData, lam) -> str:
-    """Type of a self-dual irreducible under the trivial involution.
-
-    R when <lam, 2 rho^vee> is even, H when odd: the trivial row of the
-    catalog, read through ``Involution.catalog_type``.  Must agree with the
-    matrix oracle wherever both apply (enforced in the test suite and by
-    ``eqkr verify --suite oracle``).
-    """
-    rd.check_dominant(lam)
-    if rd.dual_weight(lam) != lam:
-        raise ValueError(f"weight {lam} is not self-dual")
-    return Involution(rd, "trivial").catalog_type(lam)
-
-
 def classify_type(rd: RootData, inv: Involution, lam) -> IrrepClass:
     """Classify V_lam as R, C or H relative to the involution.
 

@@ -480,7 +480,8 @@ SUITES = ("none", "fast", "all", "weyl", "oracle")
 
 
 class SuiteSpecError(ValueError):
-    """A sensitivity probe given to a suite that reads no presentation."""
+    """A sensitivity probe that cannot act: given to a suite that reads no
+    presentation, or tau-flip on a presentation without complex pairs."""
 
 
 def run_suite(inv: Involution, suite: str, seed: int = DEFAULT_SEED,
@@ -493,7 +494,9 @@ def run_suite(inv: Involution, suite: str, seed: int = DEFAULT_SEED,
     involution) and check ``make_mutant(p, probe)`` if ``probe`` is set.
     The weyl check reads the U(n) rank, the oracle check ``inv``, so
     none, weyl and oracle run on every group and refuse a probe, which
-    could not fail them, with SuiteSpecError.
+    could not fail them, with SuiteSpecError.  fast and all refuse
+    tau-flip so where t = 0: the twisted dual then fixes every weight, so
+    the pair representative that tau-flip replaces is never read.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; pick one of {SUITES}")
@@ -502,6 +505,9 @@ def run_suite(inv: Involution, suite: str, seed: int = DEFAULT_SEED,
     results, n = report.results, _un_rank_of(inv.rd.spec)
     if suite in ("fast", "all"):
         p = build_kr_presentation(inv.rd, inv)
+        if probe == "tau-flip" and not p.split.t:
+            raise SuiteSpecError(f"{inv.rd.spec}/{inv.name} has no complex pair, "
+                                 "so the tau-flip probe cannot act on it")
         if probe is not None:
             p = make_mutant(p, probe)
         results += [verify_squares(p, seed), verify_cr(p, seed),

@@ -1,11 +1,18 @@
-"""Shared helpers of the test suite: the golden corpus and one builder.
+"""Shared helpers of the test suite: the golden corpus, one builder and
+one fresh interpreter.
 
 Test modules import them with ``from conftest import GOLDEN, kr``.
 The fixture ``cold_kernel_caches`` is found by name.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import eqkr
 from eqkr.groups import _KERNEL_CACHES, build_root_data
 from eqkr.presentation import build_kr_presentation
 from eqkr.realstruct import Involution
@@ -13,6 +20,15 @@ from eqkr.realstruct import Involution
 # the five group/involution pairs whose compute bytes perfbench/reference pins
 GOLDEN = [("SU2", "trivial"), ("SU3", "sigmaR"), ("SU4", "sigmaH"),
           ("Sp2", "trivial"), ("SU3", "trivial")]
+
+
+def run_python(*args, env=None, timeout=60):
+    """Run ``python *args`` in a fresh interpreter that imports eqkr from
+    this source tree, with ``env`` added to the environment.  The
+    finished process, its output decoded as UTF-8 text."""
+    env = dict(os.environ, PYTHONPATH=str(Path(eqkr.__file__).parents[1]), **(env or {}))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          encoding="utf-8", timeout=timeout)
 
 
 def kr(name, kind):

@@ -2,18 +2,14 @@ import argparse
 import contextlib
 import io
 import json
-import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
-from conftest import GOLDEN
+from conftest import GOLDEN, run_python
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import eqkr
 from eqkr.cli import _OPTIONS, _parse, main
 from eqkr.groups import SimpleRootData, build_root_data
 from eqkr.presentation import build_bz_presentation, build_kr_presentation
@@ -317,7 +313,8 @@ def test_unknown_probe_exits_two(capsys):
 
 
 @pytest.mark.parametrize("group,involution,status", [
-    ("SU4", "sigmaH", "pass"), ("Sp3", "trivial", "pass"),
+    ("SU4", "sigmaH", "pass"), ("Sp3", "trivial", "pass"), ("SU2", "trivial", "pass"),
+    ("SU4", "trivial", "pass"), ("Sp1", "trivial", "pass"), ("Sp2", "trivial", "pass"),
     ("G2", "trivial", "skipped"), ("Sp1", "sigmaR", "pass"),
     ("Sp2", "sigmaR", "pass"), ("Sp3", "sigmaR", "pass"), ("U3", "sigmaR", "pass"),
     ("SU2xSU2", "trivial,trivial", "skipped"), ("SU3", "trivial", "skipped"),
@@ -342,45 +339,12 @@ def test_verify_oracle_suite_takes_a_negative_seed(tmp_path):
     assert data["seed"] == "-1" and data["passed"] is True
 
 
-@pytest.mark.parametrize("module", ["numpy", "dataclasses", "inspect",
-                                    "fractions", "decimal", "eqkr.oracle",
-                                    "eqkr.torus"])
-def test_cli_starts_without(module):
-    # no module imports numpy; the records are plain slotted classes, so
-    # dataclasses (and the inspect it pulls in) are never needed; the
-    # Cartan data are computed over the integers, and fractions (with
-    # decimal) is imported only by the oracle, when an oracle check runs,
-    # and to word an invariant error; torus is imported only when the weyl
-    # check runs.  A module that the bare interpreter has already loaded is
-    # not counted against eqkr.
-    code = ("import sys; bare = set(sys.modules); import eqkr.cli; "
-            f"sys.exit({module!r} in set(sys.modules) - bare)")
-    env = dict(os.environ, PYTHONPATH=str(Path(eqkr.__file__).parents[1]))
-    res = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, timeout=60)
-    assert res.returncode == 0, res.stderr
-
-
-def test_oracle_suite_loads_no_numpy():
-    # the oracle is exact: a process that decides loads no numpy at all
-    code = ("import sys; from eqkr.cli import main; "
-            "code = main(['verify', '--group', 'SU4', '--involution', 'sigmaH', "
-            "'--suite', 'oracle']); sys.exit(100 * ('numpy' in sys.modules) + code)")
-    env = dict(os.environ, PYTHONPATH=str(Path(eqkr.__file__).parents[1]))
-    res = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, timeout=60)
-    assert res.returncode == 0, res.stderr
-    assert json.loads(res.stdout)["passed"] is True
-
-
 def test_python_dash_m_runs_the_cli(capsys):
     argv = ["verify", "--group", "SU2", "--suite", "fast"]
-    env = dict(os.environ, PYTHONPATH=str(Path(eqkr.__file__).parents[1]))
-    res = subprocess.run([sys.executable, "-m", "eqkr", *argv], env=env,
-                         capture_output=True, timeout=60)
+    res = run_python("-m", "eqkr", *argv)
     assert res.returncode == 0, res.stderr
     assert run(argv) == 0
-    assert res.stdout == capsys.readouterr().out.encode()
+    assert res.stdout == capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", ["compute", "verify"])
@@ -388,27 +352,11 @@ def test_python_dash_m_runs_the_cli(capsys):
 def test_unwritable_out_exits_two(tmp_path, command, target):
     # an --out that cannot be opened is a usage error: one line, no traceback
     out = tmp_path if target == "directory" else tmp_path / "missing" / "p.json"
-    env = dict(os.environ, PYTHONPATH=str(Path(eqkr.__file__).parents[1]))
-    res = subprocess.run([sys.executable, "-m", "eqkr", command, "--group", "SU2",
-                          "--out", str(out)], env=env,
-                         capture_output=True, text=True, timeout=60)
+    res = run_python("-m", "eqkr", command, "--group", "SU2", "--out", str(out))
     assert res.returncode == 2
     assert res.stdout == ""
     assert res.stderr.startswith(f"error: cannot write output file {out}: ")
     assert res.stderr.count("\n") == 1 and "Traceback" not in res.stderr
-
-
-def test_unclassifiable_exit_loads_no_numpy():
-    # U2/trivial has a matrix model but no generator catalog: the
-    # classifier stops at exit 3 without consulting the oracle
-    code = ("import sys; from eqkr.cli import main; "
-            "code = main(['compute', '--group', 'U2', '--involution', "
-            "'trivial']); sys.exit(100 * ('numpy' in sys.modules) + code)")
-    env = dict(os.environ, PYTHONPATH=str(Path(eqkr.__file__).parents[1]))
-    res = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, timeout=60)
-    assert res.returncode == 3, res.stderr
-    assert "not fundamental" in res.stderr
 
 
 def test_a_cli_process_writes_the_whole_report_before_it_exits(tmp_path, capsys):
@@ -416,10 +364,8 @@ def test_a_cli_process_writes_the_whole_report_before_it_exits(tmp_path, capsys)
     out = tmp_path / "bad.json"
     argv = ["verify", "--group", "SU3", "--suite", "fast",
             "--sensitivity-probe", "delta-square"]
-    env = dict(os.environ, PYTHONPATH=str(Path(eqkr.__file__).parents[1]))
-    res = subprocess.run([sys.executable, "-m", "eqkr", *argv, "--out", str(out)],
-                         env=env, capture_output=True, timeout=60)
-    assert (res.returncode, res.stdout, res.stderr) == (5, b"", b"")
+    res = run_python("-m", "eqkr", *argv, "--out", str(out))
+    assert (res.returncode, res.stdout, res.stderr) == (5, "", "")
     assert run(argv) == 5
     assert out.read_text(encoding="utf-8") == capsys.readouterr().out
 
@@ -456,6 +402,39 @@ def test_probe_on_u2_trivial_fast_still_exits_three(probe, capsys):
                 "--sensitivity-probe", probe]) == 3
     out, err = capsys.readouterr()
     assert out == "" and "not fundamental" in err
+
+
+@pytest.mark.parametrize("group,involution,suite", [("SU2", "trivial", "all"),
+                                                    ("SU4", "sigmaH", "fast")])
+def test_tau_flip_without_a_complex_pair_exits_two(group, involution, suite, capsys):
+    # with t = 0 the twisted dual fixes every weight, so no check reads the
+    # pair representative that tau-flip replaces
+    assert run(["verify", "--group", group, "--involution", involution,
+                "--suite", suite, "--sensitivity-probe", "tau-flip"]) == 2
+    assert capsys.readouterr() == ("", f"error: {group}/{involution} has no complex "
+                                   "pair, so the tau-flip probe cannot act on it\n")
+
+
+def test_tau_flip_on_a_complex_pair_exits_five(capsys):
+    assert run(["verify", "--group", "SU3", "--suite", "fast",
+                "--sensitivity-probe", "tau-flip"]) == 5
+    assert json.loads(capsys.readouterr().out)["passed"] is False
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["compute", "--group", "SU3xSU3", "--format", "json"], 0),
+    (["verify", "--group", "SU4", "--involution", "sigmaH", "--suite", "all"], 0),
+    (["verify", "--group", "U3", "--involution", "sigmaR", "--suite", "all"], 0),
+    (["verify", "--group", "SU3", "--sensitivity-probe", "delta-square"], 5),
+], ids=["compute-SU3xSU3", "verify-SU4-sigmaH", "verify-U3-sigmaR", "probe-SU3"])
+def test_outputs_do_not_depend_on_the_hash_seed(argv, code):
+    # str hashes, and so the iteration order of sets of names, follow
+    # PYTHONHASHSEED; no output may
+    first, second = (run_python("-m", "eqkr", *argv, env={"PYTHONHASHSEED": seed})
+                     for seed in ("0", "1"))
+    assert (first.returncode, first.stderr) == (code, "")
+    assert (second.returncode, second.stdout, second.stderr) == \
+        (first.returncode, first.stdout, first.stderr)
 
 
 def test_byte_determinism(tmp_path):

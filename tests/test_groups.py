@@ -1,14 +1,12 @@
 import ast
 import itertools
 import math
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from conftest import run_python
 
 import eqkr
 
@@ -274,14 +272,6 @@ def test_character_sp2_defining_orbit():
     assert ch == {w: 1 for w in rd.orbit((1, 0))}
 
 
-def test_character_weyl_invariance():
-    for name, lam in [("SU3", (2, 1)), ("Sp2", (1, 1)), ("Spin7", (0, 0, 1))]:
-        rd = build_root_data(name)
-        ch = character(rd, lam)
-        for i in range(rd.n_simple()):
-            assert all(ch[rd.reflect_simple(w, i)] == m for w, m in ch.items())
-
-
 # ---------------------------------------------------------------------------
 # tensor products
 # ---------------------------------------------------------------------------
@@ -473,9 +463,7 @@ def test_invariant_error_survives_optimized_mode():
             "except InvariantError:\n"
             "    raise SystemExit(0)\n"
             "raise SystemExit(1)\n")
-    env = dict(os.environ, PYTHONPATH=str(Path(eqkr.__file__).parents[1]))
-    res = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                         capture_output=True, timeout=60)
+    res = run_python("-O", "-c", code)
     assert res.returncode == 0, res.stderr
 
 

@@ -6,12 +6,11 @@ eager form, and a process loads only the layers it runs.
 """
 
 import importlib
-import os
-import subprocess
+import json
 import sys
-from pathlib import Path
 
 import pytest
+from conftest import run_python
 
 import eqkr
 
@@ -20,16 +19,14 @@ ALL = ["CheckResult", "DominanceError", "FundamentalSplit", "GroupSpec",
        "Presentation", "PresentationError", "RClassIndex", "RingElement",
        "UnclassifiableError", "UnsupportedGroupError", "build_bz_presentation",
        "build_kr_presentation", "build_root_data", "c_coeff", "character",
-       "classify_type", "coeffs", "complexify", "delta_lift", "fs_rule_type",
-       "groups", "parse_group", "poincare_table", "presentation", "r_coeff",
+       "classify_type", "coeffs", "complexify", "delta_lift", "groups",
+       "parse_group", "poincare_table", "presentation", "r_coeff",
        "rclass_square", "realstruct", "run_suite", "split_fundamentals",
        "tensor_decompose", "torus", "torus_restriction_un", "verifier",
        "verify_cr", "verify_leibniz", "verify_module_iso", "verify_oracle",
        "verify_squares", "verify_weyl_denominator", "weyl_denominator_product",
        "weyl_dimension"]
 SUBMODULES = {"coeffs", "groups", "presentation", "realstruct", "torus", "verifier"}
-# what the oracle cross-check has no use for
-ENGINE = {"eqkr.presentation", "eqkr.verifier", "eqkr.torus", "eqkr.coeffs", "random"}
 
 
 def test_all_names_are_unchanged():
@@ -68,8 +65,8 @@ def test_star_import_binds_every_export():
 
 
 def _loaded(code):
-    """The modules a fresh interpreter imports while running ``code``, in the
-    order it starts importing them.
+    """Run ``code`` in a fresh ``-S`` interpreter: the finished process, and
+    the modules it imported, in the order it started importing them.
 
     ``-S`` keeps site hooks from preloading modules (some .pth files
     import random); a module the bare interpreter has loaded anyway is not
@@ -79,58 +76,70 @@ def _loaded(code):
               "    find_spec=lambda name, *args: order.append(name)))\n"
               "atexit.register(lambda: print(*[m for m in order if m in sys.modules]))\n"
               + code)
-    env = dict(os.environ, PYTHONPATH=str(Path(eqkr.__file__).parents[1]))
-    res = subprocess.run([sys.executable, "-S", "-c", script], env=env,
-                         capture_output=True, text=True, timeout=60)
-    assert res.returncode == 0, res.stderr
-    return res.stdout.split()
+    res = run_python("-S", "-c", script)
+    return res, res.stdout.split()
 
 
-@pytest.mark.parametrize("module", ["eqkr.oracle", "eqkr.groups"])
-def test_oracle_and_groups_load_no_engine(module):
-    loaded = set(_loaded(f"import {module}"))
-    assert module in loaded
-    assert loaded & ENGINE == set()
+# What each CLI process loads of eqkr, in order.  cli.py imports presentation
+# first: without bytecode caches its compile is where a CLI process peaks in
+# memory, and the less is loaded by then the lower the peak.
+CLI = ("eqkr", "eqkr.cli", "eqkr.presentation", "eqkr._record", "eqkr.coeffs",
+       "eqkr.groups", "eqkr.realstruct", "eqkr.serialize", "eqkr.verifier")
+# No process loads numpy (the oracle is exact), dataclasses or inspect (the
+# records are plain slotted classes), or argparse and its gettext (the CLI
+# parses argv from its own option table).  fractions and decimal are
+# loaded only by the oracle, and to word an invariant error.
+NEVER = {"numpy", "dataclasses", "inspect", "argparse", "gettext"}
+ORACLE_ONLY = {"fractions", "decimal"}
+
+# entry point (an import, or the argv of one CLI run), its exit code, the
+# eqkr modules it loads in load order, and the other modules it must not load
+FOOTPRINTS = [
+    # the oracle cross-check has no use for the engine
+    ("import eqkr.groups", 0, ("eqkr", "eqkr.groups", "eqkr._record"), {"random", *ORACLE_ONLY}),
+    ("import eqkr.oracle", 0, ("eqkr", "eqkr.oracle", "eqkr.groups", "eqkr._record"),
+     {"random"}),
+    ("import eqkr.cli", 0, CLI, ORACLE_ONLY),
+    (["compute", "--group", "SU3"], 0, CLI, ORACLE_ONLY),
+    # U2/trivial has a matrix model but no generator catalog: the classifier
+    # stops at exit 3 without consulting the oracle
+    (["compute", "--group", "U2"], 3, CLI, ORACLE_ONLY),
+    # only the weyl check loads torus
+    (["verify", "--group", "SU3", "--suite", "all"], 0, CLI, ORACLE_ONLY),
+    (["verify", "--group", "U2", "--suite", "weyl"], 0, (*CLI, "eqkr.torus"), ORACLE_ONLY),
+    (["verify", "--group", "SU4", "--involution", "sigmaH", "--suite", "oracle"], 0,
+     (*CLI, "eqkr.oracle"), set()),
+]
 
 
-def test_the_cli_compiles_presentation_first():
-    # cli.py imports presentation first: without bytecode caches its compile
-    # is where a CLI process peaks in memory, and the less is loaded by then
-    # the lower the peak
-    eqkr_modules = [m for m in _loaded("import eqkr.cli") if m.startswith("eqkr")]
-    assert eqkr_modules[:3] == ["eqkr", "eqkr.cli", "eqkr.presentation"]
-
-
-@pytest.mark.parametrize("group, suite, loads_torus", [
-    ("SU3", "all", False), ("U2", "weyl", True)])
-def test_only_the_weyl_check_loads_torus(tmp_path, group, suite, loads_torus):
-    out = tmp_path / "report.json"
-    loaded = _loaded("from eqkr.cli import main\n"
-                     f"sys.exit(main(['verify', '--group', {group!r}, '--suite', "
-                     f"{suite!r}, '--out', {str(out)!r}]))")
-    assert ("eqkr.torus" in loaded) is loads_torus
-
-
-@pytest.mark.parametrize("argv", [
-    ["compute", "--group", "SU3"],
-    ["verify", "--group", "SU2", "--suite", "all"]])
-def test_the_cli_loads_no_argparse(tmp_path, argv):
-    # the CLI parses argv from its own option table; argparse (and the
-    # gettext it loads) would cost every process their import
+@pytest.mark.parametrize("entry, code, eqkr_order, absent", FOOTPRINTS, ids=[
+    "import-eqkr.groups", "import-eqkr.oracle", "import-eqkr.cli", "compute-SU3",
+    "compute-U2", "verify-SU3-all", "verify-U2-weyl", "verify-SU4-sigmaH-oracle"])
+def test_each_entry_point_loads_only_its_layers(tmp_path, entry, code, eqkr_order, absent):
     out = tmp_path / "out.json"
-    loaded = _loaded("from eqkr.cli import main\n"
-                     f"sys.exit(main({[*argv, '--out', str(out)]!r}))")
-    assert out.stat().st_size > 0
-    assert {"argparse", "gettext"}.isdisjoint(loaded)
+    if isinstance(entry, str):
+        res, loaded = _loaded(entry)
+    else:
+        argv = [*entry, "--out", str(out)]
+        res, loaded = _loaded(f"from eqkr.cli import main\nsys.exit(main({argv!r}))")
+    assert res.returncode == code, res.stderr
+    assert tuple(m for m in loaded if m.startswith("eqkr")) == eqkr_order
+    assert (NEVER | absent).isdisjoint(loaded)
+    if code:
+        assert "not fundamental" in res.stderr and not out.exists()
+        return
+    assert res.stderr == ""
+    if entry[0] == "compute":
+        assert json.loads(out.read_text(encoding="utf-8"))["generators"]
+    elif entry[0] == "verify":
+        assert json.loads(out.read_text(encoding="utf-8"))["passed"] is True
 
 
 def _new_exit_callbacks(code):
     """How many atexit callbacks a fresh interpreter registers running code."""
     script = ("import atexit\nbefore = atexit._ncallbacks()\n" + code
               + "\nprint(atexit._ncallbacks() - before)")
-    env = dict(os.environ, PYTHONPATH=str(Path(eqkr.__file__).parents[1]))
-    res = subprocess.run([sys.executable, "-S", "-c", script], env=env,
-                         capture_output=True, text=True, timeout=60)
+    res = run_python("-S", "-c", script)
     assert res.returncode == 0, res.stderr
     return int(res.stdout)
 

@@ -28,7 +28,13 @@ from eqkr.presentation import (
     rclass_square,
 )
 from eqkr.realstruct import Involution
-from eqkr.verifier import odd_monomials, verify_cr, verify_leibniz, verify_squares
+from eqkr.verifier import (
+    enumerate_rclasses,
+    odd_monomials,
+    verify_cr,
+    verify_leibniz,
+    verify_squares,
+)
 
 # ---------------------------------------------------------------------------
 # Brylinski-Zhang side
@@ -53,6 +59,10 @@ def test_k_su2_total_rank_two():
 
 def test_bz_product_rules():
     bz = build_bz_presentation(build_root_data("SU3"))
+    # the exterior algebra on two generators: plain monomials of sizes
+    # 0, 1, 1, 2, none zero through the engine
+    assert [len(bits) for bits in plain_monomials(bz)] == [0, 1, 1, 2]
+    assert not any(e.is_zero() for e in plain_monomial_elements(bz))
     d1, d2 = bz.gen_element(0), bz.gen_element(1)
     assert (d1 * d1).is_zero()
     assert d1 * d2 == -(d2 * d1)
@@ -73,10 +83,11 @@ def test_omega_form_golden_cases():
     }
     for (name, kind), degs in expected.items():
         p = kr(name, kind)
-        assert p.omega_form
+        assert p.omega_form and p.split.t == 0
         assert sorted(g.degree for g in p.gens) == sorted(degs)
         assert len(p.gens) == len(p.rd.fundamental_weights())
         for g in p.gens:
+            assert g.degree == (1 if p.classify(g.payload).type == "R" else -3)
             assert (p.gen_element(g.index) * p.gen_element(g.index)).is_zero()
 
 
@@ -156,6 +167,13 @@ def test_rclass_square_cases_su3():
     # bare realifications are coefficient arithmetic
     with pytest.raises(PresentationError):
         rclass_square(p, RClassIndex((1, 0), 1, (0,), (0,)))
+    # the degree decides the case, on every enumerated index
+    cases = {-1: "eta2", -5: "eta2", -2: "mu", -6: "mu",
+             -3: "zero", 1: "zero", 0: "two", -4: "two"}
+    got = {idx: rclass_square(p, idx).case for idx in enumerate_rclasses(p, 20)
+           if idx.factor_count}
+    assert got == {idx: cases[idx.degree()] for idx in got}
+    assert {"eta2", "zero"} <= set(got.values())
 
 
 def test_rclass_square_mu_case_su5():
@@ -318,7 +336,9 @@ def test_delta_lift_examples():
     bz = build_bz_presentation(su2)
     assert delta_lift(bz, {(0,): 1}).is_zero()  # d(trivial) = 0
     lhs = delta_lift(bz, {(2,): 1})
+    # d(V (x) V) = 2 V dV = d(V_2) + d(1), and the lift is linear
     assert lhs == bz.bz_weight((1,)) * bz.dg_element(0) * 2
+    assert lhs == delta_lift(bz, {(2,): 1, (0,): -1}) + delta_lift(bz, {(0,): 1})
     su3 = build_root_data("SU3")
     bz3 = build_bz_presentation(su3, inv=Involution(su3, "trivial"))
     da = delta_lift(bz3, {(1, 0): 1}, twist="abar")

@@ -10,7 +10,6 @@ from eqkr.realstruct import (
     IrrepClass,
     UnclassifiableError,
     classify_type,
-    fs_rule_type,
     split_fundamentals,
 )
 
@@ -40,7 +39,10 @@ def test_twisted_dual_is_involutive():
 def test_classify_examples():
     su2 = build_root_data("SU2")
     triv = Involution(su2, "trivial")
-    assert classify_type(su2, triv, (1,)).type == "H"
+    assert [classify_type(su2, triv, (n,)).type for n in range(6)] == ["R", "H"] * 3
+    sp2 = build_root_data("Sp2")
+    assert [classify_type(sp2, Involution(sp2, "trivial"), w).type
+            for w in [(1, 0), (0, 1)]] == ["H", "R"]
     su3 = build_root_data("SU3")
     assert classify_type(su3, Involution(su3, "trivial"), (1, 0)).type == "C"
     for k, w in enumerate(su3.fundamental_weights()):
@@ -59,19 +61,6 @@ def test_classify_respects_twisted_dual_symmetry():
         mate = classify_type(su3, inv, cls.twisted_dual)
         assert cls.type == mate.type
         assert (cls.type == "C") == (cls.twisted_dual != tuple(lam))
-
-
-def test_fs_rule_examples():
-    su2 = build_root_data("SU2")
-    for n in range(6):
-        expect = "R" if n % 2 == 0 else "H"
-        assert fs_rule_type(su2, (n,)) == expect
-    sp2 = build_root_data("Sp2")
-    assert fs_rule_type(sp2, (1, 0)) == "H"
-    assert fs_rule_type(sp2, (0, 1)) == "R"
-    su3 = build_root_data("SU3")
-    with pytest.raises(ValueError):
-        fs_rule_type(su3, (1, 0))  # not self-dual
 
 
 def test_split_examples():
@@ -134,7 +123,7 @@ def test_custom_diagram_permutation_refusals(perm, message):
 
 
 def test_sigma_r_types_every_family_real():
-    for name in ("Sp1", "Sp3", "Spin7", "Spin8", "Spin10", "G2", "F4", "E6", "E7", "E8"):
+    for name in ("SU2", "SU3", "SU4", "SU5", "Sp1", "Sp3", "Spin7", "Spin8", "Spin10", "G2", "F4", "E6", "E7", "E8"):
         rd = build_root_data(name)
         inv = Involution(rd, "sigmaR")
         for w in rd.fundamental_weights():

@@ -1,16 +1,12 @@
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
-from conftest import GOLDEN, kr
+from conftest import GOLDEN, kr, run_python
 
-import eqkr
-from eqkr import groups, oracle, realstruct, torus, verifier
+from eqkr import groups, oracle, presentation, realstruct, torus, verifier
+from eqkr.coeffs import KCoeff, KRCoeff
 from eqkr.groups import build_root_data
-from eqkr.presentation import Presentation, build_bz_presentation
+from eqkr.presentation import ComplexificationMap, Presentation, build_bz_presentation
 from eqkr.realstruct import Involution
 from eqkr.verifier import (
     CheckResult,
@@ -39,7 +35,10 @@ def test_cr_pass_on_golden(name, kind):
 
 @pytest.mark.parametrize("name,kind", GOLDEN)
 def test_leibniz_pass_on_golden(name, kind):
-    assert verify_leibniz(kr(name, kind), 10).passed
+    p = kr(name, kind)
+    # 10 is the bound the suites run; 15 adds SU4's adjoint and SU3's four
+    # irreducibles of dimension 15 to the sweep
+    assert verify_leibniz(p, 10).passed and verify_leibniz(p, 15).passed
 
 
 @pytest.mark.parametrize("name,kind", GOLDEN)
@@ -176,6 +175,88 @@ def test_rclass_squares_catch_a_dropped_bott_sign(monkeypatch):
     assert "(two case) has -2*lam[1].lam[2], expected 2" in res.witness
 
 
+def _drop_a_kr_constituent(monkeypatch, p):
+    # only the KR side's tensor products, not those of its complexification
+    tensor = p.tensor
+
+    def dropped(a, b):
+        out = dict(tensor(a, b))
+        if len(out) > 1:
+            del out[min(out)]
+        return out
+    monkeypatch.setattr(p, "tensor", dropped)
+
+
+def _unsigned_koszul_sort(monkeypatch, p):
+    # odd generators commute: each still squares to zero, sums do not
+    sort = presentation.koszul_sort
+
+    def unsigned(factors, parity=None):
+        merged = sort(factors, parity)
+        return None if merged is None else (merged[0], 0)
+    monkeypatch.setattr(presentation, "koszul_sort", unsigned)
+
+
+def _c_of_eta_is_c_of_one(monkeypatch, p):
+    c_unit = Presentation._c_unit
+    monkeypatch.setattr(Presentation, "_c_unit", lambda self, t: c_unit(
+        self, (t[0], "1", *t[2:]) if t[1] == "eta" else t))
+
+
+def _eta_times_mu_is_eta(monkeypatch, p):
+    mul = KRCoeff.__mul__
+    monkeypatch.setattr(KRCoeff, "__mul__", lambda a, b: mul(a, b) if isinstance(b, int)
+                        else mul(a, b) + KRCoeff(eta=a.eta * b.mu))
+
+
+def _complexification_doubled(monkeypatch, p):
+    call = ComplexificationMap.__call__
+    monkeypatch.setattr(ComplexificationMap, "__call__", lambda c, e: call(c, e) + call(c, e))
+
+
+def _upper_rclasses_doubled(monkeypatch, p):
+    element = p.rclass_element
+    monkeypatch.setattr(p, "rclass_element", lambda idx: element(idx) * (1 + (idx.i >= 2)))
+
+
+def _r_beta3_is_eta2(monkeypatch, p):
+    pattern = presentation.r_pattern
+    monkeypatch.setattr(presentation, "r_pattern", lambda i: (
+        KRCoeff.basis("eta2") if i % 4 == 3 else pattern(i)))
+
+
+# each failure return of squares, cr and rclass-squares that no other test
+# reaches, with one engine fault that reaches it first: (check, group,
+# involution, fault, witness prefix)
+FAILURE_RETURNS = [
+    (verify_squares, "SU3", "sigmaR", _unsigned_koszul_sort,
+     "degree 1 element (seed 20240801, trial 0) has nonzero square: x = "),
+    (verify_cr, "SU3", "trivial", lambda mp, p: mp.setattr(KCoeff, "conj", lambda b: b),
+     "c(r(beta^1)) != beta^1 + conj"),
+    (verify_cr, "SU3", "trivial", _eta_times_mu_is_eta,
+     "projection formula fails on (eta, beta^2)"),
+    (verify_cr, "SU3", "trivial", _complexification_doubled, "c(r(y)) != y + tau(y) for y = "),
+    (verify_cr, "Sp2", "trivial", _drop_a_kr_constituent,
+     "projection formula fails on trial 0 (seed 20240801)"),
+    (verify_cr, "SU3", "trivial", _c_of_eta_is_c_of_one,
+     "r.eta != 0 for RClassIndex(rho=None, i=0, eps=(1,), nu=(0,))"),
+    (verify_cr, "SU3", "trivial", _upper_rclasses_doubled,
+     "r.mu != 2 r_(i+2) for RClassIndex(rho=None, i=0, eps=(1,), nu=(0,))"),
+    (verify_rclass_squares, "SU3", "trivial", _r_beta3_is_eta2,
+     "square of RClassIndex(rho=None, i=1, eps=(1,), nu=(0,)) should vanish, got "),
+]
+
+
+@pytest.mark.parametrize("check,group,kind,fault,witness", FAILURE_RETURNS,
+                         ids=["squares-random", "cr-beta", "cr-projection", "cr-element",
+                              "cr-element-projection", "cr-eta", "cr-mu", "rclass-zero"])
+def test_each_failure_return_is_reached(monkeypatch, check, group, kind, fault, witness):
+    p = kr(group, kind)
+    fault(monkeypatch, p)
+    res = check(p)
+    assert res.status == "fail" and res.witness.startswith(witness)
+
+
 def test_leibniz_catches_a_dropped_klimyk_constituent():
     # a fresh interpreter, so no warm cache can hide the faulty kernel
     code = ("import sys, eqkr.groups as g; from eqkr.cli import main\n"
@@ -187,9 +268,7 @@ def test_leibniz_catches_a_dropped_klimyk_constituent():
             "    return out\n"
             "g._klimyk = dropped\n"
             "sys.exit(main(['verify', '--group', 'SU3xSU3', '--suite', 'all']))\n")
-    env = dict(os.environ, PYTHONPATH=str(Path(eqkr.__file__).parents[1]))
-    res = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, timeout=120)
+    res = run_python("-c", code, timeout=120)
     assert res.returncode == 5, res.stderr
     failed = [r["name"].split("[")[0] for r in json.loads(res.stdout)["results"]
               if r["status"] == "fail"]
