@@ -2,9 +2,10 @@
 one fresh interpreter.
 
 Test modules import them with ``from conftest import GOLDEN, kr``.
-The fixture ``cold_kernel_caches`` is found by name.
+The fixtures ``cold_kernel_caches`` and ``footprint`` are found by name.
 """
 
+import functools
 import os
 import subprocess
 import sys
@@ -29,6 +30,32 @@ def run_python(*args, env=None, timeout=60):
     env = dict(os.environ, PYTHONPATH=str(Path(eqkr.__file__).parents[1]), **(env or {}))
     return subprocess.run([sys.executable, *args], env=env, capture_output=True,
                           encoding="utf-8", timeout=timeout)
+
+
+@pytest.fixture(scope="session")
+def footprint(tmp_path_factory):
+    """Run an entry point in a fresh ``-S`` interpreter, once per session:
+    ``footprint("import eqkr.cli")``, or ``footprint(argv)`` for one CLI run
+    with a tuple ``argv`` and an ``--out`` file added.  The finished process,
+    the modules it imported in the order it started importing them, and the
+    ``--out`` path.
+
+    ``-S`` keeps site hooks from preloading modules (some .pth files
+    import random); a module the bare interpreter has loaded anyway is not
+    looked up again, so it is not counted against eqkr."""
+    @functools.cache
+    def run(entry):
+        out = tmp_path_factory.mktemp("entry") / "out.json"
+        if not isinstance(entry, str):
+            entry = f"from eqkr.cli import main\nsys.exit(main({[*entry, '--out', str(out)]!r}))"
+        script = ("import atexit, sys, types; order = []\n"
+                  "sys.meta_path.insert(0, types.SimpleNamespace(\n"
+                  "    find_spec=lambda name, *args: order.append(name)))\n"
+                  "atexit.register(lambda: print(*[m for m in order if m in sys.modules]))\n"
+                  + entry)
+        res = run_python("-S", "-c", script)
+        return res, res.stdout.split(), out
+    return run
 
 
 def kr(name, kind):

@@ -339,6 +339,20 @@ def test_verify_oracle_suite_takes_a_negative_seed(tmp_path):
     assert data["seed"] == "-1" and data["passed"] is True
 
 
+@pytest.mark.parametrize("module", ["numpy", "dataclasses", "inspect",
+                                    "fractions", "decimal", "eqkr.oracle",
+                                    "eqkr.torus"])
+def test_cli_starts_without(footprint, module):
+    # no module imports numpy; the records are plain slotted classes, so
+    # dataclasses (and the inspect it pulls in) are never needed; the
+    # Cartan data are computed over the integers, and fractions (with
+    # decimal) is imported only by the oracle, when an oracle check runs,
+    # and to word an invariant error; torus is imported only when the weyl
+    # check runs
+    _, loaded, _ = footprint("import eqkr.cli")
+    assert module not in loaded
+
+
 def test_python_dash_m_runs_the_cli(capsys):
     argv = ["verify", "--group", "SU2", "--suite", "fast"]
     res = run_python("-m", "eqkr", *argv)

@@ -272,6 +272,14 @@ def test_character_sp2_defining_orbit():
     assert ch == {w: 1 for w in rd.orbit((1, 0))}
 
 
+def test_character_weyl_invariance():
+    for name, lam in [("SU3", (2, 1)), ("Sp2", (1, 1)), ("Spin7", (0, 0, 1))]:
+        rd = build_root_data(name)
+        ch = character(rd, lam)
+        for i in range(rd.n_simple()):
+            assert all(ch[rd.reflect_simple(w, i)] == m for w, m in ch.items())
+
+
 # ---------------------------------------------------------------------------
 # tensor products
 # ---------------------------------------------------------------------------

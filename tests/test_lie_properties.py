@@ -10,7 +10,7 @@ coroot pairings.
 
 from functools import lru_cache
 
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from eqkr.groups import (
     _dominant_multiplicities,
@@ -60,9 +60,6 @@ def test_orbit_sum_of_multiplicities_is_weyl_dimension(case):
 
 
 @given(group_and_weight(GROUPS))
-@example(("SU3", (2, 1)))
-@example(("Sp2", (1, 1)))
-@example(("Spin7", (0, 0, 1)))
 @settings(max_examples=60, deadline=None)
 def test_character_is_weyl_invariant(case):
     name, lam = case

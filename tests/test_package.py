@@ -64,25 +64,8 @@ def test_star_import_binds_every_export():
     assert set(namespace) - {"__builtins__"} == set(ALL)
 
 
-def _loaded(code):
-    """Run ``code`` in a fresh ``-S`` interpreter: the finished process, and
-    the modules it imported, in the order it started importing them.
-
-    ``-S`` keeps site hooks from preloading modules (some .pth files
-    import random); a module the bare interpreter has loaded anyway is not
-    looked up again, so it is not counted against eqkr."""
-    script = ("import atexit, sys, types; order = []\n"
-              "sys.meta_path.insert(0, types.SimpleNamespace(\n"
-              "    find_spec=lambda name, *args: order.append(name)))\n"
-              "atexit.register(lambda: print(*[m for m in order if m in sys.modules]))\n"
-              + code)
-    res = run_python("-S", "-c", script)
-    return res, res.stdout.split()
-
-
-# What each CLI process loads of eqkr, in order.  cli.py imports presentation
-# first: without bytecode caches its compile is where a CLI process peaks in
-# memory, and the less is loaded by then the lower the peak.
+# What each CLI process loads of eqkr, in order (presentation first, see
+# test_the_cli_compiles_presentation_first).
 CLI = ("eqkr", "eqkr.cli", "eqkr.presentation", "eqkr._record", "eqkr.coeffs",
        "eqkr.groups", "eqkr.realstruct", "eqkr.serialize", "eqkr.verifier")
 # No process loads numpy (the oracle is exact), dataclasses or inspect (the
@@ -93,21 +76,22 @@ NEVER = {"numpy", "dataclasses", "inspect", "argparse", "gettext"}
 ORACLE_ONLY = {"fractions", "decimal"}
 
 # entry point (an import, or the argv of one CLI run), its exit code, the
-# eqkr modules it loads in load order, and the other modules it must not load
+# eqkr modules it loads in load order, and the other modules it must not load;
+# the tests after the table read the same runs
 FOOTPRINTS = [
     # the oracle cross-check has no use for the engine
     ("import eqkr.groups", 0, ("eqkr", "eqkr.groups", "eqkr._record"), {"random", *ORACLE_ONLY}),
     ("import eqkr.oracle", 0, ("eqkr", "eqkr.oracle", "eqkr.groups", "eqkr._record"),
      {"random"}),
     ("import eqkr.cli", 0, CLI, ORACLE_ONLY),
-    (["compute", "--group", "SU3"], 0, CLI, ORACLE_ONLY),
+    (("compute", "--group", "SU3"), 0, CLI, ORACLE_ONLY),
     # U2/trivial has a matrix model but no generator catalog: the classifier
     # stops at exit 3 without consulting the oracle
-    (["compute", "--group", "U2"], 3, CLI, ORACLE_ONLY),
+    (("compute", "--group", "U2"), 3, CLI, ORACLE_ONLY),
     # only the weyl check loads torus
-    (["verify", "--group", "SU3", "--suite", "all"], 0, CLI, ORACLE_ONLY),
-    (["verify", "--group", "U2", "--suite", "weyl"], 0, (*CLI, "eqkr.torus"), ORACLE_ONLY),
-    (["verify", "--group", "SU4", "--involution", "sigmaH", "--suite", "oracle"], 0,
+    (("verify", "--group", "SU3", "--suite", "all"), 0, CLI, ORACLE_ONLY),
+    (("verify", "--group", "U2", "--suite", "weyl"), 0, (*CLI, "eqkr.torus"), ORACLE_ONLY),
+    (("verify", "--group", "SU4", "--involution", "sigmaH", "--suite", "oracle"), 0,
      (*CLI, "eqkr.oracle"), set()),
 ]
 
@@ -115,13 +99,8 @@ FOOTPRINTS = [
 @pytest.mark.parametrize("entry, code, eqkr_order, absent", FOOTPRINTS, ids=[
     "import-eqkr.groups", "import-eqkr.oracle", "import-eqkr.cli", "compute-SU3",
     "compute-U2", "verify-SU3-all", "verify-U2-weyl", "verify-SU4-sigmaH-oracle"])
-def test_each_entry_point_loads_only_its_layers(tmp_path, entry, code, eqkr_order, absent):
-    out = tmp_path / "out.json"
-    if isinstance(entry, str):
-        res, loaded = _loaded(entry)
-    else:
-        argv = [*entry, "--out", str(out)]
-        res, loaded = _loaded(f"from eqkr.cli import main\nsys.exit(main({argv!r}))")
+def test_each_entry_point_loads_only_its_layers(footprint, entry, code, eqkr_order, absent):
+    res, loaded, out = footprint(entry)
     assert res.returncode == code, res.stderr
     assert tuple(m for m in loaded if m.startswith("eqkr")) == eqkr_order
     assert (NEVER | absent).isdisjoint(loaded)
@@ -133,6 +112,33 @@ def test_each_entry_point_loads_only_its_layers(tmp_path, entry, code, eqkr_orde
         assert json.loads(out.read_text(encoding="utf-8"))["generators"]
     elif entry[0] == "verify":
         assert json.loads(out.read_text(encoding="utf-8"))["passed"] is True
+
+
+def test_the_cli_compiles_presentation_first(footprint):
+    # cli.py imports presentation first: without bytecode caches its compile
+    # is where a CLI process peaks in memory, and the less is loaded by then
+    # the lower the peak
+    _, loaded, _ = footprint("import eqkr.cli")
+    eqkr_modules = [m for m in loaded if m.startswith("eqkr")]
+    assert eqkr_modules[:3] == ["eqkr", "eqkr.cli", "eqkr.presentation"]
+
+
+@pytest.mark.parametrize("group, suite, loads_torus", [
+    ("SU3", "all", False), ("U2", "weyl", True)])
+def test_only_the_weyl_check_loads_torus(footprint, group, suite, loads_torus):
+    _, loaded, _ = footprint(("verify", "--group", group, "--suite", suite))
+    assert ("eqkr.torus" in loaded) is loads_torus
+
+
+@pytest.mark.parametrize("argv", [
+    ("compute", "--group", "SU3"),
+    ("verify", "--group", "SU3", "--suite", "all")])
+def test_the_cli_loads_no_argparse(footprint, argv):
+    # the CLI parses argv from its own option table; argparse (and the
+    # gettext it loads) would cost every process their import
+    _, loaded, out = footprint(argv)
+    assert out.stat().st_size > 0
+    assert {"argparse", "gettext"}.isdisjoint(loaded)
 
 
 def _new_exit_callbacks(code):
