@@ -814,17 +814,15 @@ class Presentation:
 # builders
 # ---------------------------------------------------------------------------
 
-def build_bz_presentation(rd: RootData,
-                          inv: Involution | None = None) -> Presentation:
+def build_bz_presentation(rd: RootData) -> Presentation:
     """K*_G(G) as an exterior algebra over R(G), or K*(G) when augmented.
 
     One odd generator dG[f] per fundamental representation; squares
     are zero and coefficients multiply by exact tensor decomposition.
-    ``inv`` defaults to the trivial involution.
+    The involution is the trivial one; under another involution the
+    ring is ``complexify(p).target`` on the KR factor table of p.
     """
-    if inv is None:
-        inv = Involution(rd, "trivial")
-    return Presentation(rd, inv, None, "BZ",
+    return Presentation(rd, Involution(rd, "trivial"), None, "BZ",
                         [("phi", w, -1) for w in rd.fundamental_weights()])
 
 
@@ -927,7 +925,7 @@ def rclass_square(p: Presentation, idx: RClassIndex) -> RClassSquareResult:
     return RClassSquareResult(sq, case, sign, transpositions, probe)
 
 
-def delta_lift(p: Presentation, poly, twist: str | None = None) -> RingElement:
+def delta_lift(p: Presentation, poly) -> RingElement:
     """Extend the derivation to a polynomial in the fundamentals.
 
     ``poly`` maps exponent tuples, one slot per fundamental in
@@ -938,29 +936,11 @@ def delta_lift(p: Presentation, poly, twist: str | None = None) -> RingElement:
     Leibniz gives d(prod f^a) = sum_i a_i f^{a-e_i} df_i, each cofactor
     expanded exactly into the weight basis; the derivative of each
     monomial is computed once per presentation.
-
-    ``twist`` (K-theory only): None; "sigmabar", the derivation of
-    sigmabar* poly (the twisted dual permutes the fundamentals); or
-    "abar", the pullback along the anti-involution, which is tau o
-    delta: the presentation's twisted conjugation applied to the
-    derivation of poly.  The law d(abar* rho) = -d(sigmabar* rho) thus
-    compares tau with delta o sigmabar*.
     """
     n = len(p._fund_factor)
     if any(len(exp) != n for exp in poly):
         raise PresentationError(
             f"exponent tuples must have one slot per fundamental ({n})")
-    if twist is not None and p.kind == "KR":
-        raise PresentationError(
-            "twisted arguments apply to the K-theory derivation")
-    if twist == "abar":
-        return p._element(p._tau_bz(delta_lift(p, poly).terms))
-    if twist == "sigmabar":
-        ff = p._fund_factor
-        perm = [ff.index(p._tau_factor(fi)) for fi in ff]
-        poly = {tuple(exp[k] for k in perm): c for exp, c in poly.items()}
-    elif twist is not None:
-        raise PresentationError(f"unknown twist {twist!r}")
     table = p._derivation_table
     out = {}
     for exp, c in poly.items():

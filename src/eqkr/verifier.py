@@ -17,12 +17,11 @@ from operator import add
 
 from ._record import Record
 from .coeffs import KR_BASIS, KCoeff, KRCoeff, c_coeff, r_coeff
-from .groups import GroupSpec, UnsupportedGroupError, dominant_weights_up_to_dim
+from .groups import UnsupportedGroupError, dominant_weights_up_to_dim
 from .presentation import (
     Presentation,
     RClassIndex,
     as_fundamental_polynomial,
-    build_bz_presentation,
     build_kr_presentation,
     canon_degree,
     classified_irreps,
@@ -138,13 +137,16 @@ def verify_leibniz(p: Presentation, bound: int = 15,
     same element on both sides, for every pair of two instance sets: in
     K*_G(G), the irreducibles of dimension <= bound (with a U(n) factor,
     the trivial one and the fundamentals); in KR*_G(G^-) with t = 0, the
-    ring of Grothendieck differentials, the R/H fundamentals.  On every
-    complex pair the pullback rewrite d(abar* gamma) = -d(sigmabar*
-    gamma) holds, which compares the engine's tau (the abar twist of
-    delta_lift is tau o delta) with delta o sigmabar*.
+    ring of Grothendieck differentials, the R/H fundamentals.  The
+    K*_G(G) side is ``complexify(p).target`` on a KR presentation, on the
+    one catalog that realification reads, and p itself otherwise.  On
+    every complex pair the pullback rewrite d(abar* gamma) = -d(sigmabar*
+    gamma) holds: abar* is the engine's tau applied to d(gamma), sigmabar*
+    the involution's permutation of the fundamentals, so the two sides
+    share no factor map.
     """
     def run():
-        bz = build_bz_presentation(p.rd, inv=p.inv)
+        bz = complexify(p).target if p.kind == "KR" else p
         try:
             weights = dominant_weights_up_to_dim(p.rd, bound)
         except UnsupportedGroupError:
@@ -178,10 +180,13 @@ def verify_leibniz(p: Presentation, bound: int = 15,
                     return (f"derivation disagrees on {a} x {b}: "
                             f"lhs {lhs!r}, rhs {rhs!r}")
         if p.split is not None:
-            for rep, other in p.split.pairs:
+            funds = p.rd.fundamental_weights()
+            perm = [funds.index(p.inv.twisted_dual_weight(w)) for w in funds]
+            for rep, _ in p.split.pairs:
                 rep_poly = as_fundamental_polynomial(p.rd, rep)
-                da = delta_lift(bz, rep_poly, twist="abar")
-                ds = delta_lift(bz, rep_poly, twist="sigmabar")
+                da = bz._element(bz._tau_bz(delta_lift(bz, rep_poly).terms))
+                ds = delta_lift(bz, {tuple(exp[k] for k in perm): c
+                                     for exp, c in rep_poly.items()})
                 if da != -ds:
                     return (f"pullback rewrite fails on pair {rep}: "
                             f"d(abar*) = {da!r}, -d(sigmabar*) = {(-ds)!r}")
@@ -492,17 +497,19 @@ def run_suite(inv: Involution, suite: str, seed: int = DEFAULT_SEED,
     fast and all alone build the KR presentation of ``inv``
     (UnclassifiableError where none exists, as on U(n) with the trivial
     involution) and check ``make_mutant(p, probe)`` if ``probe`` is set.
-    The weyl check reads the U(n) rank, the oracle check ``inv``, so
-    none, weyl and oracle run on every group and refuse a probe, which
-    could not fail them, with SuiteSpecError.  fast and all refuse
-    tau-flip so where t = 0: the twisted dual then fixes every weight, so
-    the pair representative that tau-flip replaces is never read.
+    The weyl check runs once per distinct U(n) rank n <= 4 of the spec,
+    the oracle check reads ``inv``, so none, weyl and oracle run on every
+    group and refuse a probe, which could not fail them, with
+    SuiteSpecError.  fast and all refuse tau-flip so where t = 0: the
+    twisted dual then fixes every weight, so the pair representative that
+    tau-flip replaces is never read.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; pick one of {SUITES}")
     report = VerificationReport(str(inv.rd.spec), inv.name, suite, seed,
                                 truncation)
-    results, n = report.results, _un_rank_of(inv.rd.spec)
+    results = report.results
+    ranks = sorted({n for fam, n in inv.rd.spec.factors if fam == "U"})
     if suite in ("fast", "all"):
         p = build_kr_presentation(inv.rd, inv)
         if probe == "tau-flip" and not p.split.t:
@@ -514,22 +521,18 @@ def run_suite(inv: Involution, suite: str, seed: int = DEFAULT_SEED,
                     verify_leibniz(p, 10, seed)]
         if p.split.t:
             results.append(verify_rclass_squares(p, seed))
-        if suite == "all" and n is None:
+        if suite == "all" and not ranks:
             results.append(verify_module_iso(p, truncation, seed))
     elif probe is not None:
         raise SuiteSpecError(f"suite {suite} reads no presentation, so the "
                              f"{probe} probe cannot act on it")
     if suite == "oracle":
         results.append(verify_oracle(inv, seed))
-    if suite in ("all", "weyl") and n is not None and n <= 4:
-        results.append(verify_weyl_denominator(n, seed))
-    elif suite == "weyl":
+    if suite in ("all", "weyl"):
+        results += [verify_weyl_denominator(n, seed) for n in ranks if n <= 4]
+    if suite == "weyl" and not results:
         results.append(CheckResult("weyl-denominator", "skipped",
                                    "no U(n) factor with n <= 4", seed))
     results.sort(key=lambda r: r.name)
     return report
 
-
-def _un_rank_of(spec: GroupSpec):
-    """The rank of the first U(n) factor of a group spec, or None."""
-    return next((n for fam, n in spec.factors if fam == "U"), None)

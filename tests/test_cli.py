@@ -276,6 +276,17 @@ def test_a_usage_error_exits_two_with_one_error_line(argv):
     assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
 
 
+@pytest.mark.parametrize("argv,line", [
+    ([], "error: missing command: compute or verify"),
+    (["frobnicate"], "error: unknown command 'frobnicate': choose compute or verify"),
+    (["compute", "--help=x"], "error: --help takes no value"),
+])
+def test_a_command_usage_error_names_its_fault(argv, line):
+    # the cases the malformed-argv strategy never draws
+    assert _read_with(_reference_parse, argv)[0] == 2
+    assert _read_with(_parse, argv) == (2, line + "\n")
+
+
 def _public_options(command):
     """{option: (default, choices)} of each option the reference parser's
     help lists for command, or for either command when None."""

@@ -7,7 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from eqkr.coeffs import KRCoeff
-from eqkr.groups import build_root_data
+from eqkr.groups import build_root_data, dominant_weights_up_to_dim
 from eqkr.presentation import (
     PresentationError,
     RClassIndex,
@@ -339,36 +339,37 @@ def test_delta_lift_examples():
     # d(V (x) V) = 2 V dV = d(V_2) + d(1), and the lift is linear
     assert lhs == bz.bz_weight((1,)) * bz.dg_element(0) * 2
     assert lhs == delta_lift(bz, {(2,): 1, (0,): -1}) + delta_lift(bz, {(0,): 1})
-    su3 = build_root_data("SU3")
-    bz3 = build_bz_presentation(su3, inv=Involution(su3, "trivial"))
-    da = delta_lift(bz3, {(1, 0): 1}, twist="abar")
-    ds = delta_lift(bz3, {(1, 0): 1}, twist="sigmabar")
-    assert da == -ds
 
 
 def test_tau_swaps_the_fundamentals_of_a_complex_pair():
-    su3 = build_root_data("SU3")
-    bz = build_bz_presentation(su3, inv=Involution(su3, "trivial"))
+    bz = build_bz_presentation(build_root_data("SU3"))
     # tau(dG[f]) = -dG[f*], and (1, 0)* = (0, 1) under the trivial involution
     tau_d = bz._element(bz._tau_bz(bz.dg_element(0).terms))
     assert tau_d == -bz.dg_element(1)
 
 
-def test_delta_lift_twists_without_an_involution():
-    bz = build_bz_presentation(build_root_data("SU3"))
-    for lam in [(1, 0), (0, 1), (1, 1), (2, 0)]:
-        poly = as_fundamental_polynomial(bz.rd, lam)
-        assert delta_lift(bz, poly, twist="abar") == \
-            -delta_lift(bz, poly, twist="sigmabar")
+@pytest.mark.parametrize("name,kind", [("SU3", "trivial"), ("SU4", "trivial"),
+                                       ("SU3xSU3", ("trivial", "sigmaR"))],
+                         ids=["SU3", "SU4", "SU3xSU3-trivial,sigmaR"])
+def test_tau_of_a_derivation_is_minus_the_derivation_of_the_dual(name, kind):
+    # d(abar* V_lam) = -d(V_lam*): tau after the derivation against the
+    # derivation of the twisted dual weight's own polynomial, on the
+    # complexification target's catalog
+    p = kr(name, kind)
+    bz = complexify(p).target
+    for lam in dominant_weights_up_to_dim(p.rd, 15):
+        d = delta_lift(bz, as_fundamental_polynomial(p.rd, lam))
+        da = bz._element(bz._tau_bz(d.terms))
+        dual = as_fundamental_polynomial(p.rd, p.inv.twisted_dual_weight(lam))
+        assert da == -delta_lift(bz, dual), lam
 
 
-def test_delta_lift_twists_need_fundamental_duals():
+def test_tau_needs_fundamental_duals():
     # the dual of a U(2) fundamental is no fundamental: the presentation
-    # builds, and a twist raises once it reaches that factor
+    # builds, and tau raises once it reaches that factor
     bz = build_bz_presentation(build_root_data("U2"))
-    for twist in ("sigmabar", "abar"):
-        with pytest.raises(PresentationError, match="is not fundamental"):
-            delta_lift(bz, {(1, 0): 1}, twist=twist)
+    with pytest.raises(PresentationError, match="is not fundamental"):
+        bz._tau_bz(delta_lift(bz, {(1, 0): 1}).terms)
 
 
 def test_delta_lift_un_laurent():
@@ -731,11 +732,8 @@ def test_term_labels():
     (lambda p, bz: bz.realify_bz(bz.one()), "lands in a KR presentation"),
     (lambda p, bz: p.realify_bz(bz.one()), "different catalog"),
     (lambda p, bz: complexify(bz), "maps a KR presentation"),
-    (lambda p, bz: delta_lift(p, {(1, 0): 1}, twist="abar"), "K-theory derivation"),
-    (lambda p, bz: delta_lift(bz, {(1, 0): 1}, twist="bogus"), "unknown twist 'bogus'"),
 ], ids=["scalar", "class", "dg", "bz-weight", "rclass-kind", "rclass-length",
-        "rclass-rho", "realify-kind", "realify-catalog", "complexify", "twist-kr",
-        "twist-name"])
+        "rclass-rho", "realify-kind", "realify-catalog", "complexify"])
 def test_inputs_of_the_wrong_kind_are_refused(call, message):
     p, bz = kr("SU3", "trivial"), build_bz_presentation(build_root_data("SU3"))
     with pytest.raises(PresentationError, match=message):

@@ -143,6 +143,14 @@ def test_leibniz_catches_a_dropped_tau_sign(monkeypatch):
     assert res.status == "fail" and "pullback rewrite" in res.witness
 
 
+def test_leibniz_catches_a_tau_that_fixes_every_factor(monkeypatch):
+    # abar* reads tau's factor map, sigmabar* the involution's action on the
+    # fundamentals: a wrong factor map breaks the rewrite, not the sweep
+    monkeypatch.setattr(Presentation, "_tau_factor", lambda self, fi: fi)
+    res = verify_leibniz(kr("SU3", "trivial"), 10)
+    assert res.status == "fail" and "pullback rewrite" in res.witness
+
+
 @pytest.mark.parametrize("group,kind,lifts,polys", [
     ("SU2xSU2", ("trivial", "sigmaR"), 519, 134),
     ("SU3xSU3", "trivial", 314, 122),
@@ -281,11 +289,10 @@ def test_unknown_mutant_kind_is_refused():
 
 
 def test_cr_on_a_k_theory_presentation_checks_the_coefficients_only():
-    rd = build_root_data("SU3")
-    # the bare build defaults to the trivial involution
-    for bz in (build_bz_presentation(rd, Involution(rd, "trivial")), build_bz_presentation(rd)):
-        res = verify_cr(bz)
-        assert res.passed and res.name == "cr[SU3/trivial]"
+    # K*_G(G) is built under the trivial involution
+    bz = build_bz_presentation(build_root_data("SU3"))
+    res = verify_cr(bz)
+    assert res.passed and res.name == "cr[SU3/trivial]"
     res = verify_leibniz(bz, 15)
     assert res.passed and res.name == "leibniz[SU3/trivial;dim<=15]"
 
@@ -399,3 +406,14 @@ def test_un_suite_runs_weyl_only():
     # the oracle check needs no presentation either
     rep = run_suite(u2, "oracle")
     assert [(r.name, r.status) for r in rep.results] == [("oracle[U2/trivial]", "skipped")]
+
+
+@pytest.mark.parametrize("group,checked", [
+    ("U5xU2", ["weyl-denominator[U(2)]"]),
+    ("U2xU3", ["weyl-denominator[U(2)]", "weyl-denominator[U(3)]"]),
+])
+def test_weyl_suite_checks_every_unitary_factor(group, checked):
+    # one check per distinct rank n <= 4, whichever factor comes first
+    inv = Involution(build_root_data(group), ("sigmaR", "sigmaR"))
+    rep = run_suite(inv, "weyl")
+    assert [(r.name, r.status) for r in rep.results] == [(n, "pass") for n in checked]
