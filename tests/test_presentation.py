@@ -249,6 +249,7 @@ def test_koszul_sort_all_odd_is_bubble_sort(seq):
 
 @given(st.lists(st.integers(0, 9), max_size=8),
        st.lists(st.integers(0, 1), min_size=10, max_size=10))
+@example([1, 0], [1] * 10)  # distinct odd entries out of order: one swap
 def test_koszul_sort_parity_weighted_is_bubble_sort(seq, parities):
     parity = parities.__getitem__
     assert koszul_sort(seq, parity) == _bubble_sort_swaps(seq, parity)
