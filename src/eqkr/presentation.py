@@ -1,38 +1,35 @@
-"""Generators-and-relations presentations of KR*_G(G^-) and K*_G(G).
+"""Generators-and-relations presentations of KR*_G(G^-), K*_G(G) and K*(G).
 
-Two presentation kinds share one element wrapper:
+Each is an exterior algebra of Grothendieck differentials over a
+coefficient ring, so one Presentation core serves all three and asks a
+ring object for what differs: RepRing, R(G) (with Z[beta]/(beta^4-1)),
+for K*_G(G) on one odd generator dG[f] per fundamental f; RankRing, Z
+through the rank, for K*(G); AssemblyRing, KR_G(pt), for KR*_G(G^-),
+whose normal-form term is
 
-  * kind "BZ": K*_G(G) as the exterior algebra over R(G) (tensored
-    with Z[beta]/(beta^4-1)) on one odd generator dG[f] per fundamental
-    representation f; kind "K" is its augmentation to K*(G).
+    coeff . (weight, class) . plain-monomial . r-slot
 
-  * kind "KR": KR*_G(G^-).  A normal-form term is
+where (weight, class) is an atom of the assembly (weight
+self-twisted-dual, class one of 1, eta, eta^2, mu), the plain monomial is
+a square-free product of the generators dR[phi] (degree 1), dH[theta]
+(degree -3), lam[k] (degree 0), and the r-slot is a realified class
 
-        coeff . (weight, class) . plain-monomial . r-slot
+    r( beta^i . rho . prod dG[gamma_k]^eps_k . prod dG[abar gamma_k]^nu_k )
 
-    where (weight, class) is an atom of the equivariant coefficient
-    assembly (weight self-twisted-dual, class one of 1, eta, eta^2,
-    mu), the plain monomial is a square-free product of the generators
-    dR[phi] (degree 1), dH[theta] (degree -3), lam[k] (degree 0), and
-    the r-slot is a realified class
+with rho trivial or the lexicographically smaller member of a complex
+pair, i mod 4 (periodicity), eps_k nu_k never both set, and the
+redundancy r(x) = r(tau x) canonicalized.  tau is the twisted
+conjugation: beta -> -beta, weights -> twisted dual, dG[f] -> -dG[f*].
 
-        r( beta^i . rho . prod dG[gamma_k]^eps_k . prod dG[abar gamma_k]^nu_k )
-
-    with rho trivial or the lexicographically smaller member of a
-    complex pair, i mod 4 (periodicity), eps_k nu_k never both set,
-    and the redundancy r(x) = r(tau x) canonicalized.  tau is the
-    twisted conjugation: beta -> -beta, weights -> twisted dual,
-    dG[f] -> -dG[f*].
-
-    The complexification c of a term has one routine,
-    Presentation._c_image, and the product of two terms has two cases:
-    without an r-slot it is type bookkeeping on the coefficient atoms;
-    with one it is the projection formula r(x) . y = r(x . c(y)),
-    which realizes the whole relation table: generator squares vanish,
-    eta kills realified classes, mu doubles them and shifts i by 2,
-    realified squares reduce by degree mod 8 to eta^2/mu/zero/two
-    multiples of realified rho sigmabar*rho times lam monomials, and
-    graded commutativity holds with computed signs.
+The complexification c of a term has one routine,
+Presentation._c_image, and the product of two assembly terms has two
+cases: without an r-slot it is type bookkeeping on the coefficient
+atoms; with one it is the projection formula r(x) . y = r(x . c(y)),
+which realizes the whole relation table: generator squares vanish, eta
+kills realified classes, mu doubles them and shifts i by 2, realified
+squares reduce by degree mod 8 to eta^2/mu/zero/two multiples of
+realified rho sigmabar*rho times lam monomials, and graded
+commutativity holds with computed signs.
 """
 
 from __future__ import annotations
@@ -75,6 +72,10 @@ GEN_DEGREE = {"dR": 1, "dH": -3, "lam": 0, "dG": -1}
 GEN_PARITY = {"dR": 1, "dH": 1, "lam": 0, "dG": 1}
 
 
+def _csv(xs):
+    return ",".join(map(str, xs))
+
+
 class Generator(FrozenRecord):
     """A generator: ``kind`` is dR | dH | lam | dG, ``payload`` its
     highest weight (for lam: the pair representative), ``index`` its
@@ -95,10 +96,9 @@ class Generator(FrozenRecord):
         return GEN_PARITY[self.kind]
 
     def label(self):
-        w = ",".join(str(x) for x in self.payload)
         if self.kind == "lam":
             return f"lam[{self.pair + 1}]"
-        return f"{self.kind}[{w}]"
+        return f"{self.kind}[{_csv(self.payload)}]"
 
 
 class RClassIndex(FrozenRecord):
@@ -144,13 +144,13 @@ class RClassIndex(FrozenRecord):
 
 class RingElement:
     """A finite sum of (coefficient, normal-form term) pairs, normalised
-    on construction (Presentation._normalize_terms)."""
+    on construction by the presentation's ring."""
 
     __slots__ = ("p", "terms")
 
     def __init__(self, p, terms):
         self.p = p
-        self.terms = p._normalize_terms(terms)
+        self.terms = p.ring.normalize(p, terms)
 
     def __bool__(self):
         return bool(self.terms)
@@ -186,16 +186,12 @@ class RingElement:
     __rmul__ = __mul__  # reached only from a left operand that is no RingElement
 
     def degrees(self):
-        """The sorted degrees of the terms of a KR element."""
+        """The sorted degrees of the terms."""
         return sorted({self.p.term_degree(t) for t in self.terms})
 
     def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for t, c in sorted(self.terms.items(), key=lambda kv: repr(kv[0])):
-            bits.append(f"{c}*{self.p.term_label(t)}")
-        return " + ".join(bits)
+        terms = sorted(self.terms.items(), key=lambda kv: repr(kv[0]))
+        return " + ".join(f"{c}*{self.p.term_label(t)}" for t, c in terms) or "0"
 
 
 def koszul_sort(factors, parity=None):
@@ -203,8 +199,7 @@ def koszul_sort(factors, parity=None):
     odd entries that sorts them), so the Koszul sign is (-1) ** count;
     None when an entry repeats.  ``parity`` maps an entry to 0 or 1; every
     entry is odd without it."""
-    out = []
-    count = 0
+    out, count = [], 0
     for x in factors:
         pos = len(out)
         while pos and out[pos - 1] > x:
@@ -219,90 +214,326 @@ def koszul_sort(factors, parity=None):
     return tuple(out), count
 
 
+def _label(w, parts):
+    """A term label: V[w] unless w is trivial, then the parts; 1 if empty."""
+    return ".".join(([f"V[{_csv(w)}]"] if any(w) else []) + parts) or "1"
+
+
+def _degree_table():
+    return {canon_degree(-q): [0, 0] for q in range(8)}
+
+
+# ---------------------------------------------------------------------------
+# coefficient rings
+# ---------------------------------------------------------------------------
+
+class RepRing:
+    """R(G).  A term is (w, j, bits): beta^j . V_w . the dG-monomial on the
+    sorted factor indices ``bits``.  A ring holds the generator catalog,
+    the term shape (``monomial``, ``label``, ``degree``), ``normalize``,
+    the unit product, the derivation cofactor, the coefficient ``tag``,
+    the Omega-form flag and the module table; its methods take the
+    presentation whose memo tables they read."""
+
+    tag = "R(G)"
+    complexification = None  # the ring c maps into; None: no realified classes
+
+    def generators(self, factors):
+        return [Generator("dG", w, fi) for fi, (_, w, _) in enumerate(factors)]
+
+    def omega_form(self, split):
+        return False
+
+    def monomial(self, p, gis):
+        return (p.zero_weight, 0, gis)
+
+    def label(self, p, t):
+        w, j, bits = t
+        return _label(w, ([f"b^{j}"] if j else [])
+                      + [f"dG[{_csv(p.factors[b][1])}]" for b in bits])
+
+    def degree(self, p, t):
+        return canon_degree(-2 * t[1] - len(t[2]))
+
+    def normalize(self, p, terms):
+        return {t: c for t, c in terms.items() if c}
+
+    def mul_unit(self, p, t1, t2):
+        """Brauer-Klimyk on the weights, Koszul signs on the dG factors."""
+        w1, j1, b1 = t1
+        w2, j2, b2 = t2
+        merged = koszul_sort(b1 + b2)
+        if merged is None:
+            return {}
+        bits, count = merged
+        sign, j = (-1) ** count, (j1 + j2) % 4
+        return {(w, j, bits): sign * m for w, m in p.tensor(w1, w2).items()}
+
+    def derivation(self, p, expansion, cof, i):
+        """f^cof . df_i, the cofactor expanded into irreducibles."""
+        bits = (p._fund_factor[i],)
+        return {(w, 0, bits): m for w, m in expansion.items()}
+
+    def poincare(self, p, bound):
+        table = _degree_table()
+        n = len(p.gens)
+        for k in range(n + 1):
+            for j in range(4):
+                table[canon_degree(-2 * j - k)][0] += comb(n, k)
+        return table
+
+
+class RankRing(RepRing):
+    """Z through the rank: the coefficients of K*(G).  Normalisation sends
+    a weight to its rank at the zero weight, so R(G)'s product and
+    derivation push forward unchanged and every constructor agrees with
+    the augmentation of K*_G(G)."""
+
+    tag = "Z"
+
+    def normalize(self, p, terms):
+        zero, out = p.zero_weight, {}
+        for (w, j, bits), c in terms.items():
+            if w != zero:
+                c *= weyl_dimension(p.rd, w)
+            out[zero, j, bits] = out.get((zero, j, bits), 0) + c
+        return {t: c for t, c in out.items() if c}
+
+
+REP_RING = RepRing()
+RANK_RING = RankRing()
+
+
+class AssemblyRing:
+    """KR_G(pt)'s assembly.  A term is (cw, cls, plain, rslot), rslot None
+    or (rho, i, eps, nu) with eps/nu as sorted pair indices; torsion
+    classes reduce mod 2."""
+
+    tag = "KRG-assembly"
+    complexification = REP_RING
+    _GEN_KIND = {"phi": "dR", "theta": "dH", "u": "lam"}
+
+    def generators(self, factors):
+        # the table lists its pairs last, so lam[k] follows dR/dH
+        return [Generator(self._GEN_KIND[role], w, gi, pair) for gi, (role, w, pair)
+                in enumerate(f for f in factors if f[0] != "v")]
+
+    def omega_form(self, split):
+        return split.t == 0
+
+    def monomial(self, p, gis):
+        return (p.zero_weight, "1", gis, None)
+
+    def label(self, p, t):
+        cw, cls, plain, rslot = t
+        parts = [] if cls == "1" else [cls]
+        parts += [p.gens[gi].label() for gi in plain]
+        if rslot is not None:
+            rho, i, eps, nu = rslot
+            parts.append(f"r[{'1' if rho is None else _csv(rho)};{i};"
+                         f"{_csv(eps) or '-'};{_csv(nu) or '-'}]")
+        return _label(cw, parts)
+
+    def degree(self, p, t):
+        cw, cls, plain, rslot = t
+        d = KR_DEGREE[cls] - 4 * p._h_type(cw) + sum(p.gens[gi].degree for gi in plain)
+        if rslot is not None:
+            d -= 2 * rslot[1] + len(rslot[2]) + len(rslot[3])
+        return canon_degree(d)
+
+    def normalize(self, p, terms):
+        out = {}
+        for t, c in terms.items():
+            if t[1] in KR_TORSION:
+                c %= 2
+            if c:
+                out[t] = c
+        return out
+
+    def mul_unit(self, p, t1, t2):
+        """Type bookkeeping without an r-slot, the projection formula with
+        one."""
+        cw1, cls1, p1, s1 = t1
+        cw2, cls2, p2, s2 = t2
+        if s1 is None and s2 is None:
+            merged = koszul_sort(p1 + p2, p._gen_parity)
+            if merged is None:
+                return {}
+            plain, count = merged
+            # the class of V_cw1 (x) V_cw2, scaled by cls1 . cls2
+            parity = (p._h_type(cw1) + p._h_type(cw2)) % 2
+            kr = KRCoeff.basis(cls1) * KRCoeff.basis(cls2)
+            if kr.is_zero():
+                return {}
+            return self._rep_class(p, p.tensor(cw1, cw2), parity, kr, plain,
+                                   (-1) ** count)
+        # a.p.r(x) . y = p . r(c(a) . x . c(y)), with the slot term in
+        # front: y . t = (-1)^(|y| |t|) t . y
+        own, other, sign = t1, t2, 1
+        if s1 is None:
+            own, other = t2, t1
+            sign = (-1) ** (self.degree(p, t1) * self.degree(p, t2) % 2)
+        cw, cls, plain, slot = own
+        x, xsign = p._slot_to_bz(slot)
+        arg = p._bz_mul_dicts(p._c_image((cw, cls, (), None)), {x: xsign})
+        arg = p._bz_mul_dicts(arg, p._c_image(other))
+        out = {}
+        self._add_times_plain(p, out, plain, p._realify(arg), sign)
+        return out
+
+    def derivation(self, p, expansion, cof, i):
+        """f^cof . df_i: the class of the cofactor (real or quaternionic by
+        the parity of its H-type exponents) times dR or dH[f_i]."""
+        gen_of = [p._gen_by_factor.get(fi) for fi in p._fund_factor]
+        if gen_of[i] is None or any(a and g is None
+                                    for a, g in zip(cof, gen_of)):
+            raise PresentationError(
+                "the KR derivation takes exponents on R/H fundamentals only")
+        parity = sum(a for a, g in zip(cof, gen_of)
+                     if a and p.gens[g].kind == "dH") % 2
+        return self._rep_class(p, expansion, parity, KRCoeff.basis("1"),
+                               (gen_of[i],))
+
+    def _rep_class(self, p, decomp, parity, kr, plain, coeff=1):
+        """coeff . kr times the class of a real (parity 0) or quaternionic
+        (parity 1) representation, given as highest weight ->
+        multiplicity, times the plain monomial ``plain``.
+
+        R/H constituents are assembly atoms; a complex pair rho +
+        sigmabar*rho of multiplicity m is m . r(beta^(2 . parity) rho),
+        and kr . r(y) = r(c(kr) . y).
+        """
+        out, pairs, pair_mults = {}, {}, {}
+        for nu_w, m in decomp.items():
+            t = p.classify(nu_w).type
+            if t == TYPE_C:
+                rep = p.pair_rep(nu_w)
+                slot = pair_mults.setdefault(rep, [0, 0])
+                slot[0 if nu_w == rep else 1] += m
+                continue
+            if (t == TYPE_H) == (parity == 1):
+                base, mult = "1", m
+            else:
+                if m % 2:
+                    raise PresentationError(
+                        f"odd multiplicity {m} of {t}-type {nu_w} in a "
+                        f"parity-{parity} class: type bookkeeping violated")
+                base, mult = "mu", m // 2
+            for name, val in (KRCoeff.basis(base) * kr).as_dict().items():
+                if val:
+                    out[nu_w, name, plain, None] = coeff * mult * val
+        ck = c_coeff(kr).c
+        for rep, (ma, mb) in pair_mults.items():
+            if ma != mb:
+                raise PresentationError(f"unbalanced complex pair {rep}")
+            for i, a in enumerate(ck):
+                if a:
+                    pairs[(rep, (2 * parity + i) % 4, ())] = ma * a
+        self._add_times_plain(p, out, plain, p._realify(pairs), coeff)
+        return out
+
+    def _add_times_plain(self, p, out, plain, terms, coeff):
+        """Accumulate coeff . plain . t into out for each KR term t."""
+        for (tw, tcls, tplain, tslot), c in terms.items():
+            merged = koszul_sort(plain + tplain, p._gen_parity)
+            if merged is None:
+                continue
+            nplain, count = merged
+            if self._lam_kills(p, nplain, tslot):
+                continue
+            key = (tw, tcls, nplain, tslot)
+            out[key] = out.get(key, 0) + coeff * c * (-1) ** count
+
+    def _lam_kills(self, p, plain, slot):
+        """lam_k in the plain monomial times a slot using pair k vanishes."""
+        if slot is None:
+            return False
+        used = set(slot[2]) | set(slot[3])
+        return any(p.gens[gi].pair in used for gi in plain)
+
+    def poincare(self, p, bound):
+        table = _degree_table()
+        reals, quats, pairs = classified_irreps(p, bound)
+        t = p.split.t
+        trivial_rho = [p.rclass_element(idx) for idx in rclass_indices(t)
+                       if idx.factor_count]
+        pieces = []  # (number of irreducibles of the kind, basis factors)
+        for classes in (reals, quats):
+            if classes:
+                w = max(cls.weight for cls in classes)
+                pieces.append((len(classes),
+                               [p.class_element(w, name) for name in KR_BASIS]
+                               + [r * p.class_element(w) for r in trivial_rho]))
+        if pairs:
+            cls = pairs[0]
+            pieces.append((len(pairs), [p.rclass_element(idx)
+                                        for rho in (cls.weight, cls.twisted_dual)
+                                        for idx in rclass_indices(t, rho)]))
+        monomials = plain_monomial_elements(p)
+        for count, factors in pieces:
+            terms = set()
+            for m in monomials:
+                for f in factors:
+                    terms.update((m * f).terms)
+            for term in terms:
+                table[self.degree(p, term)][int(term[1] in KR_TORSION)] += count
+        return table
+
+
+ASSEMBLY_RING = AssemblyRing()
+
+
 class Presentation:
-    """A built presentation: generators, relation table, coefficient tag.
+    """A built presentation: the factor table, its generators and the
+    coefficient ``ring``.
 
     The factor table ``factors`` lists one (role, weight, pair) per
     fundamental: role phi/theta for an R/H fundamental, u/v for the
     representative and the twisted dual of complex pair ``pair``.  It is
-    the one catalog: the generators follow from it (dG[f] per factor on
-    BZ/K; on KR dR/dH per phi/theta factor, then lam[k] per pair), and
-    realification and complexification read it.
-
-    Term tuples:  KR: (cw, cls, plain, rslot) with rslot = None or
-    (rho, i, eps, nu);  BZ/K: (w, j, bits).  Immutable once built, apart
-    from memo tables that fill as it is used; the element operations are
-    pure.  ``_c_image`` is the one complexification of a KR term,
-    ``_realify`` the one realification of a BZ term dict, and
-    ``_mul_kr_unit`` multiplies two KR terms in two cases: no r-slot
-    (type bookkeeping) or a slot (the projection formula).  Every sign
-    from reordering odd factors, in a product, under tau or in a slot,
-    comes from the one routine ``koszul_sort``.  Each
-    presentation memoises its own term arithmetic at unit coefficient:
-    ``_mul_table`` maps an ordered pair of terms of the presentation's
-    own kind (KR, or BZ/K) to their product, ``_realify_table`` maps
-    (w, j, bits, allow_flip) to the realification of that BZ term and
-    ``_c_table`` maps a KR term to its complexification; ``_weight_tau``
-    maps a weight to its twisted dual; ``_derivation_table`` maps the
-    exponent tuple of a monomial f^a to the terms of its derivative
-    sum_i a_i f^(a - e_i) . df_i.  Table entries are shared, so read
-    only.  A mutant or an augmented copy is a new presentation, built
-    from the same factor table, and starts with empty tables.
+    the one catalog: the ring reads the generators off it, and
+    realification and complexification, the changes of ring between the
+    assembly and R(G), read it.  Every sign from reordering odd factors
+    comes from ``koszul_sort``, every product of terms from the one entry
+    ``_mul_unit``.  Immutable once built, apart from seven memo tables
+    that fill as it is used (at unit coefficient; entries are shared, so
+    read only).  A mutant or a copy over another ring is a new
+    presentation, built from the same factor table, with empty tables.
     """
 
-    def __init__(self, rd: RootData, inv, split, kind: str, factors):
-        self.rd = rd
-        self.inv = inv
-        self.split = split
-        self.kind = kind  # "KR" | "BZ" | "K"
+    def __init__(self, rd: RootData, inv, split, ring, factors):
+        self.rd, self.inv, self.split, self.ring = rd, inv, split, ring
         self.factors = tuple(factors)   # (role, weight, pair) in order
         self.zero_weight = rd.zero()
-        self._classify_cache = {}
-        self._tensor_cache = {}
-        self._mul_table = {}
-        self._realify_table = {}
-        self._c_table = {}
-        self._weight_tau = {}
+        self.omega_form = ring.omega_form(split)
+        self._classify_cache, self._tensor_cache, self._weight_tau = {}, {}, {}
+        self._mul_table, self._realify_table, self._c_table = {}, {}, {}
         self._derivation_table = {}
-        # one pass derives the generators; the KR table lists its pairs
-        # last, so lam[k], taken at the u factor of pair k, follows dR/dH
-        gens = []
-        self._gen_by_factor, self._factor_by_gen = {}, {}
-        self._lam_gen, self._pair_factors = {}, {}
-        for fi, (role, w, pair) in enumerate(self.factors):
-            if role in ("u", "v"):
-                self._pair_factors[pair, role] = fi
-            gi = len(gens)
-            if kind != "KR":
-                gens.append(Generator("dG", w, gi))
-            elif role in ("phi", "theta"):
-                gens.append(Generator("dR" if role == "phi" else "dH", w, gi))
-                self._gen_by_factor[fi] = gi
-                self._factor_by_gen[gi] = fi
-            elif role == "u":
-                gens.append(Generator("lam", w, gi, pair))
-                self._lam_gen[pair] = gi
-        self.gens = tuple(gens)
+        self.gens = tuple(ring.generators(self.factors))
+        factor_of = {w: fi for fi, (_, w, _) in enumerate(self.factors)}
+        self._pair_factors = {(pair, role): fi for fi, (role, _, pair)
+                              in enumerate(self.factors) if role in ("u", "v")}
+        # an odd generator is the differential of its factor; lam[k] is even
+        self._gen_by_factor = {factor_of[g.payload]: g.index
+                               for g in self.gens if g.parity}
+        self._lam_gen = {g.pair: g.index for g in self.gens if not g.parity}
+        self._gen_parity = tuple(g.parity for g in self.gens).__getitem__
+        self._factor_by_gen = {gi: fi for fi, gi in self._gen_by_factor.items()}
         # tau on factors: dG[f] -> -dG[f*]; None where f* is no factor
         # (U(n) under the trivial involution), an error only once it is used
-        factor_of = {w: fi for fi, (_, w, _) in enumerate(self.factors)}
         self._factor_tau = tuple(factor_of.get(self._tau_weight(w))
                                  for _, w, _ in self.factors)
         # the factor of each fundamental, in rd.fundamental_weights() order
         self._fund_factor = tuple(factor_of.get(w)
                                   for w in rd.fundamental_weights())
 
-    @property
-    def omega_form(self):
-        return self.kind == "KR" and self.split is not None and self.split.t == 0
-
-    @property
-    def coefficient_tag(self):
-        return {"KR": "KRG-assembly", "BZ": "R(G)", "K": "Z"}[self.kind]
-
     def _check_same(self, other):
         if not isinstance(other, RingElement) or other.p is not self:
             raise PresentationError("operands belong to different presentations")
+
+    def _real(self, real, message):
+        """Refuse a KR-only (``real``) or K-theory-only operation elsewhere."""
+        if (self.ring.complexification is None) == real:
+            raise PresentationError(message)
 
     def _element(self, terms):
         return RingElement(self, terms)
@@ -314,8 +545,7 @@ class Presentation:
         w = tuple(w)
         cached = self._classify_cache.get(w)
         if cached is None:
-            cached = classify_type(self.rd, self.inv, w)
-            self._classify_cache[w] = cached
+            cached = self._classify_cache[w] = classify_type(self.rd, self.inv, w)
         return cached
 
     def _h_type(self, cw):
@@ -340,95 +570,51 @@ class Presentation:
         key = (a, b) if a <= b else (b, a)
         out = self._tensor_cache.get(key)
         if out is None:
-            out = tensor_decompose(self.rd, key[0], key[1])
-            self._tensor_cache[key] = out
+            out = self._tensor_cache[key] = tensor_decompose(self.rd, key[0], key[1])
         return out
 
-    # -- degrees ---------------------------------------------------------------
     def term_degree(self, t):
-        """Degree of a KR term."""
-        cw, cls, plain, rslot = t
-        d = KR_DEGREE[cls]
-        if self._h_type(cw):
-            d -= 4
-        for gi in plain:
-            d += self.gens[gi].degree
-        if rslot is not None:
-            _, i, eps, nu = rslot
-            d -= 2 * i + len(eps) + len(nu)
-        return canon_degree(d)
+        return self.ring.degree(self, t)
 
     def term_label(self, t):
-        if self.kind in ("BZ", "K"):
-            w, j, bits = t
-            parts = []
-            if any(w):
-                parts.append("V[" + ",".join(map(str, w)) + "]")
-            if j:
-                parts.append(f"b^{j}")
-            parts.extend(f"dG[{','.join(map(str, self.factors[b][1]))}]"
-                         for b in bits)
-            return ".".join(parts) or "1"
-        cw, cls, plain, rslot = t
-        parts = []
-        if any(cw):
-            parts.append("V[" + ",".join(map(str, cw)) + "]")
-        if cls != "1":
-            parts.append(cls)
-        parts.extend(self.gens[gi].label() for gi in plain)
-        if rslot is not None:
-            rho, i, eps, nu = rslot
-            rr = "1" if rho is None else ",".join(map(str, rho))
-            parts.append(f"r[{rr};{i};{','.join(map(str, eps)) or '-'};"
-                         f"{','.join(map(str, nu)) or '-'}]")
-        return ".".join(parts) or "1"
+        return self.ring.label(self, t)
 
     # -- element constructors ----------------------------------------------------
     def one(self):
-        if self.kind in ("BZ", "K"):
-            return self._element({(self.zero_weight, 0, ()): 1})
-        return self._element({(self.zero_weight, "1", (), None): 1})
+        return self._element({self.ring.monomial(self, ()): 1})
+
+    def gen_element(self, g):
+        if isinstance(g, Generator):
+            g = g.index
+        return self._element({self.ring.monomial(self, (g,)): 1})
 
     def scalar(self, kr: KRCoeff):
-        if self.kind != "KR":
-            raise PresentationError("KR scalars only live in KR presentations")
-        terms = {}
-        for name, val in kr.as_dict().items():
-            if val:
-                terms[(self.zero_weight, name, (), None)] = val
-        return self._element(terms)
+        self._real(True, "KR scalars only live in KR presentations")
+        return self._element({(self.zero_weight, name, (), None): val
+                              for name, val in kr.as_dict().items()})
 
     def class_element(self, w, cls="1"):
         """The coefficient class of a self-twisted-dual (R or H type) weight."""
+        self._real(True, "coefficient classes live in KR presentations")
         w = tuple(w)
         if self.classify(w).type == TYPE_C:
             raise PresentationError(
                 f"{w} is complex type; use rclass_element for realifications")
         return self._element({(w, cls, (), None): 1})
 
-    def gen_element(self, g):
-        if isinstance(g, Generator):
-            g = g.index
-        if self.kind in ("BZ", "K"):
-            return self.dg_element(g)
-        return self._element({(self.zero_weight, "1", (g,), None): 1})
-
     def dg_element(self, fi, j=0, w=None):
-        """beta^j . V_w . dG[factor fi] in a BZ presentation."""
-        if self.kind not in ("BZ", "K"):
-            raise PresentationError("dg_element lives in BZ presentations")
+        """beta^j . V_w . dG[factor fi] in a K-theory presentation."""
+        self._real(False, "dg_element lives in BZ presentations")
         w = self.zero_weight if w is None else tuple(w)
         return self._element({(w, j % 4, (fi,)): 1})
 
     def bz_weight(self, w, j=0):
-        if self.kind not in ("BZ", "K"):
-            raise PresentationError("bz_weight lives in BZ presentations")
+        self._real(False, "bz_weight lives in BZ presentations")
         return self._element({(tuple(w), j % 4, ()): 1})
 
     def rclass_element(self, idx: RClassIndex):
         """The realified class r_{rho, i, eps, nu} in normal form."""
-        if self.kind != "KR":
-            raise PresentationError("realified classes live in KR presentations")
+        self._real(True, "realified classes live in KR presentations")
         t = self.split.t
         if len(idx.eps) != t:
             raise PresentationError(f"eps/nu must have length t={t}")
@@ -447,29 +633,15 @@ class Presentation:
             raise PresentationError(f"no factor for pair {k} role {role}")
         return fi
 
-    # -- BZ arithmetic -------------------------------------------------------------
-    def _mul_bz_unit(self, t1, t2):
-        """Product of two BZ terms at unit coefficient."""
-        w1, j1, b1 = t1
-        w2, j2, b2 = t2
-        merged = koszul_sort(b1 + b2)
-        if merged is None:
-            return {}
-        bits, count = merged
-        sign = (-1) ** count
-        if self.kind == "K":
-            return {(self.zero_weight, (j1 + j2) % 4, bits): sign}
-        out = {}
-        for w, m in self.tensor(w1, w2).items():
-            out[(w, (j1 + j2) % 4, bits)] = sign * m
-        return out
-
+    # -- R(G) terms under tau ------------------------------------------------------
     def _bz_mul_dicts(self, a, b):
+        """Product of two dicts of R(G) terms, the ring c maps into."""
+        mul = self.ring.complexification.mul_unit
         out = {}
         for t1, c1 in a.items():
             for t2, c2 in b.items():
                 c12 = c1 * c2
-                for t, c in self._mul_bz_unit(t1, t2).items():
+                for t, c in mul(self, t1, t2).items():
                     out[t] = out.get(t, 0) + c12 * c
         return {t: c for t, c in out.items() if c}
 
@@ -498,7 +670,7 @@ class Presentation:
         """Normal-form KR terms of coeff . r(beta^j . V_w . dG-monomial).
 
         Realification is linear and the mod-2 reduction of torsion atoms
-        happens later, in _normalize_terms, so the unit result is
+        happens later, when the element is built, so the unit result is
         computed once per (w, j, bits, allow_flip) and scaled here.
         """
         key = (w, j, bits, allow_flip)
@@ -571,21 +743,13 @@ class Presentation:
         _, slot_sign = self._slot_to_bz(slot)
         return [((cw, "1", plain, slot), sign * slot_sign)]
 
-    def _lam_kills(self, plain, slot):
-        """lam_k in the plain monomial times a slot using pair k vanishes."""
-        if slot is None:
-            return False
-        used = set(slot[2]) | set(slot[3])
-        return any(self.gens[gi].pair in used for gi in plain)
-
     def realify_bz(self, e: RingElement) -> RingElement:
         """Realification of a K-theory element (from the complexify target).
 
         The argument must live in a BZ presentation sharing this
         presentation's fundamental catalog.
         """
-        if self.kind != "KR":
-            raise PresentationError("realify_bz lands in a KR presentation")
+        self._real(True, "realify_bz lands in a KR presentation")
         if e.p.factors != self.factors:
             raise PresentationError("K-theory element has a different catalog")
         return self._element(self._realify(e.terms))
@@ -646,122 +810,16 @@ class Presentation:
             out = self._bz_mul_dicts(out, image)
         return out
 
-    # -- KR term multiplication ----------------------------------------------------
-    def _typed_mult(self, cw1, cls1, cw2, cls2):
-        """Product of two coefficient atoms with type bookkeeping: the
-        class of V_cw1 (x) V_cw2, scaled by cls1 . cls2 (see _rep_class)."""
-        parity = (self._h_type(cw1) + self._h_type(cw2)) % 2
-        kr = KRCoeff.basis(cls1) * KRCoeff.basis(cls2)
-        if kr.is_zero():
-            return [], {}
-        return self._rep_class(self.tensor(cw1, cw2), parity, kr)
-
-    def _rep_class(self, decomp, parity, kr):
-        """kr times the class of a real (parity 0) or quaternionic (parity
-        1) representation, given as highest weight -> multiplicity.
-
-        Returns (fragments, pairs): (weight, cls, coeff) atoms of the R/H
-        assembly, and the BZ term dict whose realification is the
-        complex-type part: a pair rho + sigmabar*rho of multiplicity m is
-        m . r(beta^(2 . parity) rho), and kr . r(y) = r(c(kr) . y).
-        """
-        frags, pairs = [], {}
-        pair_mults = {}
-        for nu_w, m in decomp.items():
-            t = self.classify(nu_w).type
-            if t == TYPE_C:
-                rep = self.pair_rep(nu_w)
-                slot = pair_mults.setdefault(rep, [0, 0])
-                slot[0 if nu_w == rep else 1] += m
-                continue
-            if (t == TYPE_H) == (parity == 1):
-                base, mult = "1", m
-            else:
-                if m % 2:
-                    raise PresentationError(
-                        f"odd multiplicity {m} of {t}-type {nu_w} in a "
-                        f"parity-{parity} class: type bookkeeping violated")
-                base, mult = "mu", m // 2
-            for name, val in (KRCoeff.basis(base) * kr).as_dict().items():
-                if val:
-                    frags.append((nu_w, name, mult * val))
-        ck = c_coeff(kr).c
-        for rep, (ma, mb) in pair_mults.items():
-            if ma != mb:
-                raise PresentationError(f"unbalanced complex pair {rep}")
-            for i, a in enumerate(ck):
-                if a:
-                    pairs[(rep, (2 * parity + i) % 4, ())] = ma * a
-        return frags, pairs
-
-    def _mul_kr_unit(self, t1, t2):
-        """Product of two KR terms at unit coefficient."""
-        cw1, cls1, p1, s1 = t1
-        cw2, cls2, p2, s2 = t2
-        if s1 is None and s2 is None:
-            merged = koszul_sort(p1 + p2, self._gen_parity)
-            if merged is None:
-                return {}
-            plain, count = merged
-            return self._class_terms(self._typed_mult(cw1, cls1, cw2, cls2),
-                                     plain, (-1) ** count)
-        # a.p.r(x) . y = p . r(c(a) . x . c(y)), with the slot term in
-        # front: y . t = (-1)^(|y| |t|) t . y
-        own, other, sign = t1, t2, 1
-        if s1 is None:
-            own, other = t2, t1
-            sign = (-1) ** (self.term_degree(t1) * self.term_degree(t2) % 2)
-        cw, cls, plain, slot = own
-        x, xsign = self._slot_to_bz(slot)
-        arg = self._bz_mul_dicts(self._c_image((cw, cls, (), None)), {x: xsign})
-        arg = self._bz_mul_dicts(arg, self._c_image(other))
-        out = {}
-        self._add_times_plain(out, plain, self._realify(arg), sign)
-        return out
-
-    def _gen_parity(self, gi):
-        return self.gens[gi].parity
-
-    def _class_terms(self, pieces, plain, coeff=1):
-        """Terms of a coefficient class (see _rep_class) times a plain
-        monomial, scaled by coeff."""
-        frags, pairs = pieces
-        out = {}
-        for w, name, c in frags:
-            t = (w, name, plain, None)
-            out[t] = out.get(t, 0) + coeff * c
-        self._add_times_plain(out, plain, self._realify(pairs), coeff)
-        return out
-
-    def _add_times_plain(self, out, plain, terms, coeff):
-        """Accumulate coeff . plain . t into out for each KR term t."""
-        for (tw, tcls, tplain, tslot), c in terms.items():
-            merged = koszul_sort(plain + tplain, self._gen_parity)
-            if merged is None:
-                continue
-            nplain, count = merged
-            if self._lam_kills(nplain, tslot):
-                continue
-            key = (tw, tcls, nplain, tslot)
-            out[key] = out.get(key, 0) + coeff * c * (-1) ** count
-
-    # -- normalization and public multiplication ------------------------------------
-    def _normalize_terms(self, terms):
-        if self.kind != "KR":
-            return {t: c for t, c in terms.items() if c}
-        out = {}
-        for t, c in terms.items():
-            if t[1] in KR_TORSION:
-                c %= 2
-            if c:
-                out[t] = c
-        return out
+    # -- multiplication and the derivation -------------------------------------------
+    def _mul_unit(self, t1, t2):
+        """Product of two terms at unit coefficient, the ring's."""
+        return self.ring.mul_unit(self, t1, t2)
 
     def _mul_elements(self, a, b):
         """Bilinear, through _mul_table: each ordered pair of terms is
         multiplied once, at unit coefficient (torsion is reduced later)."""
         table = self._mul_table
-        unit_mul = self._mul_kr_unit if self.kind == "KR" else self._mul_bz_unit
+        unit_mul = self._mul_unit
         out = {}
         for t1, c1 in a.terms.items():
             for t2, c2 in b.terms.items():
@@ -773,41 +831,17 @@ class Presentation:
                     out[t] = out.get(t, 0) + c12 * c
         return RingElement(self, out)
 
-    # -- derivation ---------------------------------------------------------------
     def _derivative(self, exp):
-        """d(f^exp) = sum_i exp_i f^(exp - e_i) . df_i, at unit coefficient."""
+        """d(f^exp) = sum_i exp_i f^(exp - e_i) . df_i, at unit coefficient,
+        each cofactor expanded into irreducibles and typed by the ring."""
         out = {}
         for i, a in enumerate(exp):
             if a:
                 cof = exp[:i] + (a - 1,) + exp[i + 1:]
-                for t, m in self._derivation_unit(cof, i).items():
+                expansion = _expand_monomial_cached(self.rd, cof)
+                for t, m in self.ring.derivation(self, expansion, cof, i).items():
                     out[t] = out.get(t, 0) + a * m
         return out
-
-    def _derivation_unit(self, cof, i):
-        """f^cof . df_i, the cofactor expanded into irreducibles: in K,
-        pushed to its rank; in KR, its class (real or quaternionic by
-        the parity of its H-type exponents) times the generator dR or
-        dH[f_i]."""
-        ff = self._fund_factor
-        expansion = _expand_monomial_cached(self.rd, cof)
-        bits = (ff[i],)
-        if self.kind == "BZ":
-            return {(w, 0, bits): m for w, m in expansion.items()}
-        if self.kind == "K":
-            rank = sum(m * weyl_dimension(self.rd, w)
-                       for w, m in expansion.items())
-            return {(self.zero_weight, 0, bits): rank}
-        gen_of = [self._gen_by_factor.get(fi) for fi in ff]
-        if gen_of[i] is None or any(a and g is None
-                                    for a, g in zip(cof, gen_of)):
-            raise PresentationError(
-                "the KR derivation takes exponents on R/H fundamentals only")
-        parity = sum(a for a, g in zip(cof, gen_of)
-                     if a and self.gens[g].kind == "dH") % 2
-        return self._class_terms(self._rep_class(expansion, parity,
-                                                 KRCoeff.basis("1")),
-                                 (gen_of[i],))
 
 
 # ---------------------------------------------------------------------------
@@ -822,21 +856,18 @@ def build_bz_presentation(rd: RootData) -> Presentation:
     The involution is the trivial one; under another involution the
     ring is ``complexify(p).target`` on the KR factor table of p.
     """
-    return Presentation(rd, Involution(rd, "trivial"), None, "BZ",
+    return Presentation(rd, Involution(rd, "trivial"), None, REP_RING,
                         [("phi", w, -1) for w in rd.fundamental_weights()])
 
 
 def augment_bz(p: Presentation) -> Presentation:
-    """The K*(G) variant: coefficients pushed to Z by the rank map."""
-    return Presentation(p.rd, p.inv, None, "K", p.factors)
+    """The K*(G) variant: the same factor table over Z, through the rank."""
+    return Presentation(p.rd, p.inv, None, RANK_RING, p.factors)
 
 
 def augment_element(p_k: Presentation, e: RingElement) -> RingElement:
-    out = {}
-    for (w, j, bits), c in e.terms.items():
-        key = (p_k.zero_weight, j, bits)
-        out[key] = out.get(key, 0) + c * weyl_dimension(e.p.rd, w)
-    return p_k._element(out)
+    """The image of a K*_G(G) element in K*(G): each weight its rank."""
+    return p_k._element(e.terms)
 
 
 def build_kr_presentation(rd: RootData, inv: Involution) -> Presentation:
@@ -853,7 +884,7 @@ def build_kr_presentation(rd: RootData, inv: Involution) -> Presentation:
                + [("theta", w, -1) for w in split.quat]
                + [(role, w, k) for k, pair in enumerate(split.pairs)
                   for role, w in zip("uv", pair)])
-    return Presentation(rd, inv, split, "KR", factors)
+    return Presentation(rd, inv, split, ASSEMBLY_RING, factors)
 
 
 # ---------------------------------------------------------------------------
@@ -929,7 +960,7 @@ def delta_lift(p: Presentation, poly) -> RingElement:
     """Extend the derivation to a polynomial in the fundamentals.
 
     ``poly`` maps exponent tuples, one slot per fundamental in
-    ``p.rd.fundamental_weights()`` order for both kinds, to integer
+    ``p.rd.fundamental_weights()`` order on every ring, to integer
     coefficients.  A negative exponent needs an invertible, that is
     one-dimensional, fundamental (a U(n) determinant); in a KR
     presentation every nonzero exponent must sit on an R/H fundamental.
@@ -976,10 +1007,9 @@ def complexify(p: Presentation):
     """The complexification map into the Brylinski-Zhang presentation
     on the same fundamental catalog; each term maps through
     Presentation._c_image."""
-    if p.kind != "KR":
-        raise PresentationError("complexify maps a KR presentation")
-    return ComplexificationMap(p, Presentation(p.rd, p.inv, None, "BZ",
-                                               p.factors))
+    p._real(True, "complexify maps a KR presentation")
+    return ComplexificationMap(p, Presentation(p.rd, p.inv, None,
+                                               p.ring.complexification, p.factors))
 
 
 class ComplexificationMap:
@@ -1056,50 +1086,18 @@ def rclass_indices(t: int, rho=None):
 def poincare_table(p: Presentation, bound: int = 50):
     """Per-degree (free rank, 2-torsion count) of the normal-form basis.
 
-    Truncated to irreducibles of dimension <= bound.  For BZ/K
-    presentations the table counts exterior monomials (times the four
-    beta-classes) and has no torsion.  For KR the engine builds the
-    basis itself: one representative irreducible per kind (a
-    non-trivial one where there is one; both members of a complex
-    pair) times the coefficient classes, the trivial-rho realified
-    classes and the pair realified classes, each multiplied by every
-    plain monomial.  The distinct normal-form terms are counted by
-    term_degree and by the torsion of their coefficient class, and
-    scaled by the number of irreducibles of that kind.
+    Truncated to irreducibles of dimension <= bound; the ring counts it.
+    Over R(G) and Z the table counts exterior monomials (times the four
+    beta-classes), has no torsion and does not depend on the bound.  Over
+    the assembly the engine builds the basis itself: one representative
+    irreducible per kind (a non-trivial one where there is one; both
+    members of a complex pair) times the coefficient classes, the
+    trivial-rho realified classes and the pair realified classes, each
+    multiplied by every plain monomial.  The distinct normal-form terms
+    are counted by degree and by the torsion of their coefficient class,
+    and scaled by the number of irreducibles of that kind.
     """
-    table = {canon_degree(-q): [0, 0] for q in range(8)}
-    if p.kind in ("BZ", "K"):
-        n = len(p.gens)
-        for k in range(n + 1):
-            for j in range(4):
-                table[canon_degree(-2 * j - k)][0] += comb(n, k)
-        return {d: tuple(v) for d, v in table.items()}
-
-    reals, quats, pairs = classified_irreps(p, bound)
-    t = p.split.t
-    trivial_rho = [p.rclass_element(idx) for idx in rclass_indices(t)
-                   if idx.factor_count]
-    pieces = []  # (number of irreducibles of the kind, basis factors)
-    for classes in (reals, quats):
-        if classes:
-            w = max(cls.weight for cls in classes)
-            pieces.append((len(classes),
-                           [p.class_element(w, name) for name in KR_BASIS]
-                           + [r * p.class_element(w) for r in trivial_rho]))
-    if pairs:
-        cls = pairs[0]
-        pieces.append((len(pairs), [p.rclass_element(idx)
-                                    for rho in (cls.weight, cls.twisted_dual)
-                                    for idx in rclass_indices(t, rho)]))
-    monomials = plain_monomial_elements(p)
-    for count, factors in pieces:
-        terms = set()
-        for m in monomials:
-            for f in factors:
-                terms.update((m * f).terms)
-        for term in terms:
-            table[p.term_degree(term)][int(term[1] in KR_TORSION)] += count
-    return {d: tuple(v) for d, v in table.items()}
+    return {d: tuple(v) for d, v in p.ring.poincare(p, bound).items()}
 
 
 def noneq_table(p: Presentation):
@@ -1109,7 +1107,7 @@ def noneq_table(p: Presentation):
     the KO pattern of KR*(pt), and every trivial-rho realified slot not
     killed by a lam factor of the monomial carries a free Z.
     """
-    table = {canon_degree(-q): [0, 0] for q in range(8)}
+    table = _degree_table()
     slots = [idx for idx in rclass_indices(p.split.t) if idx.factor_count]
     for bits in plain_monomials(p):
         d = sum(p.gens[g].degree for g in bits)

@@ -78,7 +78,7 @@ def presentation_payload(p: Presentation, truncation: int = 50,
             "rhs": repr(sq),
             "provenance": provenance,
         })
-    if p.kind == "KR" and p.split is not None and p.split.t:
+    if p.ring.complexification and p.split.t:
         t = p.split.t
         relations.append({
             "lhs": "r[rho;i;eps;nu].eta",
@@ -118,7 +118,7 @@ def presentation_payload(p: Presentation, truncation: int = 50,
         "poincare_scope": scope,
         "group": str(p.rd.spec),
         "involution": p.inv.name,
-        "coefficients": p.coefficient_tag,
+        "coefficients": p.ring.tag,
         "omega_form": p.omega_form,
         "generators": gens,
         "relations": relations,

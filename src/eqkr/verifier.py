@@ -146,13 +146,13 @@ def verify_leibniz(p: Presentation, bound: int = 15,
     share no factor map.
     """
     def run():
-        bz = complexify(p).target if p.kind == "KR" else p
+        bz = complexify(p).target if p.ring.complexification else p
         try:
             weights = dominant_weights_up_to_dim(p.rd, bound)
         except UnsupportedGroupError:
             weights = [p.rd.zero()] + list(p.rd.fundamental_weights())
         instances = [(bz, weights)]
-        if p.kind == "KR" and p.split is not None and p.split.t == 0:
+        if p.omega_form:
             instances.append((p, list(p.split.real) + list(p.split.quat)))
         polys = {}  # V_w in the fundamentals depends on rd alone: shared
 
@@ -264,7 +264,7 @@ def verify_cr(p: Presentation, seed: int = DEFAULT_SEED,
                 y = KCoeff.beta(j)
                 if r_coeff(c_coeff(x) * y) != x * r_coeff(y):
                     return f"projection formula fails on ({name}, beta^{j})"
-        if p.kind != "KR":
+        if p.ring.complexification is None:
             return None
         cmap = complexify(p)
         bz = cmap.target
@@ -446,24 +446,23 @@ MUTANT_KINDS = ("delta-square", "tau-flip")
 def make_mutant(p: Presentation, kind: str) -> Presentation:
     """A deliberately broken copy of a presentation, for sensitivity tests.
 
-    "delta-square": the unit product of terms (``_mul_kr_unit``, or
-    ``_mul_bz_unit`` on BZ/K) squares the first generator's term to
-    lam[1], or to 1 where there is no lam generator, so the fault sits
-    in the engine's multiplication, under every caller.  "tau-flip":
+    "delta-square": the unit product of terms (``_mul_unit``, whatever
+    the ring) squares the first generator's term to lam[1], or to 1
+    where there is no lam generator, so the fault sits in the engine's
+    multiplication, under every caller.  "tau-flip":
     realified slots skip the tau-canonicalisation, so r(x) and r(tau x)
     stay distinct terms.
     """
     if kind not in MUTANT_KINDS:
         raise ValueError(
             f"unknown mutant kind {kind!r}; pick one of {MUTANT_KINDS}")
-    bad = Presentation(p.rd, p.inv, p.split, p.kind, p.factors)
+    bad = Presentation(p.rd, p.inv, p.split, p.ring, p.factors)
     if kind == "delta-square":
         lam = bad._lam_gen.get(0)
         wrong = (bad.one() if lam is None else bad.gen_element(lam)).terms
         first, = bad.gen_element(0).terms
-        name = "_mul_kr_unit" if p.kind == "KR" else "_mul_bz_unit"
-        unit = getattr(bad, name)
-        setattr(bad, name, lambda t1, t2: wrong if t1 == t2 == first else unit(t1, t2))
+        unit = bad._mul_unit
+        bad._mul_unit = lambda t1, t2: wrong if t1 == t2 == first else unit(t1, t2)
     else:
         bad.pair_rep = tuple  # every weight is its own pair representative
     return bad

@@ -55,6 +55,11 @@ def test_k_su2_total_rank_two():
     # augmentation sends a weight to its dimension
     e = augment_element(k, bz.bz_weight((2,)))
     assert e == 3 * k.one()
+    # and so do K's own constructors: a weight is its rank
+    assert k.bz_weight((1,)) * k.one() == augment_element(k, bz.bz_weight((1,)))
+    assert k.bz_weight((1,)) * k.one() == 2 * k.one()
+    assert (k.dg_element(0, 0, (2,)) * k.one()
+            == augment_element(k, bz.dg_element(0, 0, (2,))) == 3 * k.dg_element(0))
 
 
 def test_bz_product_rules():
@@ -492,6 +497,14 @@ def test_poincare_table_bz():
     bz = build_bz_presentation(build_root_data("SU3"))
     tab = poincare_table(bz)
     assert all(v == (2, 0) for v in tab.values())
+    # the closed form counts the degrees the ring gives its terms
+    for bz in (bz, build_bz_presentation(build_root_data("U2"))):
+        counted = {d: [0, 0] for d in range(-6, 2)}
+        for m in plain_monomial_elements(bz):
+            for j in range(4):
+                d, = (m * bz.bz_weight(bz.zero_weight, j)).degrees()
+                counted[d][0] += 1
+        assert {d: tuple(v) for d, v in counted.items()} == poincare_table(bz)
 
 
 def test_realify_roundtrip_canonical_slots():
@@ -599,8 +612,7 @@ def test_term_tables_are_linear_in_the_coefficient():
 def _stale_entries(warm, ref):
     """Keys of warm's term tables whose entry differs from its
     recomputation in the cold presentation ref."""
-    unit_mul = ref._mul_kr_unit if ref.kind == "KR" else ref._mul_bz_unit
-    stale = [k for k, v in warm._mul_table.items() if unit_mul(*k) != v]
+    stale = [k for k, v in warm._mul_table.items() if ref._mul_unit(*k) != v]
     stale += [k for k, v in warm._realify_table.items() if ref._realify_unit(*k) != v]
     stale += [k for k, v in warm._c_table.items() if ref._c_unit(k) != v]
     return stale
@@ -723,6 +735,7 @@ def test_term_labels():
 @pytest.mark.parametrize("call,message", [
     (lambda p, bz: bz.scalar(KRCoeff(one=1)), "KR scalars only live in KR"),
     (lambda p, bz: p.class_element((1, 0)), "complex type"),
+    (lambda p, bz: bz.class_element((1, 1)), "coefficient classes live in KR"),
     (lambda p, bz: p.dg_element(0), "dg_element lives in BZ"),
     (lambda p, bz: p.bz_weight((1, 0)), "bz_weight lives in BZ"),
     (lambda p, bz: bz.rclass_element(RClassIndex(None, 0, (1,), (0,))),
@@ -733,8 +746,8 @@ def test_term_labels():
     (lambda p, bz: bz.realify_bz(bz.one()), "lands in a KR presentation"),
     (lambda p, bz: p.realify_bz(bz.one()), "different catalog"),
     (lambda p, bz: complexify(bz), "maps a KR presentation"),
-], ids=["scalar", "class", "dg", "bz-weight", "rclass-kind", "rclass-length",
-        "rclass-rho", "realify-kind", "realify-catalog", "complexify"])
+], ids=["scalar", "class", "class-kind", "dg", "bz-weight", "rclass-kind",
+        "rclass-length", "rclass-rho", "realify-kind", "realify-catalog", "complexify"])
 def test_inputs_of_the_wrong_kind_are_refused(call, message):
     p, bz = kr("SU3", "trivial"), build_bz_presentation(build_root_data("SU3"))
     with pytest.raises(PresentationError, match=message):

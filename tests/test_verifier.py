@@ -4,7 +4,12 @@ from conftest import GOLDEN, kr
 from eqkr import groups, oracle, presentation, realstruct, torus, verifier
 from eqkr.coeffs import KCoeff, KRCoeff
 from eqkr.groups import build_root_data
-from eqkr.presentation import ComplexificationMap, Presentation, build_bz_presentation
+from eqkr.presentation import (
+    ComplexificationMap,
+    Presentation,
+    augment_bz,
+    build_bz_presentation,
+)
 from eqkr.realstruct import Involution
 from eqkr.verifier import (
     CheckResult,
@@ -110,6 +115,12 @@ def test_negative_controls_fail():
     bad = make_mutant(p, "delta-square")
     res = verify_squares(bad)
     assert res.status == "fail" and res.witness
+    # the one unit-product entry is overridden whatever the ring: K*_G(G), K*(G)
+    bz = build_bz_presentation(build_root_data("SU3"))
+    for q in (bz, augment_bz(bz)):
+        assert verify_squares(q).passed
+        res = verify_squares(make_mutant(q, "delta-square"))
+        assert res.status == "fail" and res.witness == "square of dG[1,0] is 1*1, not 0"
     p3 = kr("SU3", "trivial")
     res = verify_module_iso(make_mutant(p3, "tau-flip"), 20)
     assert res.status == "fail" and res.witness.startswith("degree ")
